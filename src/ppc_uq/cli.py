@@ -6,6 +6,7 @@ exactly 0 or 1), 1 on any error. Other commands: 0 on success, 1 on error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -114,13 +115,8 @@ def _simulate_quadratic(args, out_dir: str) -> None:
     io.save_labels(os.path.join(out_dir, "train_labels.csv"), y_train)
     ens_cfg = analytic.BayesianLinearEnsembleConfig(
         num_models=args.models, noise_var=cfg.noise_std ** 2, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    x_id = np.empty(0)
-    while x_id.size < 200:
-        draw = rng.standard_normal(200 - x_id.size)
-        x_id = np.concatenate([x_id, draw[(draw <= cfg.holdout[0]) |
-                                          (draw >= cfg.holdout[1])]])
-    y_id = analytic.quadratic_mean(x_id) + cfg.noise_std * rng.standard_normal(x_id.size)
+    x_id, y_id, _, _ = analytic.generate_quadratic_dataset(
+        dataclasses.replace(cfg, n=200, seed=args.seed + 1))
     for tag, xs, ys in (("id", x_id, y_id), ("ood", x_ood, y_ood)):
         preds = analytic.bayesian_linear_ensemble(ens_cfg, x_train, y_train, xs)
         io.save_predictions(os.path.join(out_dir, f"{tag}_predictions.jsonl"), preds)

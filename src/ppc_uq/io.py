@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import stat
 
 import numpy as np
 
@@ -160,9 +160,13 @@ def file_digest(path) -> str:
 def atomic_write_text(path, text: str) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppc-uq-")
+    tmp = os.path.join(directory, f".ppc-uq-{os.urandom(8).hex()}")
+    # the mode open(path, "w") gives: an existing file's, else 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if os.path.exists(path):
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

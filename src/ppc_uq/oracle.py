@@ -86,7 +86,7 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
         raise BudgetExceededError(required, budget.max_outcomes)
 
     ctx = ppc_mod.build_context(preds, weights)
-    probs = ctx.class_probs                                 # [N, M, C]
+    probs = preds.class_probs()                             # [N, M, C]
     w = ctx.weights
     rows = np.arange(n)
 

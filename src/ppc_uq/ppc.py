@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
 
 from . import statistics as st
-from .predictive import InvalidParameterError, PosteriorWeights
+from .predictive import InvalidParameterError, PosteriorWeights, cumulative, draw_mixture
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 
@@ -69,10 +69,7 @@ class PredictiveContext:
     integrated: np.ndarray = None        # classification: [N, C]
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
-    class_probs: np.ndarray = None       # classification: [N, M, C]
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
-    means: np.ndarray = None             # regression: [N, M]
-    stds: np.ndarray = None              # regression: [N, M]
 
 
 def build_context(preds: st.EnsemblePredictions,
@@ -80,16 +77,11 @@ def build_context(preds: st.EnsemblePredictions,
     w = st._weights_array(weights, preds.num_models)
     ctx = PredictiveContext(preds=preds, weights=w)
     if preds.kind == st.CLASSIFICATION:
-        ctx.class_probs = preds.class_probs()
-        cums = np.cumsum(ctx.class_probs, axis=2)
-        cums[:, :, -1] = 1.0
-        ctx.class_cums = cums
-        ctx.integrated = np.einsum("nmc,m->nc", ctx.class_probs, w)
+        probs = preds.class_probs()
+        ctx.class_cums = cumulative(probs)
+        ctx.integrated = np.einsum("nmc,m->nc", probs, w)
         ctx.predicted = ctx.integrated.argmax(axis=1)
         ctx.confidence = ctx.integrated.max(axis=1)
-    else:
-        ctx.means = preds.means
-        ctx.stds = preds.stds
     return ctx
 
 
@@ -122,7 +114,7 @@ class CalibrationErrorStatistic:
     name = "calibration"
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        pit = st.pit_from_gaussians(ctx.means, ctx.stds, ctx.weights, labels)
+        pit = st.pit_from_gaussians(ctx.preds.means, ctx.preds.stds, ctx.weights, labels)
         return st.calibration_error(pit, self.quantiles)
 
 
@@ -135,7 +127,7 @@ class PicpStatistic:
     name = "picp"
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        pit = st.pit_from_gaussians(ctx.means, ctx.stds, ctx.weights, labels)
+        pit = st.pit_from_gaussians(ctx.preds.means, ctx.preds.stds, ctx.weights, labels)
         return st.picp(pit, self.lower, self.upper)
 
 
@@ -153,6 +145,9 @@ class StatisticSamples:
     mode: str
     statistic: str
     observed: float = None
+    # the context the replicates were evaluated against, for the observed value
+    context: PredictiveContext = field(default=None, init=False, repr=False,
+                                       compare=False)
 
 
 @dataclass
@@ -168,17 +163,7 @@ class PpcReport:
     statistic: str
 
     def to_dict(self) -> dict:
-        return {
-            "p_value": self.p_value,
-            "sharpness": self.sharpness,
-            "passed": self.passed,
-            "percentiles": dict(self.percentiles),
-            "observed": self.observed,
-            "num_replicates": self.num_replicates,
-            "seed": self.seed,
-            "mode": self.mode,
-            "statistic": self.statistic,
-        }
+        return asdict(self)
 
 
 def replicate_rng(seed: int, k: int) -> np.random.Generator:
@@ -190,37 +175,25 @@ def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                      mode: UncertaintyMode, rng: np.random.Generator) -> np.ndarray:
     """One replicated label vector y_rep under the given uncertainty mode.
 
-    RNG consumption order: model index uniform(s) first (skipped entirely when
-    M = 1 or in PointEstimate mode), then one row draw per row in row order.
+    Consumes the rng as `predictive.draw_mixture` does: Bayesian shares one
+    model index across rows, PointEstimate draws none.
     """
     return _replicate_labels_ctx(build_context(preds, weights), mode, rng)
 
 
 def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                           rng: np.random.Generator) -> np.ndarray:
-    n, m = ctx.preds.num_rows, ctx.preds.num_models
+    index = None
     if isinstance(mode, PointEstimate):
-        if not (0 <= mode.index < m):
+        if not (0 <= mode.index < ctx.preds.num_models):
             raise InvalidParameterError("point-estimate index out of range")
-        idx = np.full(n, mode.index)
-    elif m == 1:
-        idx = np.zeros(n, dtype=int)
-    elif isinstance(mode, Bayesian):
-        cum = np.cumsum(ctx.weights)
-        cum[-1] = 1.0
-        idx = np.full(n, int(np.searchsorted(cum, rng.random(), side="right")))
-    elif isinstance(mode, ConditionallyIndependent):
-        cum = np.cumsum(ctx.weights)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-    else:
+        index = mode.index
+    elif not isinstance(mode, (Bayesian, ConditionallyIndependent)):
         raise InvalidParameterError(f"unknown mode: {mode!r}")
-    rows = np.arange(n)
-    if ctx.preds.kind == st.CLASSIFICATION:
-        u = rng.random(n)
-        return (u[:, None] > ctx.class_cums[rows, idx]).sum(axis=1)
-    z = rng.standard_normal(n)
-    return ctx.means[rows, idx] + ctx.stds[rows, idx] * z
+    return draw_mixture(rng, ctx.weights, ctx.preds.num_rows,
+                        shared=isinstance(mode, Bayesian), index=index,
+                        means=ctx.preds.means, stds=ctx.preds.stds,
+                        class_cums=ctx.class_cums)
 
 
 def _check_compatible(preds: st.EnsemblePredictions, statistic) -> None:
@@ -269,8 +242,10 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                        for i in range(workers)]
             for f in futures:
                 f.result()
-    return StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
-                            mode=mode.describe(), statistic=statistic.name)
+    ss = StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
+                          mode=mode.describe(), statistic=statistic.name)
+    ss.context = ctx
+    return ss
 
 
 def _sample_values(samples) -> np.ndarray:
@@ -299,13 +274,10 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
             statistic, mode: UncertaintyMode, num_replicates: int = 1000,
             seed: int = 0, threads: int = None) -> PpcReport:
     """Full check: observed statistic vs its posterior predictive distribution."""
-    _check_compatible(preds, statistic)
     labels = st.validate_labels(preds, labels)
-    ctx = build_context(preds, weights)
-    observed = float(statistic.evaluate(labels, ctx))
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)
-    ss.observed = observed
+    observed = ss.observed = float(statistic.evaluate(labels, ss.context))
     p = p_value(ss, observed)
     pcts = np.quantile(ss.samples, [0.05, 0.25, 0.5, 0.75, 0.95])
     return PpcReport(

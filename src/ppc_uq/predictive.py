@@ -7,12 +7,11 @@ CDF integrates the per-model CDFs over those weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-_SQRT2 = math.sqrt(2.0)
+from scipy.special import ndtr
 
 
 class InvalidParameterError(ValueError):
@@ -108,13 +107,21 @@ class MixturePredictive:
         return self.components[0].kind
 
 
+def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """Gaussian-mixture CDF at y: sum_m w_m Phi((y - mean_m) / std_m), over the
+    last (model) axis of means and stds, which broadcast against y[..., None]."""
+    return ndtr((y[..., None] - means) / stds) @ w
+
+
 def gaussian_cdf(mean: float, stddev: float, y: float) -> float:
-    """CDF of N(mean, stddev^2) at y, via erf (abs error well under 1e-12)."""
+    """CDF of N(mean, stddev^2) at y."""
     if not (math.isfinite(mean) and math.isfinite(stddev) and math.isfinite(y)):
         raise InvalidParameterError("gaussian_cdf inputs must be finite")
     if stddev <= 0:
         raise InvalidParameterError(f"stddev must be > 0, got {stddev}")
-    return 0.5 * (1.0 + math.erf((y - mean) / (stddev * _SQRT2)))
+    return float(pit_from_gaussians(np.array([mean]), np.array([stddev]),
+                                    np.ones(1), np.asarray(y, dtype=float)))
 
 
 def mixture_cdf(mixture: MixturePredictive, y) -> float:
@@ -125,51 +132,60 @@ def mixture_cdf(mixture: MixturePredictive, y) -> float:
     if mixture.kind != "gaussian":
         raise InvalidParameterError("mixture_cdf is defined for gaussian mixtures")
     y_arr = np.asarray(y, dtype=float)
-    w = mixture.weights.as_array()
-    total = np.zeros_like(y_arr, dtype=float)
-    for wi, comp in zip(w, mixture.components):
-        z = (y_arr - comp.mean) / (comp.stddev * _SQRT2)
-        total += wi * 0.5 * (1.0 + _erf_array(z))
-    if np.isscalar(y) or y_arr.ndim == 0:
-        return float(total)
-    return total
+    means = np.array([c.mean for c in mixture.components])
+    stds = np.array([c.stddev for c in mixture.components])
+    total = pit_from_gaussians(means, stds, mixture.weights.as_array(), y_arr)
+    return float(total) if y_arr.ndim == 0 else total
 
 
-def _erf_array(z: np.ndarray) -> np.ndarray:
-    # scipy's ndtr-equivalent without the dependency in this hot path
-    try:
-        from scipy.special import erf as _erf
+def cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the last axis, the last pinned to 1.0 so that
+    every uniform in [0, 1) falls in some bin."""
+    cum = np.cumsum(p, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
 
-        return _erf(z)
-    except ImportError:  # pragma: no cover
-        return np.vectorize(math.erf)(z)
+
+def draw_mixture(rng: np.random.Generator, weights: np.ndarray, num_rows: int,
+                 shared: bool = False, index: int = None, means=None, stds=None,
+                 class_cums=None) -> np.ndarray:
+    """One draw per row from per-row mixtures: component index, then value.
+
+    The components are Gaussian (means, stds: [N, M]) or categorical
+    (class_cums: [N, M, C], see `cumulative`). RNG consumption order: the
+    component-index uniforms first (none when M = 1 or `index` is given, one
+    shared by every row when `shared`, else one per row), then one value draw
+    per row in row order.
+    """
+    if index is None:
+        if weights.size == 1:
+            index = 0
+        else:
+            u = rng.random() if shared else rng.random(num_rows)
+            index = np.searchsorted(cumulative(weights), u, side="right")
+    idx = np.broadcast_to(index, (num_rows,))
+    rows = np.arange(num_rows)
+    if class_cums is None:
+        return means[rows, idx] + stds[rows, idx] * rng.standard_normal(num_rows)
+    return (rng.random(num_rows)[:, None] > class_cums[rows, idx]).sum(axis=1)
 
 
 def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=None):
     """Draw from the mixture: component index m ~ weights, then from component m.
 
     With size=None returns a scalar; otherwise a vector of independent draws.
-    Consumes the rng in a fixed order: index uniforms first, then value draws.
+    Consumes the rng as `draw_mixture` does: index uniforms first, then values.
     """
     n = 1 if size is None else int(size)
     w = mixture.weights.as_array()
-    m = len(w)
-    if m == 1:
-        idx = np.zeros(n, dtype=int)
-    else:
-        cum = np.cumsum(w)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(n), side="right")
     if mixture.kind == "gaussian":
         means = np.array([c.mean for c in mixture.components])
         stds = np.array([c.stddev for c in mixture.components])
-        out = means[idx] + stds[idx] * rng.standard_normal(n)
+        out = draw_mixture(rng, w, n, means=np.broadcast_to(means, (n, w.size)),
+                           stds=np.broadcast_to(stds, (n, w.size)))
     else:
-        probs = np.array([c.probs for c in mixture.components])
-        cums = np.cumsum(probs, axis=1)
-        cums[:, -1] = 1.0
-        u = rng.random(n)
-        out = (u[:, None] > cums[idx]).sum(axis=1)
+        cums = cumulative(np.array([c.probs for c in mixture.components]))
+        out = draw_mixture(rng, w, n, class_cums=np.broadcast_to(cums, (n,) + cums.shape))
     if size is None:
         return out[0] if mixture.kind == "gaussian" else int(out[0])
     return out

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .predictive import InvalidParameterError, PosteriorWeights
+from .predictive import InvalidParameterError, PosteriorWeights, pit_from_gaussians
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -48,10 +47,12 @@ class EnsemblePredictions:
                 self.logits = np.asarray(self.logits, dtype=float)
                 if self.logits.ndim != 3:
                     raise InvalidParameterError("logits must be [N, M, C]")
+                _require_finite("logits", self.logits)
             if self.probs is not None:
                 self.probs = np.asarray(self.probs, dtype=float)
                 if self.probs.ndim != 3:
                     raise InvalidParameterError("probs must be [N, M, C]")
+                _require_finite("probs", self.probs)
                 sums = self.probs.sum(axis=2)
                 if np.any(self.probs < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-6):
                     raise InvalidParameterError("per-model probability rows must sum to 1")
@@ -62,6 +63,8 @@ class EnsemblePredictions:
             self.stds = np.asarray(self.stds, dtype=float)
             if self.means.shape != self.stds.shape or self.means.ndim != 2:
                 raise InvalidParameterError("means/stds must both be [N, M]")
+            _require_finite("means", self.means)
+            _require_finite("stds", self.stds)
             if np.any(self.stds <= 0):
                 raise InvalidParameterError("all stddevs must be > 0")
         else:
@@ -83,23 +86,22 @@ class EnsemblePredictions:
                    stds=np.asarray(stds, dtype=float))
 
     @property
+    def _values(self) -> np.ndarray:
+        return next(a for a in (self.probs, self.logits, self.means) if a is not None)
+
+    @property
     def num_rows(self) -> int:
-        ref = self.probs if self.probs is not None else (
-            self.logits if self.logits is not None else self.means)
-        return ref.shape[0]
+        return self._values.shape[0]
 
     @property
     def num_models(self) -> int:
-        ref = self.probs if self.probs is not None else (
-            self.logits if self.logits is not None else self.means)
-        return ref.shape[1]
+        return self._values.shape[1]
 
     @property
     def num_classes(self) -> int:
         if self.kind != CLASSIFICATION:
             raise KindMismatchError("num_classes is a classification property")
-        ref = self.probs if self.probs is not None else self.logits
-        return ref.shape[2]
+        return self._values.shape[2]
 
     def class_probs(self) -> np.ndarray:
         """[N, M, C] probabilities (softmax of logits when only logits given)."""
@@ -118,6 +120,13 @@ class EnsemblePredictions:
             )
         return EnsemblePredictions(kind=self.kind, means=self.means[index],
                                    stds=self.stds[index])
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise InvalidParameterError(f"{name} must be finite (row {row} is not)")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -158,15 +167,18 @@ class QuantileSet:
 
 
 def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=float)
     if labels.ndim != 1 or labels.shape[0] != preds.num_rows:
         raise InvalidParameterError("labels must be a vector of length N")
-    if preds.kind == CLASSIFICATION:
-        labels = labels.astype(int)
-        if np.any(labels < 0) or np.any(labels >= preds.num_classes):
-            raise InvalidParameterError("class labels out of range")
+    _require_finite("labels", labels)
+    if preds.kind == REGRESSION:
         return labels
-    return labels.astype(float)
+    classes = labels.astype(int)
+    if np.any(classes != labels):
+        raise InvalidParameterError("class labels must be integers")
+    if np.any(classes < 0) or np.any(classes >= preds.num_classes):
+        raise InvalidParameterError("class labels out of range")
+    return classes
 
 
 def integrated_class_probs(preds: EnsemblePredictions,
@@ -222,11 +234,6 @@ def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,
     y = validate_labels(preds, labels)
     w = _weights_array(weights, preds.num_models)
     return pit_from_gaussians(preds.means, preds.stds, w, y)
-
-
-def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
-                       y: np.ndarray) -> np.ndarray:
-    return ndtr((y[:, None] - means) / stds) @ w
 
 
 def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from ppc_uq import cli, io
+from ppc_uq import analytic, cli, io
 from ppc_uq import statistics as st
 
 
@@ -68,6 +69,27 @@ class TestRoundTrips:
         io.save_labels(path, vals)
         np.testing.assert_array_equal(io.load_labels(path, st.REGRESSION), vals)
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_output_mode_matches_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.csv", "w") as fh:
+                fh.write("label\n")
+            io.save_labels(tmp_path / "written.csv", np.array([1, 2]))
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("plain.csv", "written.csv")]
+        assert modes[1] == modes[0] == 0o666 & ~umask
+
+    def test_rewrite_keeps_existing_mode(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        io.save_labels(path, np.array([0]))
+        os.chmod(path, 0o640)
+        io.save_labels(path, np.array([1]))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert io.load_labels(path, st.CLASSIFICATION).tolist() == [1]
+
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         payload = {"p_value": 1 / 3, "sharpness": 0.123456789012345}
@@ -108,6 +130,26 @@ class TestCheckCommand:
                          "--statistic", "ece", "--mode", "bayesian"])
         assert code == 1
         assert "models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token,field", [("NaN", "mean"), ("Infinity", "std")])
+    def test_non_finite_prediction_file_is_error(self, tmp_path, capsys, token, field):
+        preds, y = self_generated_regression(0, n=5)
+        p, l = write_fixture(tmp_path, preds, y)
+        with open(p) as fh:
+            lines = fh.read().splitlines()
+        row = json.loads(lines[3])
+        lines[3] = json.dumps(row).replace(
+            f'"{field}": {row["preds"][0][field]!r}', f'"{field}": {token}', 1)
+        assert token in lines[3]
+        with open(p, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(io.FileFormatError, match="must be finite"):
+            io.load_predictions(p)
+        code = cli.main(["check", "--predictions", p, "--labels", l,
+                         "--statistic", "calibration", "--mode", "bayesian",
+                         "--replications", "20"])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_kind_mismatch_is_error(self, tmp_path):
         preds, y = self_generated_regression(0, n=5)
@@ -212,6 +254,10 @@ class TestSimulateCommand:
             labels = io.load_labels(out / f"{tag}_labels.csv", st.REGRESSION)
             assert preds.num_rows == labels.size
             assert preds.num_models == 10
+        _, y_id, _, _ = analytic.generate_quadratic_dataset(
+            analytic.QuadraticDatasetConfig(n=200, seed=3))
+        np.testing.assert_array_equal(
+            io.load_labels(out / "id_labels.csv", st.REGRESSION), y_id)
 
     def test_conjugate_single_zero_observation(self, tmp_path):
         out = tmp_path / "conj"

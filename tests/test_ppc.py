@@ -6,7 +6,8 @@ import pytest
 
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
-from ppc_uq.predictive import InvalidParameterError
+from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
+                               MixturePredictive, PosteriorWeights, mixture_sample)
 
 from conftest import ks_uniform
 
@@ -26,7 +27,7 @@ class SingleObservationPit:
     name = "single-pit"
 
     def evaluate(self, labels, ctx):
-        return float(st.pit_from_gaussians(ctx.means, ctx.stds, ctx.weights,
+        return float(st.pit_from_gaussians(ctx.preds.means, ctx.preds.stds, ctx.weights,
                                            np.asarray(labels))[0])
 
 
@@ -79,6 +80,38 @@ class TestReplicateLabels:
         marginal = st.integrated_class_probs(preds)
         for f in freqs.values():
             assert np.max(np.abs(f - marginal)) < 3.5 * math.sqrt(0.25 / reps) + 0.005
+
+
+class TestSharedSampler:
+    """mixture_sample and the engine's draw are one kernel: a mixture tiled
+    over n rows replicates exactly what n mixture draws give."""
+
+    @pytest.mark.parametrize("weights", [(1.0,), (0.2, 0.5, 0.3)])
+    def test_gaussian(self, weights):
+        comps = tuple(Gaussian(m, s) for m, s in
+                      list(zip((-1.0, 0.4, 2.5), (0.7, 1.3, 0.2)))[:len(weights)])
+        mix = MixturePredictive(comps, PosteriorWeights(weights))
+        n = 257
+        preds = st.EnsemblePredictions.from_gaussians(
+            np.tile([c.mean for c in comps], (n, 1)),
+            np.tile([c.stddev for c in comps], (n, 1)))
+        expected = mixture_sample(mix, np.random.default_rng(4), size=n)
+        got = ppc.replicate_labels(preds, mix.weights, ppc.INDEPENDENT,
+                                   np.random.default_rng(4))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("weights", [(1.0,), (0.6, 0.1, 0.3)])
+    def test_categorical(self, weights):
+        table = ((0.1, 0.6, 0.3), (0.5, 0.25, 0.25), (0.0, 0.2, 0.8))[:len(weights)]
+        mix = MixturePredictive(tuple(Categorical(p) for p in table),
+                                PosteriorWeights(weights))
+        n = 257
+        preds = st.EnsemblePredictions.from_probs(np.tile(table, (n, 1, 1)))
+        expected = mixture_sample(mix, np.random.default_rng(9), size=n)
+        got = ppc.replicate_labels(preds, mix.weights, ppc.INDEPENDENT,
+                                   np.random.default_rng(9))
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSampleStatistic:
@@ -207,6 +240,13 @@ class TestRunPpc:
                                 num_replicates=500, seed=5)
         assert 0.0 < rep_bayes.p_value < 1.0
         assert rep_bayes.passed
+
+    def test_nan_label_is_rejected_not_counted(self):
+        preds = st.EnsemblePredictions.from_gaussians(np.zeros((3, 1)), np.ones((3, 1)))
+        for stat in (ppc.PicpStatistic(), ppc.CalibrationErrorStatistic()):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                ppc.run_ppc(preds, None, [0.0, float("nan"), 1.0], stat,
+                            ppc.BAYESIAN, num_replicates=10)
 
     def test_report_invariants(self):
         preds = two_model_onehot(4)

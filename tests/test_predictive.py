@@ -76,6 +76,22 @@ class TestMixtureCdf:
         assert mixture_cdf(mix, y + dy) >= mixture_cdf(mix, y) - 1e-12
 
 
+    @given(hst.lists(hst.tuples(hst.floats(-5, 5), hst.floats(0.1, 3),
+                                hst.floats(0.01, 1)), min_size=1, max_size=6),
+           hst.floats(-30, 30))
+    @settings(max_examples=100)
+    def test_matches_erf_loop_reference(self, params, y):
+        # reference: the per-component erf sum; the kernel sums in another
+        # order, so agreement is to a few ulps per component
+        raw = np.array([p[2] for p in params])
+        w = tuple(raw / raw.sum())
+        mix = MixturePredictive(components=tuple(Gaussian(m, s) for m, s, _ in params),
+                                weights=PosteriorWeights(w))
+        ref = sum(wi * 0.5 * (1.0 + math.erf((y - m) / (s * math.sqrt(2.0))))
+                  for wi, (m, s, _) in zip(w, params))
+        assert mixture_cdf(mix, y) == pytest.approx(ref, rel=0, abs=8e-16 * len(params))
+
+
 class TestMixtureSample:
     def test_degenerate_categorical(self, rng):
         mix = MixturePredictive(components=(Categorical((1.0, 0.0)),))

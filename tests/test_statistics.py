@@ -184,3 +184,39 @@ def test_permutation_invariance(seed):
     assert st.accuracy(probs, labels) == st.accuracy(probs[perm], labels[perm])
     assert st.calibration_error(pit) == pytest.approx(st.calibration_error(pit[perm]))
     assert st.picp(pit) == st.picp(pit[perm])
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["means", "stds"])
+    def test_non_finite_gaussians_rejected(self, field, bad):
+        params = {"means": np.zeros((3, 2)), "stds": np.ones((3, 2))}
+        params[field][1, 0] = bad
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            st.EnsemblePredictions.from_gaussians(params["means"], params["stds"])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probs_and_logits_rejected(self, bad):
+        probs = np.full((2, 1, 2), 0.5)
+        probs[1, 0] = [bad, 0.5]
+        with pytest.raises(InvalidParameterError, match="probs must be finite"):
+            st.EnsemblePredictions.from_probs(probs)
+        logits = np.zeros((2, 1, 3))
+        logits[0, 0, 2] = bad
+        with pytest.raises(InvalidParameterError, match="logits must be finite"):
+            st.EnsemblePredictions.from_logits(logits)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_regression_labels_rejected(self, bad):
+        preds = st.EnsemblePredictions.from_gaussians(np.zeros((2, 1)), np.ones((2, 1)))
+        with pytest.raises(InvalidParameterError, match="labels must be finite"):
+            st.validate_labels(preds, [0.5, bad])
+
+    def test_non_integer_class_labels_rejected(self):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            st.validate_labels(two_model_onehot(2), [0.7, 1.9])
+
+    def test_integer_valued_class_labels_accepted(self):
+        labels = st.validate_labels(two_model_onehot(2), [1.0, 0.0])
+        assert labels.dtype.kind == "i"
+        np.testing.assert_array_equal(labels, [1, 0])
