@@ -166,8 +166,8 @@ def cmd_oracle(args) -> int:
     pmf = oracle.exact_statistic_distribution(
         preds, None, statistic, mode,
         budget=oracle.EnumerationBudget(max_outcomes=args.budget))
-    ctx = ppc.build_context(preds, None)
-    observed = float(statistic.evaluate(st.validate_labels(preds, labels), ctx))
+    observed = float(statistic.evaluate(st.validate_labels(preds, labels),
+                                        pmf.context))
     print(json.dumps({"values": pmf.values.tolist(),
                       "masses": pmf.masses.tolist(),
                       "observed": observed}, indent=2))

@@ -27,45 +27,52 @@ def _parse_json_line(line: str, lineno: int) -> dict:
     return obj
 
 
+def _numbered_lines(path) -> list:
+    """The file's non-blank lines as (file line number, text), numbered from 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1)
+                if ln.strip()]
+
+
 def load_predictions(path) -> tuple:
     """Read a prediction file; returns (EnsemblePredictions, header dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise FileFormatError("line 1: missing header")
-    header = _parse_json_line(lines[0], 1)
+    at = lines[0][0]
+    header = _parse_json_line(lines[0][1], at)
     for key in ("kind", "rows", "models", "values"):
         if key not in header:
-            raise FileFormatError(f"line 1: header missing field {key!r}")
+            raise FileFormatError(f"line {at}: header missing field {key!r}")
     kind = header["kind"]
     if kind not in (st.CLASSIFICATION, st.REGRESSION):
-        raise FileFormatError(f"line 1: unknown kind {header['kind']!r}")
+        raise FileFormatError(f"line {at}: unknown kind {header['kind']!r}")
     values = header["values"]
     if values not in PREDICTION_VALUES:
-        raise FileFormatError(f"line 1: unknown values {values!r}")
+        raise FileFormatError(f"line {at}: unknown values {values!r}")
     if kind == st.CLASSIFICATION and "classes" not in header:
-        raise FileFormatError("line 1: header missing field 'classes'")
+        raise FileFormatError(f"line {at}: header missing field 'classes'")
     if kind == st.CLASSIFICATION and values == "gaussian":
-        raise FileFormatError("line 1: classification cannot carry gaussian values")
+        raise FileFormatError(f"line {at}: classification cannot carry gaussian values")
     if kind == st.REGRESSION and values != "gaussian":
-        raise FileFormatError("line 1: regression requires values 'gaussian'")
+        raise FileFormatError(f"line {at}: regression requires values 'gaussian'")
     n, m = int(header["rows"]), int(header["models"])
     if len(lines) - 1 != n:
         raise FileFormatError(
-            f"line {len(lines)}: header declares {n} rows, file has {len(lines) - 1}")
+            f"line {lines[-1][0]}: header declares {n} rows, file has {len(lines) - 1}")
 
     if kind == st.CLASSIFICATION:
         c = int(header["classes"])
         data = np.empty((n, m, c))
-        for i in range(n):
-            row = _parse_json_line(lines[i + 1], i + 2)
+        for i, (lineno, text) in enumerate(lines[1:]):
+            row = _parse_json_line(text, lineno)
             try:
                 arr = np.asarray(row["preds"], dtype=float)
             except (KeyError, ValueError) as exc:
-                raise FileFormatError(f"line {i + 2}: bad 'preds' entry") from exc
+                raise FileFormatError(f"line {lineno}: bad 'preds' entry") from exc
             if arr.shape != (m, c):
                 raise FileFormatError(
-                    f"line {i + 2}: expected {m}x{c} preds, got {arr.shape}")
+                    f"line {lineno}: expected {m}x{c} preds, got {arr.shape}")
             data[i] = arr
         try:
             if values == "probs":
@@ -78,18 +85,18 @@ def load_predictions(path) -> tuple:
 
     means = np.empty((n, m))
     stds = np.empty((n, m))
-    for i in range(n):
-        row = _parse_json_line(lines[i + 1], i + 2)
+    for i, (lineno, text) in enumerate(lines[1:]):
+        row = _parse_json_line(text, lineno)
         entries = row.get("preds")
         if not isinstance(entries, list) or len(entries) != m:
-            raise FileFormatError(f"line {i + 2}: expected {m} gaussian entries")
+            raise FileFormatError(f"line {lineno}: expected {m} gaussian entries")
         for j, entry in enumerate(entries):
             try:
                 means[i, j] = float(entry["mean"])
                 stds[i, j] = float(entry["std"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise FileFormatError(
-                    f"line {i + 2}: gaussian entries need 'mean' and 'std'") from exc
+                    f"line {lineno}: gaussian entries need 'mean' and 'std'") from exc
     try:
         preds = st.EnsemblePredictions.from_gaussians(means, stds)
     except ValueError as exc:
@@ -120,18 +127,18 @@ def save_predictions(path, preds: st.EnsemblePredictions,
 
 
 def load_labels(path, kind: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if lines and lines[0].lower() == "label":
+    lines = _numbered_lines(path)
+    if lines and lines[0][1].strip().lower() == "label":
         lines = lines[1:]
     if not lines:
         raise FileFormatError("line 1: label file has no values")
     out = np.empty(len(lines), dtype=float)
-    for i, text in enumerate(lines):
+    for i, (lineno, text) in enumerate(lines):
+        text = text.strip()
         try:
             out[i] = float(text)
         except ValueError as exc:
-            raise FileFormatError(f"line {i + 1}: bad label {text!r}") from exc
+            raise FileFormatError(f"line {lineno}: bad label {text!r}") from exc
     if kind == st.CLASSIFICATION:
         as_int = out.astype(int)
         if np.any(as_int != out):

@@ -6,7 +6,7 @@ statistic value, giving ground truth for the Monte Carlo replicate sampler.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class StatisticPmf:
 
     values: np.ndarray
     masses: np.ndarray
+    # the context the outcomes were evaluated against, for the observed value
+    context: ppc_mod.PredictiveContext = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {float(v): float(m) for v, m in zip(self.values, self.masses)}
@@ -109,4 +112,5 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
     pmf = _merge(values, masses)
     if abs(pmf.masses.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("enumerated masses failed to sum to 1")
+    pmf.context = ctx
     return pmf

@@ -71,27 +71,61 @@ def ensemble_nll(probs: np.ndarray, labels) -> float:
     return float(-np.mean(ensemble_log_probs(np.asarray(probs, dtype=float), labels)))
 
 
+def _fit_objective(logits: np.ndarray, labels: np.ndarray):
+    """Return log_tau -> (objective, gradient) over fixed logits and labels.
+
+    The objective is the mean log ensemble-averaged label probability; the
+    gradient is taken in log-temperature. Everything that does not depend on
+    tau is computed here once: the logits shifted by their row-and-model max
+    (d <= 0, so exp(d / tau) cannot overflow) and the label columns. Each
+    evaluation then makes one multiply, one exp and two sums over [N, M, C],
+    into one scratch buffer, and works on [N, M] arrays after that.
+    """
+    n, m, c = logits.shape
+    rows = np.arange(n)
+    d = logits - logits.max(axis=2, keepdims=True)         # [N, M, C], <= 0
+    d_true = d[rows, :, labels]                            # [N, M]
+    z_true = logits[rows, :, labels]
+    ones = np.ones(c)
+    e = np.empty_like(d)
+
+    def evaluate(log_tau: np.ndarray):
+        tau = np.exp(log_tau)
+        inv_tau = 1.0 / tau
+        np.multiply(d, inv_tau[None, :, None], out=e)
+        np.exp(e, out=e)
+        total = e @ ones                                   # [N, M]
+        a = np.exp(d_true * inv_tau[None, :]) / total      # [N, M] prob of true label
+        p = a.mean(axis=1)                                 # [N]
+        obj = float(np.mean(np.log(p)))
+        # d a_ij / d log tau_j = a_ij * (sum_c s_ijc z_ijc - z_ij[y_i]) / tau_j
+        sz = np.einsum("nmc,nmc->nm", e, logits) / total
+        da = a * (sz - z_true) / tau[None, :]
+        grad = np.mean(da / (m * p[:, None]), axis=0)
+        return obj, grad
+
+    return evaluate
+
+
 def _objective_and_gradient(logits: np.ndarray, labels: np.ndarray,
                             log_tau: np.ndarray):
     """Mean log ensemble-averaged label probability, with its log-temp gradient."""
-    tau = np.exp(log_tau)
-    n, m, _ = logits.shape
-    s = st.softmax(logits / tau[None, :, None])            # [N, M, C]
-    rows = np.arange(n)
-    a = s[rows, :, labels]                                 # [N, M] prob of true label
-    p = a.mean(axis=1)                                     # [N]
-    obj = float(np.mean(np.log(p)))
-    # d a_ij / d log tau_j = a_ij * (sum_c s_ijc z_ijc - z_ij[y_i]) / tau_j
-    sz = np.einsum("nmc,nmc->nm", s, logits)
-    z_true = logits[rows, :, labels]
-    da = a * (sz - z_true) / tau[None, :]
-    grad = np.mean(da / (m * p[:, None]), axis=0)
-    return obj, grad
+    return _fit_objective(logits, labels)(log_tau)
 
 
 def fit_temperatures(logits: np.ndarray, labels, recal_slice=None,
                      max_iters: int = 500, tol: float = 1e-8) -> TemperatureVector:
-    """Deterministic gradient ascent (log-temperature space, backtracking line search)."""
+    """Deterministic gradient ascent on the mean log-likelihood, in log-temperature.
+
+    Each iteration tries the step log_tau + grad and halves it, up to 50
+    times, until the objective rises. The fit stops after `max_iters`
+    iterations, when no halved step rises, or when an iteration gains less
+    than `tol`. On realistic inputs the gain per iteration stays above `tol`
+    (on the N=2,000 M=10 C=10 benchmark ensembles the last gains are 4e-8 to
+    7e-7 and |grad| is about 1e-4), so the fit ends at the `max_iters` cap,
+    short of the optimum: the cap is part of the fitted result, and an
+    optimiser that converges further returns other temperatures.
+    """
     logits = np.asarray(logits, dtype=float)
     if logits.ndim != 3:
         raise UnsupportedInputError(
@@ -103,14 +137,15 @@ def fit_temperatures(logits: np.ndarray, labels, recal_slice=None,
     if logits.shape[0] < 1:
         raise InvalidParameterError("empty recalibration slice")
 
+    objective = _fit_objective(logits, labels)
     log_tau = np.zeros(logits.shape[1])
-    obj, grad = _objective_and_gradient(logits, labels, log_tau)
+    obj, grad = objective(log_tau)
     for _ in range(max_iters):
         step = 1.0
         improved = False
         for _ in range(50):
             cand = log_tau + step * grad
-            cand_obj, cand_grad = _objective_and_gradient(logits, labels, cand)
+            cand_obj, cand_grad = objective(cand)
             if cand_obj > obj:
                 improved = True
                 break

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from ppc_uq import analytic, cli, io
+from ppc_uq import analytic, cli, io, ppc
 from ppc_uq import statistics as st
 
 
@@ -89,6 +89,21 @@ class TestRoundTrips:
         io.save_labels(path, np.array([1]))
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
         assert io.load_labels(path, st.CLASSIFICATION).tolist() == [1]
+
+    def test_bad_label_names_its_file_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n0.5\nabc\n")
+        with pytest.raises(io.FileFormatError, match=r"^line 3: bad label 'abc'"):
+            io.load_labels(path, st.REGRESSION)
+
+    def test_bad_prediction_row_names_its_file_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        header = {"kind": "classification", "rows": 2, "models": 1,
+                  "classes": 2, "values": "probs"}
+        path.write_text(json.dumps(header) + '\n\n{"preds": [[0.5, 0.5]]}\n'
+                        '{"preds": [[1.0]]}\n')
+        with pytest.raises(io.FileFormatError, match=r"^line 4: expected 1x2"):
+            io.load_predictions(path)
 
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
@@ -297,6 +312,23 @@ class TestOracleCommand:
             results[mode] = json.loads(capsys.readouterr().out)
         assert results["bayesian"]["masses"] == pytest.approx([0.5, 0.5])
         assert results["independent"]["masses"] == pytest.approx([0.25, 0.5, 0.25])
+
+    def test_builds_one_context(self, tmp_path, capsys, monkeypatch):
+        preds = st.EnsemblePredictions.from_probs([[[0.7, 0.3]], [[0.4, 0.6]]])
+        p, l = write_fixture(tmp_path, preds, np.array([0, 1]))
+        calls = []
+        build = ppc.build_context
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ppc, "build_context", counting_build)
+        code = cli.main(["oracle", "--predictions", p, "--labels", l,
+                         "--statistic", "ece", "--mode", "independent"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["observed"] == pytest.approx(0.35)
+        assert len(calls) == 1
 
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
         probs = np.full((8, 2, 2), 0.5)

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
@@ -169,6 +171,56 @@ class TestSampleStatistic:
         ss = ppc.sample_statistic(preds, None, SingleObservationPit(),
                                   ppc.BAYESIAN, num_replicates=100_000, seed=11)
         assert ks_uniform(ss.samples) < 0.01
+
+
+@hst.composite
+def engine_cases(draw, kind):
+    """A small random ensemble, labels, statistic and mode of the given kind."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n = draw(hst.integers(1, 20))
+    m = draw(hst.integers(1, 3))
+    if kind == st.CLASSIFICATION:
+        c = draw(hst.integers(2, 4))
+        preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, m, c)))
+        labels = rng.integers(0, c, n)
+        statistic = ppc.EceStatistic(st.BinningConfig(draw(hst.integers(1, 15))))
+    else:
+        preds = st.EnsemblePredictions.from_gaussians(
+            rng.normal(0, 1, (n, m)), rng.uniform(0.2, 2, (n, m)))
+        labels = rng.normal(0, 2, n)
+        statistic = ppc.CalibrationErrorStatistic()
+    mode = draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
+                                  ppc.PointEstimate(m - 1)]))
+    return preds, labels, statistic, mode
+
+
+class TestEngineProperties:
+    """Invariants of sample_statistic and run_ppc over random small inputs."""
+
+    @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
+    @given(data=hst.data())
+    @settings(max_examples=50, deadline=None)
+    def test_replicates_are_prefix_invariant(self, kind, data):
+        preds, _, statistic, mode = data.draw(engine_cases(kind))
+        r = data.draw(hst.integers(1, 48))
+        k = data.draw(hst.integers(1, 64 - r))
+        seed = data.draw(hst.integers(0, 2 ** 31 - 1))
+        short = ppc.sample_statistic(preds, None, statistic, mode,
+                                     num_replicates=r, seed=seed, threads=1)
+        long = ppc.sample_statistic(preds, None, statistic, mode,
+                                    num_replicates=r + k, seed=seed, threads=2)
+        np.testing.assert_array_equal(short.samples, long.samples[:r])
+
+    @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
+    @given(data=hst.data())
+    @settings(max_examples=50, deadline=None)
+    def test_p_value_in_unit_interval(self, kind, data):
+        preds, labels, statistic, mode = data.draw(engine_cases(kind))
+        r = data.draw(hst.integers(2, 64))
+        report = ppc.run_ppc(preds, None, labels, statistic, mode,
+                             num_replicates=r, seed=data.draw(hst.integers(0, 99)),
+                             threads=1)
+        assert 0.0 <= report.p_value <= 1.0
 
 
 class TestPValue:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from ppc_uq import recalibrate as rc
 from ppc_uq import statistics as st
@@ -29,6 +30,92 @@ def overconfident_fixture(n=10_000, m=3, c=5, seed=42):
     u = rng.random(n)
     labels = (u[:, None] > np.cumsum(true_probs, axis=1)).sum(axis=1)
     return z, labels
+
+
+def criterion_6_fit_input():
+    """What acceptance criterion 6 fits: the leading 20% of its seed-61 fixture."""
+    z, labels = overconfident_fixture(n=50_000, seed=61)
+    preds = st.EnsemblePredictions.from_logits(z)
+    (rp, rl), _ = rc.split_recalibration(preds, labels, 0.2)
+    return rp.logits, rl
+
+
+def reference_objective_and_gradient(logits, labels, log_tau):
+    """The fit objective computed directly from softmax(logits / tau)."""
+    tau = np.exp(log_tau)
+    n, m, _ = logits.shape
+    s = st.softmax(logits / tau[None, :, None])
+    rows = np.arange(n)
+    a = s[rows, :, labels]
+    p = a.mean(axis=1)
+    obj = float(np.mean(np.log(p)))
+    sz = np.einsum("nmc,nmc->nm", s, logits)
+    z_true = logits[rows, :, labels]
+    da = a * (sz - z_true) / tau[None, :]
+    grad = np.mean(da / (m * p[:, None]), axis=0)
+    return obj, grad
+
+
+def reference_fit(logits, labels, max_iters=500, tol=1e-8):
+    """fit_temperatures' ascent loop over the reference objective."""
+    log_tau = np.zeros(logits.shape[1])
+    obj, grad = reference_objective_and_gradient(logits, labels, log_tau)
+    for _ in range(max_iters):
+        step = 1.0
+        improved = False
+        for _ in range(50):
+            cand = log_tau + step * grad
+            cand_obj, cand_grad = reference_objective_and_gradient(
+                logits, labels, cand)
+            if cand_obj > obj:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        gain = cand_obj - obj
+        log_tau, obj, grad = cand, cand_obj, cand_grad
+        if gain < tol:
+            break
+    return np.exp(log_tau)
+
+
+@hst.composite
+def objective_cases(draw):
+    n = draw(hst.integers(1, 50))
+    m = draw(hst.integers(1, 4))
+    c = draw(hst.integers(1, 6))
+    logits = draw(hnp.arrays(float, (n, m, c),
+                             elements=hst.floats(-30, 30, allow_subnormal=False)))
+    labels = np.asarray(draw(hst.lists(hst.integers(0, c - 1),
+                                       min_size=n, max_size=n)))
+    tau = draw(hst.lists(hst.floats(0.2, 5), min_size=m, max_size=m))
+    return logits, labels, np.log(tau)
+
+
+class TestObjectiveReference:
+    """The precomputed-term kernel against the softmax reference above.
+
+    Tolerances are fixed from float64: the two forms round the exponent
+    argument differently, by a few ulps of |logit| / tau <= 150.
+    """
+
+    @given(objective_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_objective_and_gradient_match_reference(self, case):
+        logits, labels, log_tau = case
+        obj, grad = rc._objective_and_gradient(logits, labels, log_tau)
+        ref_obj, ref_grad = reference_objective_and_gradient(logits, labels,
+                                                             log_tau)
+        assert obj == pytest.approx(ref_obj, rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("fixture", [overconfident_fixture,
+                                         criterion_6_fit_input])
+    def test_fit_matches_reference_loop(self, fixture):
+        z, labels = fixture()
+        temps = rc.fit_temperatures(z, labels).as_array()
+        np.testing.assert_allclose(temps, reference_fit(z, labels), rtol=1e-10)
 
 
 class TestSplitRecalibration:
