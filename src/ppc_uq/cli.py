@@ -16,36 +16,31 @@ import numpy as np
 
 from . import __version__, analytic, io, oracle, ppc, recalibrate
 from . import statistics as st
-from .predictive import InvalidParameterError
 
 
-def _build_statistic(args, kind: str):
-    name = args.statistic
-    if name == "ece":
-        stat = ppc.EceStatistic(bins=st.BinningConfig(num_bins=args.bins))
-    elif name == "accuracy":
-        stat = ppc.AccuracyStatistic()
-    elif name == "calibration":
-        levels = st.QuantileSet.default_levels(args.quantiles)
-        stat = ppc.CalibrationErrorStatistic(quantiles=st.QuantileSet(levels))
-    elif name == "picp":
-        stat = ppc.PicpStatistic(lower=args.picp_low, upper=args.picp_high)
-    else:
-        raise InvalidParameterError(f"unknown statistic {name!r}")
-    if stat.kind != kind:
-        raise st.KindMismatchError(
-            f"statistic {name!r} needs {stat.kind} predictions, file is {kind}")
-    return stat
+STATISTICS = {
+    "ece": lambda args: ppc.EceStatistic(bins=st.BinningConfig(num_bins=args.bins)),
+    "calibration": lambda args: ppc.CalibrationErrorStatistic(
+        quantiles=st.QuantileSet(st.QuantileSet.default_levels(args.quantiles))),
+    "picp": lambda args: ppc.PicpStatistic(lower=args.picp_low, upper=args.picp_high),
+    "accuracy": lambda args: ppc.AccuracyStatistic(),
+}
+
+
+def _load_run(args) -> tuple:
+    """Predictions, labels, statistic and mode of a `check` or `oracle` run.
+
+    Whether they fit together (label count, statistic kind, mode) is checked
+    by the library calls they are passed to, before any work starts.
+    """
+    preds, _ = io.load_predictions(args.predictions)
+    labels = io.load_labels(args.labels, preds.kind)
+    return (preds, labels, STATISTICS[args.statistic](args),
+            ppc.parse_mode(args.mode))
 
 
 def cmd_check(args) -> int:
-    preds, header = io.load_predictions(args.predictions)
-    labels = io.load_labels(args.labels, preds.kind)
-    if labels.size != preds.num_rows:
-        raise io.FileFormatError(
-            f"label count {labels.size} does not match {preds.num_rows} rows")
-    statistic = _build_statistic(args, preds.kind)
-    mode = ppc.parse_mode(args.mode)
+    preds, labels, statistic, mode = _load_run(args)
     report = ppc.run_ppc(preds, None, labels, statistic, mode,
                          num_replicates=args.replications, seed=args.seed)
     payload = report.to_dict()
@@ -65,21 +60,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_recalibrate(args) -> int:
-    preds, header = io.load_predictions(args.predictions)
-    if preds.kind != st.CLASSIFICATION:
-        raise st.KindMismatchError("recalibration needs classification predictions")
+    preds, _ = io.load_predictions(args.predictions)
     labels = io.load_labels(args.labels, preds.kind)
-    if header["values"] == "logits":
-        logits = preds.logits
-    elif args.allow_log_probs:
-        logits = np.log(np.clip(preds.class_probs(), 1e-300, None))
-    else:
-        raise recalibrate.UnsupportedInputError(
-            "prediction file carries probabilities; temperature fitting needs "
-            "logits (pass --allow-log-probs to use log-probabilities instead)")
+    if preds.probs is not None:
+        if not args.allow_log_probs:
+            raise recalibrate.UnsupportedInputError(
+                "prediction file carries probabilities; temperature fitting needs "
+                "logits (pass --allow-log-probs to use log-probabilities instead)")
+        preds = st.EnsemblePredictions.from_logits(
+            np.log(np.clip(preds.probs, 1e-300, None)))
     (recal_preds, recal_labels), (eval_preds, eval_labels) = \
-        recalibrate.split_recalibration(
-            st.EnsemblePredictions.from_logits(logits), labels, args.fraction)
+        recalibrate.split_recalibration(preds, labels, args.fraction)
     temps = recalibrate.fit_temperatures(recal_preds.logits, recal_labels)
     io.atomic_write_text(args.out_temps, json.dumps(
         {"temperatures": list(temps.values)}, indent=2) + "\n")
@@ -144,30 +135,24 @@ def _simulate_conjugate(args, out_dir: str) -> None:
     io.save_labels(os.path.join(out_dir, "labels.csv"), labels)
 
 
+SCENARIOS = {"location": _simulate_location, "quadratic": _simulate_quadratic,
+             "conjugate": _simulate_conjugate}
+
+
 def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.scenario == "location":
-        _simulate_location(args, args.out_dir)
-    elif args.scenario == "quadratic":
-        _simulate_quadratic(args, args.out_dir)
-    elif args.scenario == "conjugate":
-        _simulate_conjugate(args, args.out_dir)
-    else:
-        raise InvalidParameterError(f"unknown scenario {args.scenario!r}")
+    SCENARIOS[args.scenario](args, args.out_dir)
     print(f"wrote {args.scenario} scenario files to {args.out_dir}")
     return 0
 
 
 def cmd_oracle(args) -> int:
-    preds, _ = io.load_predictions(args.predictions)
-    labels = io.load_labels(args.labels, preds.kind)
-    statistic = _build_statistic(args, preds.kind)
-    mode = ppc.parse_mode(args.mode)
+    preds, labels, statistic, mode = _load_run(args)
+    labels = st.validate_labels(preds, labels)
     pmf = oracle.exact_statistic_distribution(
         preds, None, statistic, mode,
         budget=oracle.EnumerationBudget(max_outcomes=args.budget))
-    observed = float(statistic.evaluate(st.validate_labels(preds, labels),
-                                        pmf.context))
+    observed = float(statistic.evaluate(labels, pmf.context))
     print(json.dumps({"values": pmf.values.tolist(),
                       "masses": pmf.masses.tolist(),
                       "observed": observed}, indent=2))
@@ -183,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_statistic_flags(p):
         p.add_argument("--statistic", required=True,
-                       choices=["ece", "calibration", "picp", "accuracy"])
+                       choices=list(STATISTICS))
         p.add_argument("--mode", required=True,
                        help="bayesian | independent | point:IDX")
         p.add_argument("--bins", type=int, default=15)
@@ -211,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="emit synthetic scenario files")
     sim.add_argument("--scenario", required=True,
-                     choices=["location", "quadratic", "conjugate"])
+                     choices=list(SCENARIOS))
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--n", type=int, default=1000)
     sim.add_argument("--models", type=int, default=1000)
@@ -237,12 +222,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except oracle.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (io.FileFormatError, InvalidParameterError, st.KindMismatchError,
-            st.EmptyInputError, recalibrate.UnsupportedInputError,
-            OSError, ValueError) as exc:
+    # the package's own errors are ValueErrors, except KindMismatchError
+    except (OSError, ValueError, st.KindMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,12 @@ def _numbered_lines(path) -> list:
                 if ln.strip()]
 
 
+def _require_rows(lines: list, ok: np.ndarray, message: str) -> None:
+    """Name the file line of the first row whose `ok` entry is False."""
+    if not ok.all():
+        raise FileFormatError(f"line {lines[int(np.argmin(ok))][0]}: {message}")
+
+
 def load_predictions(path) -> tuple:
     """Read a prediction file; returns (EnsemblePredictions, header dict)."""
     lines = _numbered_lines(path)
@@ -74,6 +80,8 @@ def load_predictions(path) -> tuple:
                 raise FileFormatError(
                     f"line {lineno}: expected {m}x{c} preds, got {arr.shape}")
             data[i] = arr
+        _require_rows(lines[1:], np.isfinite(data).all(axis=(1, 2)),
+                      f"{values} must be finite")
         try:
             if values == "probs":
                 preds = st.EnsemblePredictions.from_probs(data)
@@ -97,6 +105,8 @@ def load_predictions(path) -> tuple:
             except (KeyError, TypeError, ValueError) as exc:
                 raise FileFormatError(
                     f"line {lineno}: gaussian entries need 'mean' and 'std'") from exc
+    _require_rows(lines[1:], np.isfinite(means).all(axis=1), "means must be finite")
+    _require_rows(lines[1:], np.isfinite(stds).all(axis=1), "stds must be finite")
     try:
         preds = st.EnsemblePredictions.from_gaussians(means, stds)
     except ValueError as exc:
@@ -139,10 +149,10 @@ def load_labels(path, kind: str) -> np.ndarray:
             out[i] = float(text)
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: bad label {text!r}") from exc
+    _require_rows(lines, np.isfinite(out), "labels must be finite")
     if kind == st.CLASSIFICATION:
         as_int = out.astype(int)
-        if np.any(as_int != out):
-            raise FileFormatError("classification labels must be integers")
+        _require_rows(lines, as_int == out, "classification labels must be integers")
         return as_int
     return out
 
@@ -175,6 +185,9 @@ def atomic_write_text(path, text: str) -> None:
             if os.path.exists(path):
                 os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             fh.write(text)
+            # on disk before the rename, so a crash never leaves a torn file at path
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -80,8 +80,10 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
     """Exact PMF of the replicated statistic under the given uncertainty mode."""
+    ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
+    ppc_mod.check_mode(preds, mode)
     n, m, c = preds.num_rows, preds.num_models, preds.num_classes
     joint = c ** n
     required = joint * m if isinstance(mode, ppc_mod.Bayesian) else joint
@@ -102,10 +104,8 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
             mass = float(per_model @ w)
         elif isinstance(mode, ppc_mod.ConditionallyIndependent):
             mass = float(np.prod(ctx.integrated[rows, y]))
-        elif isinstance(mode, ppc_mod.PointEstimate):
-            mass = float(np.prod(probs[rows, mode.index, y]))
         else:
-            raise InvalidParameterError(f"unknown mode: {mode!r}")
+            mass = float(np.prod(probs[rows, mode.index, y]))
         values[i] = statistic.evaluate(y, ctx)
         masses[i] = mass
 

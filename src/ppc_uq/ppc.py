@@ -56,8 +56,28 @@ def parse_mode(text: str) -> UncertaintyMode:
     if text == "independent":
         return INDEPENDENT
     if text.startswith("point:"):
-        return PointEstimate(int(text.split(":", 1)[1]))
+        try:
+            return PointEstimate(int(text[len("point:"):]))
+        except ValueError:
+            pass
     raise InvalidParameterError(f"unknown mode: {text!r}")
+
+
+def check_mode(preds: st.EnsemblePredictions, mode: UncertaintyMode) -> None:
+    """Reject a mode of unknown type or a point index outside [0, M)."""
+    if isinstance(mode, PointEstimate):
+        if not 0 <= mode.index < preds.num_models:
+            raise InvalidParameterError("point-estimate index out of range")
+    elif not isinstance(mode, (Bayesian, ConditionallyIndependent)):
+        raise InvalidParameterError(f"unknown mode: {mode!r}")
+
+
+def check_compatible(preds: st.EnsemblePredictions, statistic) -> None:
+    """Reject a statistic made for the other prediction kind."""
+    if statistic.kind != preds.kind:
+        raise st.KindMismatchError(
+            f"statistic {statistic.name!r} needs {statistic.kind} predictions, "
+            f"got {preds.kind}")
 
 
 @dataclass
@@ -131,21 +151,15 @@ class PicpStatistic:
         return st.picp(pit, self.lower, self.upper)
 
 
-TestStatistic = Union[EceStatistic, AccuracyStatistic,
-                      CalibrationErrorStatistic, PicpStatistic]
-
-
 @dataclass
 class StatisticSamples:
-    """Replicated statistic values plus (optionally) the observed one."""
+    """Replicated statistic values and the context they were evaluated against."""
 
     samples: np.ndarray
     num_replicates: int
     seed: int
     mode: str
     statistic: str
-    observed: float = None
-    # the context the replicates were evaluated against, for the observed value
     context: PredictiveContext = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -178,29 +192,18 @@ def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     Consumes the rng as `predictive.draw_mixture` does: Bayesian shares one
     model index across rows, PointEstimate draws none.
     """
+    check_mode(preds, mode)
     return _replicate_labels_ctx(build_context(preds, weights), mode, rng)
 
 
 def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                           rng: np.random.Generator) -> np.ndarray:
-    index = None
-    if isinstance(mode, PointEstimate):
-        if not (0 <= mode.index < ctx.preds.num_models):
-            raise InvalidParameterError("point-estimate index out of range")
-        index = mode.index
-    elif not isinstance(mode, (Bayesian, ConditionallyIndependent)):
-        raise InvalidParameterError(f"unknown mode: {mode!r}")
+    """One draw under a mode that `check_mode` has accepted."""
     return draw_mixture(rng, ctx.weights, ctx.preds.num_rows,
-                        shared=isinstance(mode, Bayesian), index=index,
+                        shared=isinstance(mode, Bayesian),
+                        index=getattr(mode, "index", None),
                         means=ctx.preds.means, stds=ctx.preds.stds,
                         class_cums=ctx.class_cums)
-
-
-def _check_compatible(preds: st.EnsemblePredictions, statistic) -> None:
-    if statistic.kind != preds.kind:
-        raise st.KindMismatchError(
-            f"statistic {statistic.name!r} needs {statistic.kind} predictions, "
-            f"got {preds.kind}")
 
 
 def _num_threads(threads) -> int:
@@ -222,7 +225,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """
     if num_replicates < 1:
         raise InvalidParameterError("need at least one replicate")
-    _check_compatible(preds, statistic)
+    check_compatible(preds, statistic)
+    check_mode(preds, mode)
     ctx = build_context(preds, weights)
     out = np.empty(num_replicates, dtype=float)
 
@@ -277,7 +281,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
     labels = st.validate_labels(preds, labels)
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)
-    observed = ss.observed = float(statistic.evaluate(labels, ss.context))
+    observed = float(statistic.evaluate(labels, ss.context))
     p = p_value(ss, observed)
     pcts = np.quantile(ss.samples, [0.05, 0.25, 0.5, 0.75, 0.95])
     return PpcReport(

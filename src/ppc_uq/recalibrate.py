@@ -37,6 +37,8 @@ class TemperatureVector:
 def split_recalibration(preds: st.EnsemblePredictions, labels,
                         fraction: float = 0.2):
     """Deterministic split: first floor(N * fraction) rows recalibrate, rest evaluate."""
+    if preds.kind != st.CLASSIFICATION:
+        raise st.KindMismatchError("recalibration needs classification predictions")
     if not (0 < fraction < 1):
         raise InvalidParameterError("fraction must be in (0, 1)")
     labels = st.validate_labels(preds, labels)
@@ -113,8 +115,8 @@ def _objective_and_gradient(logits: np.ndarray, labels: np.ndarray,
     return _fit_objective(logits, labels)(log_tau)
 
 
-def fit_temperatures(logits: np.ndarray, labels, recal_slice=None,
-                     max_iters: int = 500, tol: float = 1e-8) -> TemperatureVector:
+def fit_temperatures(logits: np.ndarray, labels, max_iters: int = 500,
+                     tol: float = 1e-8) -> TemperatureVector:
     """Deterministic gradient ascent on the mean log-likelihood, in log-temperature.
 
     Each iteration tries the step log_tau + grad and halves it, up to 50
@@ -131,9 +133,6 @@ def fit_temperatures(logits: np.ndarray, labels, recal_slice=None,
         raise UnsupportedInputError(
             "temperature fitting needs raw logits [N, M, C]")
     labels = np.asarray(labels, dtype=int)
-    if recal_slice is not None:
-        logits = logits[recal_slice]
-        labels = labels[recal_slice]
     if logits.shape[0] < 1:
         raise InvalidParameterError("empty recalibration slice")
 

@@ -169,7 +169,8 @@ class QuantileSet:
 def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=float)
     if labels.ndim != 1 or labels.shape[0] != preds.num_rows:
-        raise InvalidParameterError("labels must be a vector of length N")
+        raise InvalidParameterError(
+            f"labels must be a vector of length {preds.num_rows}, got shape {labels.shape}")
     _require_finite("labels", labels)
     if preds.kind == REGRESSION:
         return labels

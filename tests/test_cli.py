@@ -105,6 +105,50 @@ class TestRoundTrips:
         with pytest.raises(io.FileFormatError, match=r"^line 4: expected 1x2"):
             io.load_predictions(path)
 
+    @pytest.mark.parametrize("text,kind,message", [
+        ("label\n0\n1.5\n", st.CLASSIFICATION, "classification labels must be integers"),
+        ("label\n0.5\nnan\n", st.REGRESSION, "labels must be finite"),
+    ], ids=["non-integer", "non-finite"])
+    def test_bad_label_value_names_its_file_line(self, tmp_path, text, kind, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(io.FileFormatError, match=f"^line 3: {message}$"):
+            io.load_labels(path, kind)
+
+    @pytest.mark.parametrize("header,rows,message", [
+        ({"kind": "regression", "rows": 2, "models": 1, "values": "gaussian"},
+         ['[{"mean": 0.0, "std": 1.0}]', '[{"mean": NaN, "std": 1.0}]'],
+         "means must be finite"),
+        ({"kind": "classification", "rows": 2, "models": 1, "classes": 2,
+          "values": "probs"},
+         ["[[0.5, 0.5]]", "[[NaN, 0.5]]"], "probs must be finite"),
+    ], ids=["gaussian", "probs"])
+    def test_non_finite_prediction_names_its_file_line(self, tmp_path, header,
+                                                       rows, message):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join([json.dumps(header)]
+                                  + ['{"preds": %s}' % r for r in rows]) + "\n")
+        with pytest.raises(io.FileFormatError, match=f"^line 3: {message}$"):
+            io.load_predictions(path)
+
+    def test_temp_file_is_synced_before_replace(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        io.save_labels(tmp_path / "labels.csv", np.array([0, 1]))
+        assert [name for name, _ in events] == ["fsync", "replace"]
+        assert events[0][1] == events[1][1]
+
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         payload = {"p_value": 1 / 3, "sharpness": 0.123456789012345}
@@ -205,6 +249,31 @@ class TestCheckCommand:
                 del os.environ[cli.ppc.THREADS_ENV_VAR]
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+class TestCheckAndOracleAgree:
+    """Both commands reject bad input through the same library checks."""
+
+    @pytest.mark.parametrize("statistic,mode,num_labels", [
+        ("calibration", "bayesian", 2),
+        ("ece", "bayesian", 3),
+        ("ece", "point:-1", 2),
+        ("ece", "point:2", 2),
+        ("ece", "point:x", 2),
+    ], ids=["kind-mismatch", "label-count", "point:-1", "point:M", "point:x"])
+    def test_same_single_error_line(self, tmp_path, capsys, statistic, mode,
+                                    num_labels):
+        probs = np.full((2, 2, 2), 0.5)
+        p, l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
+                             np.zeros(num_labels, dtype=int))
+        errors = []
+        for command in ("check", "oracle"):
+            code = cli.main([command, "--predictions", p, "--labels", l,
+                             "--statistic", statistic, "--mode", mode])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
 
 
 class TestRecalibrateCommand:

@@ -2,9 +2,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ppc_uq import oracle, ppc
 from ppc_uq import statistics as st
+from ppc_uq.predictive import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,18 @@ class TestExactDistribution:
                 preds, None, ppc.AccuracyStatistic(), ppc.BAYESIAN,
                 budget=oracle.EnumerationBudget(max_outcomes=10))
 
+    def test_regression_statistic_is_kind_mismatch(self):
+        with pytest.raises(st.KindMismatchError):
+            oracle.exact_statistic_distribution(
+                two_model_onehot(), None, ppc.CalibrationErrorStatistic(), ppc.BAYESIAN)
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_point_index_out_of_range(self, index):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            oracle.exact_statistic_distribution(
+                two_model_onehot(), None, ppc.AccuracyStatistic(),
+                ppc.PointEstimate(index))
+
     def test_regression_not_enumerable(self):
         preds = st.EnsemblePredictions.from_gaussians([[0.0]], [[1.0]])
         with pytest.raises(st.KindMismatchError):
@@ -92,3 +107,21 @@ class TestMonteCarloAgreement:
                     for mode in (ppc.BAYESIAN, ppc.INDEPENDENT)]
             np.testing.assert_allclose(pmfs[0].values, pmfs[1].values)
             np.testing.assert_allclose(pmfs[0].masses, pmfs[1].masses, atol=1e-12)
+
+
+class TestRowPermutation:
+    @given(data=hst.data())
+    @settings(max_examples=50, deadline=None)
+    def test_pmf_is_row_permutation_invariant(self, data):
+        n, m, c = (data.draw(hst.integers(1, hi)) for hi in (5, 3, 3))
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, m, c)))
+        perm = np.asarray(data.draw(hst.permutations(range(n))))
+        statistic = data.draw(hst.sampled_from([ppc.EceStatistic(),
+                                                ppc.AccuracyStatistic()]))
+        for mode in (ppc.BAYESIAN, ppc.INDEPENDENT,
+                     ppc.PointEstimate(data.draw(hst.integers(0, m - 1)))):
+            pmf, permuted = (oracle.exact_statistic_distribution(p, None, statistic, mode)
+                             for p in (preds, preds.take_rows(perm)))
+            np.testing.assert_allclose(permuted.values, pmf.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(permuted.masses, pmf.masses, rtol=0, atol=1e-12)

@@ -223,6 +223,33 @@ class TestEngineProperties:
         assert 0.0 <= report.p_value <= 1.0
 
 
+    @pytest.mark.parametrize("statistic", [
+        ppc.EceStatistic(), ppc.AccuracyStatistic(),
+        ppc.CalibrationErrorStatistic(), ppc.PicpStatistic()], ids=lambda s: s.name)
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_observed_value_is_row_permutation_invariant(self, statistic, data):
+        preds, labels, _, _ = data.draw(engine_cases(statistic.kind))
+        perm = np.asarray(data.draw(hst.permutations(range(preds.num_rows))))
+        observed = statistic.evaluate(labels, ppc.build_context(preds))
+        permuted = statistic.evaluate(labels[perm],
+                                      ppc.build_context(preds.take_rows(perm)))
+        assert abs(permuted - observed) <= 1e-12
+
+    def test_mode_is_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check_mode = ppc.check_mode
+
+        def counting_check(*args):
+            calls.append(args)
+            check_mode(*args)
+
+        monkeypatch.setattr(ppc, "check_mode", counting_check)
+        ppc.sample_statistic(two_model_onehot(), None, ppc.AccuracyStatistic(),
+                             ppc.PointEstimate(1), num_replicates=20, threads=2)
+        assert len(calls) == 1
+
+
 class TestPValue:
     def test_midpoint(self):
         assert ppc.p_value(np.array([1.0, 2, 3, 4]), 2.5) == 0.5
