@@ -19,7 +19,8 @@ from typing import Union
 import numpy as np
 
 from . import statistics as st
-from .predictive import InvalidParameterError, PosteriorWeights, cumulative, draw_mixture
+from .predictive import (InvalidParameterError, PosteriorWeights, cumulative,
+                         draw_component, draw_mixture)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 
@@ -90,10 +91,16 @@ class PredictiveContext:
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
+    hit_lo: np.ndarray = None            # classification: [N*M], see below
+    hit_hi: np.ndarray = None            # classification: [N*M]
+    row_offsets: np.ndarray = None       # classification: row * M, [N]
 
 
 def build_context(preds: st.EnsemblePredictions,
                   weights: PosteriorWeights = None) -> PredictiveContext:
+    """The context of one check. For classification, (hit_lo, hit_hi] at
+    n * M + m is the band of member m's CDF on row n that the predicted
+    class covers: a uniform in it draws the predicted class."""
     w = st._weights_array(weights, preds.num_models)
     ctx = PredictiveContext(preds=preds, weights=w)
     if preds.kind == st.CLASSIFICATION:
@@ -102,6 +109,12 @@ def build_context(preds: st.EnsemblePredictions,
         ctx.integrated = np.einsum("nmc,m->nc", probs, w)
         ctx.predicted = ctx.integrated.argmax(axis=1)
         ctx.confidence = ctx.integrated.max(axis=1)
+        band = ctx.predicted[:, None, None] + np.array([-1, 0])
+        edges = np.take_along_axis(ctx.class_cums, np.maximum(band, 0), axis=2)
+        edges[ctx.predicted == 0, :, 0] = -1.0
+        ctx.hit_lo = edges[..., 0].ravel()
+        ctx.hit_hi = edges[..., 1].ravel()
+        ctx.row_offsets = np.arange(preds.num_rows) * preds.num_models
     return ctx
 
 
@@ -113,8 +126,10 @@ class EceStatistic:
     name = "ece"
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return st.ece_from_confidence(ctx.confidence, ctx.predicted, labels,
-                                      self.bins.num_bins)
+        return self.evaluate_hits(ctx.predicted == labels, ctx)
+
+    def evaluate_hits(self, hits: np.ndarray, ctx: PredictiveContext) -> float:
+        return st.ece_from_confidence(ctx.confidence, hits, self.bins.num_bins)
 
 
 @dataclass(frozen=True)
@@ -123,7 +138,10 @@ class AccuracyStatistic:
     name = "accuracy"
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return float(np.mean(ctx.predicted == labels))
+        return self.evaluate_hits(ctx.predicted == labels, ctx)
+
+    def evaluate_hits(self, hits: np.ndarray, ctx: PredictiveContext) -> float:
+        return float(np.mean(hits))
 
 
 @dataclass(frozen=True)
@@ -206,13 +224,35 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                         class_cums=ctx.class_cums)
 
 
+def _replicate_hits_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
+                        rng: np.random.Generator) -> np.ndarray:
+    """`_replicate_labels_ctx(ctx, mode, rng) == ctx.predicted`, from the same
+    uniforms, without drawing the labels: the component index as
+    `draw_mixture` draws it, then one uniform per row tested against the
+    row's hit band under the drawn member."""
+    num_rows = ctx.preds.num_rows
+    idx = draw_component(rng, ctx.weights, num_rows,
+                         shared=isinstance(mode, Bayesian),
+                         index=getattr(mode, "index", None))
+    flat = ctx.row_offsets + idx
+    u = rng.random(num_rows)
+    return (ctx.hit_lo[flat] < u) & (u <= ctx.hit_hi[flat])
+
+
 def _num_threads(threads) -> int:
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise InvalidParameterError(
+            f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    return count
 
 
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
@@ -221,22 +261,26 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """Replicated test-statistic values, one per deterministic rng substream.
 
     Output is bit-identical regardless of thread count: replicate k always
-    uses the substream derived from (seed, k) and lands at index k.
+    uses the substream derived from (seed, k) and lands at index k. A
+    statistic with `evaluate_hits` reads a replicate only through
+    `label == predicted`, so it gets the hit draw of the same uniforms.
     """
     if num_replicates < 1:
         raise InvalidParameterError("need at least one replicate")
     check_compatible(preds, statistic)
     check_mode(preds, mode)
+    workers = min(_num_threads(threads), num_replicates)
     ctx = build_context(preds, weights)
     out = np.empty(num_replicates, dtype=float)
+    if hasattr(statistic, "evaluate_hits"):
+        draw, evaluate = _replicate_hits_ctx, statistic.evaluate_hits
+    else:
+        draw, evaluate = _replicate_labels_ctx, statistic.evaluate
 
     def run_block(lo: int, hi: int) -> None:
         for k in range(lo, hi):
-            rng = replicate_rng(seed, k)
-            labels = _replicate_labels_ctx(ctx, mode, rng)
-            out[k] = statistic.evaluate(labels, ctx)
+            out[k] = evaluate(draw(ctx, mode, replicate_rng(seed, k)), ctx)
 
-    workers = min(_num_threads(threads), num_replicates)
     if workers <= 1:
         run_block(0, num_replicates)
     else:

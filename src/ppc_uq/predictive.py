@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class InvalidParameterError(ValueError):
@@ -110,7 +109,13 @@ class MixturePredictive:
 def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
                        y: np.ndarray) -> np.ndarray:
     """Gaussian-mixture CDF at y: sum_m w_m Phi((y - mean_m) / std_m), over the
-    last (model) axis of means and stds, which broadcast against y[..., None]."""
+    last (model) axis of means and stds, which broadcast against y[..., None].
+
+    scipy is imported here, on the first call, so that classification runs
+    never load it.
+    """
+    from scipy.special import ndtr
+
     return ndtr((y[..., None] - means) / stds) @ w
 
 
@@ -139,11 +144,26 @@ def mixture_cdf(mixture: MixturePredictive, y) -> float:
 
 
 def cumulative(p: np.ndarray) -> np.ndarray:
-    """Cumulative sums over the last axis, the last pinned to 1.0 so that
-    every uniform in [0, 1) falls in some bin."""
-    cum = np.cumsum(p, axis=-1)
+    """Cumulative sums over the last axis as a running maximum, the last
+    pinned to 1.0, so that every uniform in [0, 1) falls in some bin and a
+    slightly negative entry (down to -1e-12 is accepted) gets no mass."""
+    cum = np.maximum.accumulate(np.cumsum(p, axis=-1), axis=-1)
     cum[..., -1] = 1.0
     return cum
+
+
+def draw_component(rng: np.random.Generator, weights: np.ndarray, num_rows: int,
+                   shared: bool = False, index: int = None) -> np.ndarray:
+    """Mixture component index per row, [num_rows]: the first step of every
+    mixture draw. Uniforms consumed: none when M = 1 or `index` is given, one
+    shared by every row when `shared`, else one per row."""
+    if index is None:
+        if weights.size == 1:
+            index = 0
+        else:
+            u = rng.random() if shared else rng.random(num_rows)
+            index = np.searchsorted(cumulative(weights), u, side="right")
+    return np.broadcast_to(index, (num_rows,))
 
 
 def draw_mixture(rng: np.random.Generator, weights: np.ndarray, num_rows: int,
@@ -153,17 +173,10 @@ def draw_mixture(rng: np.random.Generator, weights: np.ndarray, num_rows: int,
 
     The components are Gaussian (means, stds: [N, M]) or categorical
     (class_cums: [N, M, C], see `cumulative`). RNG consumption order: the
-    component-index uniforms first (none when M = 1 or `index` is given, one
-    shared by every row when `shared`, else one per row), then one value draw
+    component-index uniforms of `draw_component` first, then one value draw
     per row in row order.
     """
-    if index is None:
-        if weights.size == 1:
-            index = 0
-        else:
-            u = rng.random() if shared else rng.random(num_rows)
-            index = np.searchsorted(cumulative(weights), u, side="right")
-    idx = np.broadcast_to(index, (num_rows,))
+    idx = draw_component(rng, weights, num_rows, shared, index)
     rows = np.arange(num_rows)
     if class_cums is None:
         return means[rows, idx] + stds[rows, idx] * rng.standard_normal(num_rows)

@@ -208,17 +208,19 @@ def ece(integrated_probs: np.ndarray, labels, bins: BinningConfig = BinningConfi
         raise EmptyInputError("ece needs at least one row")
     predicted = probs.argmax(axis=1)
     confidence = probs.max(axis=1)
-    return ece_from_confidence(confidence, predicted, labels, bins.num_bins)
+    return ece_from_confidence(confidence, predicted == labels, bins.num_bins)
 
 
-def ece_from_confidence(confidence: np.ndarray, predicted: np.ndarray,
-                        labels: np.ndarray, num_bins: int) -> float:
+def ece_from_confidence(confidence: np.ndarray, hits: np.ndarray,
+                        num_bins: int) -> float:
+    """ECE from each row's confidence and whether its predicted class is the
+    label (`hits`, bool): the one ECE kernel."""
     n = confidence.shape[0]
     if n == 0:
         raise EmptyInputError("ece needs at least one row")
     # bin m holds confidences in ((m-1)/M, m/M]
     bin_idx = np.clip(np.ceil(confidence * num_bins).astype(int) - 1, 0, num_bins - 1)
-    correct = (predicted == labels).astype(float)
+    correct = hits.astype(float)
     counts = np.bincount(bin_idx, minlength=num_bins)
     acc_sum = np.bincount(bin_idx, weights=correct, minlength=num_bins)
     conf_sum = np.bincount(bin_idx, weights=confidence, minlength=num_bins)

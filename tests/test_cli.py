@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,6 +251,51 @@ class TestCheckCommand:
                 del os.environ[cli.ppc.THREADS_ENV_VAR]
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_invalid_thread_count_is_error(self, tmp_path, capsys, monkeypatch, value):
+        preds, y = self_generated_regression(0, n=5)
+        p, l = write_fixture(tmp_path, preds, y)
+        monkeypatch.setenv(cli.ppc.THREADS_ENV_VAR, value)
+        code = cli.main(["check", "--predictions", p, "--labels", l,
+                         "--statistic", "calibration", "--mode", "bayesian",
+                         "--replications", "20"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: PPC_UQ_THREADS must be a positive integer, got {value!r}\n")
+
+    def test_scipy_is_loaded_only_for_the_gaussian_cdf(self, tmp_path):
+        # a fresh interpreter: the test process has scipy loaded already
+        probs = np.full((4, 2, 3), 1.0 / 3.0)
+        cls_p, cls_l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
+                                     np.array([0, 1, 2, 0]))
+        (tmp_path / "reg").mkdir()
+        preds, y = self_generated_regression(0, n=20)
+        reg_p, reg_l = write_fixture(tmp_path / "reg", preds, y)
+        script = f"""
+import json, sys
+from ppc_uq import cli
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+codes = [cli.main(["check", "--predictions", {cls_p!r}, "--labels", {cls_l!r},
+                   "--statistic", "ece", "--mode", "independent",
+                   "--replications", "20"])]
+loaded = ["scipy" in sys.modules]
+codes.append(cli.main(["check", "--predictions", {reg_p!r}, "--labels", {reg_l!r},
+                       "--statistic", "calibration", "--mode", "bayesian",
+                       "--replications", "20"]))
+loaded.append("scipy" in sys.modules)
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        result = json.loads(out.splitlines()[-1])
+        assert result["loaded"] == [False, True]
+        assert all(code in (0, 2) for code in result["codes"])
 
 
 class TestCheckAndOracleAgree:

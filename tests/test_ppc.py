@@ -9,7 +9,8 @@ from hypothesis import strategies as hst
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
-                               MixturePredictive, PosteriorWeights, mixture_sample)
+                               MixturePredictive, PosteriorWeights, draw_component,
+                               mixture_sample)
 
 from conftest import ks_uniform
 
@@ -114,6 +115,118 @@ class TestSharedSampler:
                                    np.random.default_rng(9))
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+
+class UniformStub:
+    """Stands in for a Generator: `random` hands out preset uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+@hst.composite
+def edge_probs(draw):
+    """[N, M, C] probabilities that EnsemblePredictions accepts at its edges:
+    entries in [-1e-12, 0), row sums 1 +- 1e-6, and exact dyadic rows whose
+    CDF values are exact and whose integrated classes tie."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n, m, c = (draw(hst.integers(1, 20)), draw(hst.integers(1, 4)),
+               draw(hst.integers(2, 5)))
+    if draw(hst.booleans()):
+        counts = rng.multinomial(8, np.full(c, 1.0 / c), size=(n, m))
+        return counts / 8.0
+    probs = rng.dirichlet(np.full(c, 0.5), size=(n, m))
+    negative = rng.random((n, m, c)) < draw(hst.sampled_from([0.0, 0.2, 0.5]))
+    negative[..., 0] &= ~negative[..., 1:].all(axis=-1)
+    probs[negative] = -1e-12 * rng.uniform(0.01, 1.0, negative.sum())
+    target = 1.0 + rng.uniform(-0.99e-6, 0.99e-6, (n, m, 1))
+    positive = np.where(negative, 0.0, probs)
+    rest = target - np.where(negative, probs, 0.0).sum(axis=-1, keepdims=True)
+    return np.where(negative, probs, positive * rest / positive.sum(axis=-1,
+                                                                  keepdims=True))
+
+
+def edge_uniforms(ctx, mode, rng):
+    """Uniforms for a stub draw under `mode`: the member uniforms it consumes,
+    then one per row on, or one ulp either side of, a CDF value of the
+    member that row draws."""
+    n, _, c = ctx.class_cums.shape
+    members = rng.random(n)
+    stub = UniformStub(members)
+    idx = draw_component(stub, ctx.weights, n, shared=isinstance(mode, ppc.Bayesian),
+                         index=getattr(mode, "index", None))
+    picks = ctx.class_cums[np.arange(n), idx, rng.integers(0, c, n)]
+    step = rng.choice([-1, 0, 0, 1], n)
+    u = np.where(step < 0, np.nextafter(picks, -np.inf),
+                 np.where(step > 0, np.nextafter(picks, np.inf), picks))
+    return (list(members[:n - len(stub.values)])
+            + list(np.clip(u, 0.0, np.nextafter(1.0, 0.0))))
+
+
+class TestHitDraw:
+    """The engine's hit draw for ece and accuracy equals the label draw's
+    `labels == predicted`, from the same uniforms, bit for bit."""
+
+    @given(probs=edge_probs(), data=hst.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_label_draw(self, probs, data):
+        preds = st.EnsemblePredictions.from_probs(probs)
+        ctx = ppc.build_context(preds)
+        mode = data.draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
+                                           ppc.PointEstimate(preds.num_models - 1)]))
+        seed = data.draw(hst.integers(0, 2 ** 31 - 1))
+        for k in range(3):
+            labels = ppc.replicate_labels(preds, None, mode, ppc.replicate_rng(seed, k))
+            hits = ppc._replicate_hits_ctx(ctx, mode, ppc.replicate_rng(seed, k))
+            np.testing.assert_array_equal(hits, labels == ctx.predicted)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            uniforms = edge_uniforms(ctx, mode, rng)
+            labels = ppc.replicate_labels(preds, None, mode, UniformStub(uniforms))
+            hits = ppc._replicate_hits_ctx(ctx, mode, UniformStub(uniforms))
+            np.testing.assert_array_equal(hits, labels == ctx.predicted)
+
+    def test_uniforms_on_cdf_values(self):
+        # member 0 has CDF (0.25, 0.75, 1) and member 1 (0.125, 0.75, 1) on
+        # every row; the integrated prediction is class 1 on every row
+        probs = np.tile([[0.25, 0.5, 0.25], [0.125, 0.625, 0.25]], (6, 1, 1))
+        preds = st.EnsemblePredictions.from_probs(probs)
+        ctx = ppc.build_context(preds)
+        np.testing.assert_array_equal(ctx.predicted, 1)
+        members = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5]    # members 0, 0, 0, 1, 1, 1
+        values = [0.25, 0.75, 0.0, 0.125, 0.75, 0.25]
+        uniforms = members + values
+        labels = ppc.replicate_labels(preds, None, ppc.INDEPENDENT, UniformStub(uniforms))
+        hits = ppc._replicate_hits_ctx(ctx, ppc.INDEPENDENT, UniformStub(uniforms))
+        np.testing.assert_array_equal(labels, [0, 1, 0, 0, 1, 1])
+        np.testing.assert_array_equal(hits, labels == 1)
+
+
+class TestLabelDrawReference:
+    """sample_statistic on ece and accuracy (the hit draw) gives what a loop
+    over the public label draw gives."""
+
+    @pytest.mark.parametrize("statistic", [ppc.EceStatistic(), ppc.AccuracyStatistic()],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(2)],
+                             ids=lambda m: m.describe())
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_engine_equals_label_loop(self, statistic, mode, threads):
+        rng = np.random.default_rng(21)
+        preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (40, 3, 4)))
+        seed, reps = 8, 60
+        ctx = ppc.build_context(preds)
+        expected = [statistic.evaluate(ppc.replicate_labels(
+            preds, None, mode, ppc.replicate_rng(seed, k)), ctx) for k in range(reps)]
+        got = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=reps,
+                                   seed=seed, threads=threads)
+        np.testing.assert_array_equal(got.samples, expected)
 
 
 class TestSampleStatistic:
