@@ -30,11 +30,11 @@ STATISTICS = {
 def _load_run(args) -> tuple:
     """Predictions, labels, statistic and mode of a `check` or `oracle` run.
 
-    Whether they fit together (label count, statistic kind, mode) is checked
-    by the library calls they are passed to, before any work starts.
+    Labels are checked against the predictions as they are read; whether the
+    statistic and the mode fit, by the library calls they go to, before any work.
     """
     preds, _ = io.load_predictions(args.predictions)
-    labels = io.load_labels(args.labels, preds.kind)
+    labels = io.load_labels(args.labels, preds)
     return (preds, labels, STATISTICS[args.statistic](args),
             ppc.parse_mode(args.mode))
 
@@ -61,7 +61,7 @@ def cmd_check(args) -> int:
 
 def cmd_recalibrate(args) -> int:
     preds, _ = io.load_predictions(args.predictions)
-    labels = io.load_labels(args.labels, preds.kind)
+    labels = io.load_labels(args.labels, preds)
     if preds.probs is not None:
         if not args.allow_log_probs:
             raise recalibrate.UnsupportedInputError(
@@ -148,7 +148,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     preds, labels, statistic, mode = _load_run(args)
-    labels = st.validate_labels(preds, labels)
     pmf = oracle.exact_statistic_distribution(
         preds, None, statistic, mode,
         budget=oracle.EnumerationBudget(max_outcomes=args.budget))

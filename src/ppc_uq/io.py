@@ -1,6 +1,7 @@
 """On-disk formats: JSON Lines predictions, CSV labels, JSON reports."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -10,7 +11,9 @@ import numpy as np
 
 from . import statistics as st
 
-PREDICTION_VALUES = ("probs", "logits", "gaussian")
+# the prediction kind of each header `values`
+PREDICTION_VALUES = {"probs": st.CLASSIFICATION, "logits": st.CLASSIFICATION,
+                     "gaussian": st.REGRESSION}
 
 
 class FileFormatError(ValueError):
@@ -34,14 +37,18 @@ def _numbered_lines(path) -> list:
                 if ln.strip()]
 
 
-def _require_rows(lines: list, ok: np.ndarray, message: str) -> None:
-    """Name the file line of the first row whose `ok` entry is False."""
-    if not ok.all():
-        raise FileFormatError(f"line {lines[int(np.argmin(ok))][0]}: {message}")
+@contextlib.contextmanager
+def _rows_at(lines: list):
+    """Report a row rule the library rejects at the file line of its row."""
+    try:
+        yield
+    except st.InvalidRowError as exc:
+        raise FileFormatError(f"line {lines[exc.row][0]}: {exc.rule}") from exc
 
 
 def load_predictions(path) -> tuple:
-    """Read a prediction file; returns (EnsemblePredictions, header dict)."""
+    """Read a prediction file; returns (EnsemblePredictions, header dict).
+    The library checks the values; their errors name the row's file line."""
     lines = _numbered_lines(path)
     if not lines:
         raise FileFormatError("line 1: missing header")
@@ -50,68 +57,46 @@ def load_predictions(path) -> tuple:
     for key in ("kind", "rows", "models", "values"):
         if key not in header:
             raise FileFormatError(f"line {at}: header missing field {key!r}")
-    kind = header["kind"]
-    if kind not in (st.CLASSIFICATION, st.REGRESSION):
-        raise FileFormatError(f"line {at}: unknown kind {header['kind']!r}")
     values = header["values"]
-    if values not in PREDICTION_VALUES:
+    if not isinstance(values, str) or values not in PREDICTION_VALUES:
         raise FileFormatError(f"line {at}: unknown values {values!r}")
-    if kind == st.CLASSIFICATION and "classes" not in header:
-        raise FileFormatError(f"line {at}: header missing field 'classes'")
-    if kind == st.CLASSIFICATION and values == "gaussian":
-        raise FileFormatError(f"line {at}: classification cannot carry gaussian values")
-    if kind == st.REGRESSION and values != "gaussian":
-        raise FileFormatError(f"line {at}: regression requires values 'gaussian'")
-    n, m = int(header["rows"]), int(header["models"])
+    kind = PREDICTION_VALUES[values]
+    if header["kind"] != kind:
+        raise FileFormatError(
+            f"line {at}: values {values!r} need kind {kind!r}, got {header['kind']!r}")
+    gaussian = kind == st.REGRESSION
+    for key in ("rows", "models") + (() if gaussian else ("classes",)):
+        count = header.get(key)
+        if type(count) is not int or count < 1:  # a JSON integer; bool is not one
+            raise FileFormatError(f"line {at}: header field {key!r} must be a "
+                                  f"positive integer, got {count!r}")
+    n, m = header["rows"], header["models"]
     if len(lines) - 1 != n:
         raise FileFormatError(
             f"line {lines[-1][0]}: header declares {n} rows, file has {len(lines) - 1}")
 
-    if kind == st.CLASSIFICATION:
-        c = int(header["classes"])
-        data = np.empty((n, m, c))
-        for i, (lineno, text) in enumerate(lines[1:]):
-            row = _parse_json_line(text, lineno)
-            try:
-                arr = np.asarray(row["preds"], dtype=float)
-            except (KeyError, ValueError) as exc:
-                raise FileFormatError(f"line {lineno}: bad 'preds' entry") from exc
-            if arr.shape != (m, c):
-                raise FileFormatError(
-                    f"line {lineno}: expected {m}x{c} preds, got {arr.shape}")
-            data[i] = arr
-        _require_rows(lines[1:], np.isfinite(data).all(axis=(1, 2)),
-                      f"{values} must be finite")
-        try:
-            if values == "probs":
-                preds = st.EnsemblePredictions.from_probs(data)
-            else:
-                preds = st.EnsemblePredictions.from_logits(data)
-        except ValueError as exc:
-            raise FileFormatError(f"invalid predictions: {exc}") from exc
-        return preds, header
-
-    means = np.empty((n, m))
-    stds = np.empty((n, m))
+    shape = (2 * m,) if gaussian else (m, header["classes"])
+    expected = (f"{m} gaussian entries of numbers 'mean' and 'std'" if gaussian
+                else f"{m}x{header['classes']} preds of JSON numbers")
+    data = np.empty((n,) + shape)
     for i, (lineno, text) in enumerate(lines[1:]):
-        row = _parse_json_line(text, lineno)
-        entries = row.get("preds")
-        if not isinstance(entries, list) or len(entries) != m:
-            raise FileFormatError(f"line {lineno}: expected {m} gaussian entries")
-        for j, entry in enumerate(entries):
-            try:
-                means[i, j] = float(entry["mean"])
-                stds[i, j] = float(entry["std"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FileFormatError(
-                    f"line {lineno}: gaussian entries need 'mean' and 'std'") from exc
-    _require_rows(lines[1:], np.isfinite(means).all(axis=1), "means must be finite")
-    _require_rows(lines[1:], np.isfinite(stds).all(axis=1), "stds must be finite")
-    try:
-        preds = st.EnsemblePredictions.from_gaussians(means, stds)
-    except ValueError as exc:
-        raise FileFormatError(f"invalid predictions: {exc}") from exc
-    return preds, header
+        row = _parse_json_line(text, lineno).get("preds")
+        try:
+            if gaussian:  # the [M, 2] (mean, std) pairs, flat
+                row = [v for e in row for v in (e["mean"], e["std"])]
+            arr = np.asarray(row)
+        except (KeyError, TypeError, ValueError):
+            arr = None
+        # a string or null leaves the array non-numeric; numpy casts a bool beside
+        # numbers to a number, so gaussian rows, walked in Python anyway, are searched
+        if (arr is None or arr.shape != shape or arr.dtype.kind not in "iuf"
+                or gaussian and bool in set(map(type, row))):
+            raise FileFormatError(f"line {lineno}: expected {expected}")
+        data[i] = arr
+    fields = ({"means": data[:, 0::2].copy(), "stds": data[:, 1::2].copy()}
+              if gaussian else {values: data})
+    with _rows_at(lines[1:]):
+        return st.EnsemblePredictions(kind, **fields), header
 
 
 def save_predictions(path, preds: st.EnsemblePredictions,
@@ -136,7 +121,8 @@ def save_predictions(path, preds: st.EnsemblePredictions,
     atomic_write_text(path, payload)
 
 
-def load_labels(path, kind: str) -> np.ndarray:
+def load_labels(path, preds: st.EnsemblePredictions) -> np.ndarray:
+    """Read a label file and validate it against `preds` in the library."""
     lines = _numbered_lines(path)
     if lines and lines[0][1].strip().lower() == "label":
         lines = lines[1:]
@@ -146,15 +132,13 @@ def load_labels(path, kind: str) -> np.ndarray:
     for i, (lineno, text) in enumerate(lines):
         text = text.strip()
         try:
+            if "_" in text:  # float() reads digit groups: "1_0" is 10
+                raise ValueError(text)
             out[i] = float(text)
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: bad label {text!r}") from exc
-    _require_rows(lines, np.isfinite(out), "labels must be finite")
-    if kind == st.CLASSIFICATION:
-        as_int = out.astype(int)
-        _require_rows(lines, as_int == out, "classification labels must be integers")
-        return as_int
-    return out
+    with _rows_at(lines):
+        return st.validate_labels(preds, out)
 
 
 def save_labels(path, labels) -> None:

@@ -164,6 +164,9 @@ class PicpStatistic:
     kind = st.REGRESSION
     name = "picp"
 
+    def __post_init__(self):
+        st.check_interval(self.lower, self.upper)
+
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
         pit = st.pit_from_gaussians(ctx.preds.means, ctx.preds.stds, ctx.weights, labels)
         return st.picp(pit, self.lower, self.upper)
@@ -322,6 +325,8 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
             statistic, mode: UncertaintyMode, num_replicates: int = 1000,
             seed: int = 0, threads: int = None) -> PpcReport:
     """Full check: observed statistic vs its posterior predictive distribution."""
+    if num_replicates < 2:
+        raise InvalidParameterError("a check needs at least two replicates")
     labels = st.validate_labels(preds, labels)
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)

@@ -25,6 +25,14 @@ class KindMismatchError(TypeError):
     """Raised when a statistic is applied to the wrong prediction kind."""
 
 
+class InvalidRowError(InvalidParameterError):
+    """`rule` fails on rows of predictions or labels, first on `row` (from 0)."""
+
+    def __init__(self, rule: str, row: int):
+        super().__init__(f"row {row}: {rule}")
+        self.rule, self.row = rule, row
+
+
 @dataclass
 class EnsemblePredictions:
     """Per-row, per-model predictive distributions.
@@ -47,15 +55,15 @@ class EnsemblePredictions:
                 self.logits = np.asarray(self.logits, dtype=float)
                 if self.logits.ndim != 3:
                     raise InvalidParameterError("logits must be [N, M, C]")
-                _require_finite("logits", self.logits)
+                _require_rows(np.isfinite(self.logits), "logits must be finite")
             if self.probs is not None:
                 self.probs = np.asarray(self.probs, dtype=float)
                 if self.probs.ndim != 3:
                     raise InvalidParameterError("probs must be [N, M, C]")
-                _require_finite("probs", self.probs)
-                sums = self.probs.sum(axis=2)
-                if np.any(self.probs < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-6):
-                    raise InvalidParameterError("per-model probability rows must sum to 1")
+                _require_rows(np.isfinite(self.probs), "probs must be finite")
+                _require_rows(self.probs >= -1e-12, "probs must be >= 0")
+                _require_rows(np.abs(self.probs.sum(axis=2) - 1.0) <= 1e-6,
+                              "per-model probability rows must sum to 1")
         elif self.kind == REGRESSION:
             if self.means is None or self.stds is None:
                 raise InvalidParameterError("regression needs means and stds")
@@ -63,10 +71,9 @@ class EnsemblePredictions:
             self.stds = np.asarray(self.stds, dtype=float)
             if self.means.shape != self.stds.shape or self.means.ndim != 2:
                 raise InvalidParameterError("means/stds must both be [N, M]")
-            _require_finite("means", self.means)
-            _require_finite("stds", self.stds)
-            if np.any(self.stds <= 0):
-                raise InvalidParameterError("all stddevs must be > 0")
+            _require_rows(np.isfinite(self.means), "means must be finite")
+            _require_rows(np.isfinite(self.stds), "stds must be finite")
+            _require_rows(self.stds > 0, "stds must be > 0")
         else:
             raise InvalidParameterError(f"unknown prediction kind: {self.kind!r}")
         if self.num_rows < 1 or self.num_models < 1:
@@ -122,11 +129,11 @@ class EnsemblePredictions:
                                    stds=self.stds[index])
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
-    finite = np.isfinite(values)
-    if not finite.all():
-        row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
-        raise InvalidParameterError(f"{name} must be finite (row {row} is not)")
+def _require_rows(ok: np.ndarray, rule: str) -> None:
+    """The check of every row rule: `ok[row, ...]` says where `rule` holds."""
+    if not ok.all():
+        row = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        raise InvalidRowError(rule, row)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -171,14 +178,13 @@ def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:
     if labels.ndim != 1 or labels.shape[0] != preds.num_rows:
         raise InvalidParameterError(
             f"labels must be a vector of length {preds.num_rows}, got shape {labels.shape}")
-    _require_finite("labels", labels)
+    _require_rows(np.isfinite(labels), "labels must be finite")
     if preds.kind == REGRESSION:
         return labels
     classes = labels.astype(int)
-    if np.any(classes != labels):
-        raise InvalidParameterError("class labels must be integers")
-    if np.any(classes < 0) or np.any(classes >= preds.num_classes):
-        raise InvalidParameterError("class labels out of range")
+    _require_rows(classes == labels, "classification labels must be integers")
+    _require_rows((classes >= 0) & (classes < preds.num_classes),
+                  f"class labels must be in [0, {preds.num_classes})")
     return classes
 
 
@@ -204,8 +210,6 @@ def ece(integrated_probs: np.ndarray, labels, bins: BinningConfig = BinningConfi
     """Expected calibration error with equal-width confidence bins on (0, 1]."""
     probs = np.asarray(integrated_probs, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if probs.shape[0] == 0:
-        raise EmptyInputError("ece needs at least one row")
     predicted = probs.argmax(axis=1)
     confidence = probs.max(axis=1)
     return ece_from_confidence(confidence, predicted == labels, bins.num_bins)
@@ -255,13 +259,18 @@ def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:
     return float(np.sum((levels - below) ** 2))
 
 
+def check_interval(lower: float, upper: float) -> None:
+    """Reject a PICP interval that is not 0 <= lower < upper <= 1."""
+    if not (0 <= lower < upper <= 1):
+        raise InvalidParameterError("need 0 <= lower < upper <= 1")
+
+
 def picp(pit, lower: float = 0.025, upper: float = 0.975) -> float:
     """Fraction of PIT values inside the inclusive interval [lower, upper]."""
     pit = np.asarray(pit, dtype=float)
     if pit.size == 0:
         raise EmptyInputError("picp needs at least one PIT value")
-    if not (0 <= lower < upper <= 1):
-        raise InvalidParameterError("need 0 <= lower < upper <= 1")
+    check_interval(lower, upper)
     return float(np.mean((pit >= lower) & (pit <= upper)))
 
 

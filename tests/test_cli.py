@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -18,6 +19,28 @@ def write_fixture(tmp_path, preds, labels, values=None):
     io.save_predictions(pred_path, preds, values=values)
     io.save_labels(label_path, labels)
     return str(pred_path), str(label_path)
+
+
+def preds_of(kind, n, num_classes=3):
+    """Uniform predictions of `kind`, n rows and one model, to read labels against."""
+    if kind == st.CLASSIFICATION:
+        return st.EnsemblePredictions.from_probs(
+            np.full((n, 1, num_classes), 1.0 / num_classes))
+    return st.EnsemblePredictions.from_gaussians(np.zeros((n, 1)), np.ones((n, 1)))
+
+
+@pytest.fixture
+def context_builds(monkeypatch):
+    """The arguments of every `ppc.build_context` call the test makes."""
+    calls = []
+    build = ppc.build_context
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ppc, "build_context", counting_build)
+    return calls
 
 
 def self_generated_regression(seed, n=300):
@@ -62,14 +85,22 @@ class TestRoundTrips:
     def test_labels_classification(self, tmp_path):
         path = tmp_path / "labels.csv"
         io.save_labels(path, np.array([0, 2, 1]))
-        np.testing.assert_array_equal(io.load_labels(path, st.CLASSIFICATION),
-                                      [0, 2, 1])
+        np.testing.assert_array_equal(
+            io.load_labels(path, preds_of(st.CLASSIFICATION, 3)), [0, 2, 1])
 
     def test_labels_regression(self, tmp_path):
         path = tmp_path / "labels.csv"
         vals = np.array([0.25, -1.5, 3.125])
         io.save_labels(path, vals)
-        np.testing.assert_array_equal(io.load_labels(path, st.REGRESSION), vals)
+        np.testing.assert_array_equal(
+            io.load_labels(path, preds_of(st.REGRESSION, 3)), vals)
+
+    def test_label_spellings_float_reads_are_kept(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("LABEL\n 1e3 \n+2.5\n-0\n.5\n5.\n")
+        np.testing.assert_array_equal(
+            io.load_labels(path, preds_of(st.REGRESSION, 5)),
+            [1000.0, 2.5, -0.0, 0.5, 5.0])
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
     def test_output_mode_matches_plain_open(self, tmp_path, umask):
@@ -90,13 +121,13 @@ class TestRoundTrips:
         os.chmod(path, 0o640)
         io.save_labels(path, np.array([1]))
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
-        assert io.load_labels(path, st.CLASSIFICATION).tolist() == [1]
+        assert io.load_labels(path, preds_of(st.CLASSIFICATION, 1)).tolist() == [1]
 
     def test_bad_label_names_its_file_line(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("label\n0.5\nabc\n")
         with pytest.raises(io.FileFormatError, match=r"^line 3: bad label 'abc'"):
-            io.load_labels(path, st.REGRESSION)
+            io.load_labels(path, preds_of(st.REGRESSION, 2))
 
     def test_bad_prediction_row_names_its_file_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -115,7 +146,7 @@ class TestRoundTrips:
         path = tmp_path / "labels.csv"
         path.write_text(text)
         with pytest.raises(io.FileFormatError, match=f"^line 3: {message}$"):
-            io.load_labels(path, kind)
+            io.load_labels(path, preds_of(kind, 2))
 
     @pytest.mark.parametrize("header,rows,message", [
         ({"kind": "regression", "rows": 2, "models": 1, "values": "gaussian"},
@@ -264,6 +295,22 @@ class TestCheckCommand:
         assert capsys.readouterr().err == (
             f"error: PPC_UQ_THREADS must be a positive integer, got {value!r}\n")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--statistic", "picp", "--picp-low", "0.9", "--picp-high", "0.1"],
+         "need 0 <= lower < upper <= 1"),
+        (["--statistic", "calibration", "--replications", "1"],
+         "a check needs at least two replicates"),
+    ], ids=["picp-bounds", "one-replicate"])
+    def test_bad_parameters_fail_before_any_work(self, tmp_path, capsys, context_builds,
+                                                 flags, message):
+        preds, y = self_generated_regression(0, n=5)
+        p, l = write_fixture(tmp_path, preds, y)
+        code = cli.main(["check", "--predictions", p, "--labels", l,
+                         "--mode", "bayesian"] + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert context_builds == []
+
     def test_scipy_is_loaded_only_for_the_gaussian_cdf(self, tmp_path):
         # a fresh interpreter: the test process has scipy loaded already
         probs = np.full((4, 2, 3), 1.0 / 3.0)
@@ -323,6 +370,88 @@ class TestCheckAndOracleAgree:
         assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
 
 
+GOOD_ROWS = {"probs": "[[0.5, 0.5]]", "logits": "[[0.5, 0.5]]",
+             "gaussian": '[{"mean": 0.0, "std": 1.0}]'}
+
+# id: (values, header changes, prediction row, label, message after "line 3: ").
+# The fault is the prediction row or the label when one is given, else the header.
+LINE_3_FAULTS = {
+    "probs-nan": ("probs", {}, "[[NaN, 0.5]]", None, "probs must be finite"),
+    "logits-inf": ("logits", {}, "[[Infinity, 0.0]]", None, "logits must be finite"),
+    "means-nan": ("gaussian", {}, '[{"mean": NaN, "std": 1.0}]', None,
+                  "means must be finite"),
+    "stds-inf": ("gaussian", {}, '[{"mean": 0.0, "std": Infinity}]', None,
+                 "stds must be finite"),
+    "probs-negative": ("probs", {}, "[[-0.5, 1.5]]", None, "probs must be >= 0"),
+    "probs-sum-1.1": ("probs", {}, "[[0.6, 0.5]]", None,
+                      "per-model probability rows must sum to 1"),
+    "std-zero": ("gaussian", {}, '[{"mean": 0.0, "std": 0.0}]', None,
+                 "stds must be > 0"),
+    "probs-string": ("probs", {}, '[["0.5", "0.5"]]', None,
+                     "expected 1x2 preds of JSON numbers"),
+    "probs-boolean": ("probs", {}, "[[true, false]]", None,
+                      "expected 1x2 preds of JSON numbers"),
+    "gaussian-string": ("gaussian", {}, '[{"mean": "0", "std": "1"}]', None,
+                        "expected 1 gaussian entries of numbers 'mean' and 'std'"),
+    "gaussian-boolean": ("gaussian", {}, '[{"mean": 0.0, "std": true}]', None,
+                         "expected 1 gaussian entries of numbers 'mean' and 'std'"),
+    "label-nan": ("gaussian", {}, None, "nan", "labels must be finite"),
+    "label-non-integer": ("probs", {}, None, "0.5",
+                          "classification labels must be integers"),
+    "label-out-of-range": ("probs", {}, None, "2", "class labels must be in [0, 2)"),
+    "label-digit-group": ("gaussian", {}, None, "1_0", "bad label '1_0'"),
+    "rows-string": ("probs", {"rows": "2"}, None, None,
+                    "header field 'rows' must be a positive integer, got '2'"),
+    "rows-boolean": ("probs", {"rows": True}, None, None,
+                     "header field 'rows' must be a positive integer, got True"),
+    "rows-fraction": ("probs", {"rows": 1.9}, None, None,
+                      "header field 'rows' must be a positive integer, got 1.9"),
+    "models-negative": ("probs", {"models": -1}, None, None,
+                        "header field 'models' must be a positive integer, got -1"),
+    "classes-zero": ("probs", {"classes": 0}, None, None,
+                     "header field 'classes' must be a positive integer, got 0"),
+}
+
+
+class TestFaultsNameLineThree:
+    """Every value and header fault is reported at its file line, here line 3
+    after a blank line, by the loader and by both commands that read a run."""
+
+    @staticmethod
+    def write_files(tmp_path, values, changes, row, label):
+        header = {"kind": "regression" if values == "gaussian" else "classification",
+                  "rows": 2, "models": 1, "values": values}
+        if values != "gaussian":
+            header["classes"] = 2
+        header.update(changes)
+        good = '{"preds": %s}' % GOOD_ROWS[values]
+        if row is not None:
+            lines = [json.dumps(header), "", '{"preds": %s}' % row, good]
+        elif label is not None:
+            lines = [json.dumps(header), good, good]
+        else:
+            lines = ["", "", json.dumps(header), good, good]
+        pred_path, label_path = tmp_path / "preds.jsonl", tmp_path / "labels.csv"
+        pred_path.write_text("\n".join(lines) + "\n")
+        # the label on line 3 is row 1: row 0 is on line 1
+        label_path.write_text("0\n1\n" if label is None else f"0\n\n{label}\n")
+        return str(pred_path), str(label_path)
+
+    @pytest.mark.parametrize("case", list(LINE_3_FAULTS))
+    def test_loader_and_commands_name_line_3(self, tmp_path, capsys, case):
+        values, changes, row, label, message = LINE_3_FAULTS[case]
+        p, l = self.write_files(tmp_path, values, changes, row, label)
+        with pytest.raises(io.FileFormatError, match=f"^line 3: {re.escape(message)}$"):
+            preds, _ = io.load_predictions(p)
+            io.load_labels(l, preds)
+        statistic = "calibration" if values == "gaussian" else "ece"
+        for command in ("check", "oracle"):
+            code = cli.main([command, "--predictions", p, "--labels", l,
+                             "--statistic", statistic, "--mode", "bayesian"])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
 class TestRecalibrateCommand:
     def _overconfident_files(self, tmp_path, n=2000):
         rng = np.random.default_rng(5)
@@ -370,7 +499,7 @@ class TestSimulateCommand:
         marginal, _ = io.load_predictions(out / "predictions_marginal.jsonl")
         assert marginal.num_models == 1
         assert marginal.stds[0, 0] == pytest.approx(math.sqrt(2.0))
-        labels = io.load_labels(out / "labels.csv", st.REGRESSION)
+        labels = io.load_labels(out / "labels.csv", preds)
         assert labels.size == 200
 
     def test_quadratic_files(self, tmp_path):
@@ -382,13 +511,14 @@ class TestSimulateCommand:
         assert not np.any((x_train > -1.5) & (x_train < 0.0))
         for tag in ("id", "ood"):
             preds, _ = io.load_predictions(out / f"{tag}_predictions.jsonl")
-            labels = io.load_labels(out / f"{tag}_labels.csv", st.REGRESSION)
+            labels = io.load_labels(out / f"{tag}_labels.csv", preds)
             assert preds.num_rows == labels.size
             assert preds.num_models == 10
         _, y_id, _, _ = analytic.generate_quadratic_dataset(
             analytic.QuadraticDatasetConfig(n=200, seed=3))
+        id_preds, _ = io.load_predictions(out / "id_predictions.jsonl")
         np.testing.assert_array_equal(
-            io.load_labels(out / "id_labels.csv", st.REGRESSION), y_id)
+            io.load_labels(out / "id_labels.csv", id_preds), y_id)
 
     def test_conjugate_single_zero_observation(self, tmp_path):
         out = tmp_path / "conj"
@@ -429,22 +559,14 @@ class TestOracleCommand:
         assert results["bayesian"]["masses"] == pytest.approx([0.5, 0.5])
         assert results["independent"]["masses"] == pytest.approx([0.25, 0.5, 0.25])
 
-    def test_builds_one_context(self, tmp_path, capsys, monkeypatch):
+    def test_builds_one_context(self, tmp_path, capsys, context_builds):
         preds = st.EnsemblePredictions.from_probs([[[0.7, 0.3]], [[0.4, 0.6]]])
         p, l = write_fixture(tmp_path, preds, np.array([0, 1]))
-        calls = []
-        build = ppc.build_context
-
-        def counting_build(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(ppc, "build_context", counting_build)
         code = cli.main(["oracle", "--predictions", p, "--labels", l,
                          "--statistic", "ece", "--mode", "independent"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["observed"] == pytest.approx(0.35)
-        assert len(calls) == 1
+        assert len(context_builds) == 1
 
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
         probs = np.full((8, 2, 2), 0.5)
