@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .predictive import (Categorical, ComponentDistribution, Gaussian,
-                         InvalidParameterError, MixturePredictive,
-                         PosteriorWeights, gaussian_cdf, mixture_cdf,
-                         mixture_sample)
+from .predictive import (Categorical, Gaussian, InvalidParameterError,
+                         MixturePredictive, PosteriorWeights, gaussian_cdf,
+                         mixture_cdf, mixture_sample)
 from .statistics import (BinningConfig, EnsemblePredictions, QuantileSet,
                          accuracy, calibration_error, ece,
                          integrated_class_probs, picp, pit_values)

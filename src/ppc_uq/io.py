@@ -87,10 +87,12 @@ def load_predictions(path) -> tuple:
             arr = np.asarray(row)
         except (KeyError, TypeError, ValueError):
             arr = None
-        # a string or null leaves the array non-numeric; numpy casts a bool beside
-        # numbers to a number, so gaussian rows, walked in Python anyway, are searched
+        # a string or null leaves the array non-numeric, but numpy casts a bool
+        # beside numbers to a number; every JSON literal has a `u` or an `l`, and
+        # no row key or JSON number has either, so only such lines are searched
         if (arr is None or arr.shape != shape or arr.dtype.kind not in "iuf"
-                or gaussian and bool in set(map(type, row))):
+                or ("u" in text or "l" in text)
+                and bool in set(map(type, np.asarray(row, dtype=object).flat))):
             raise FileFormatError(f"line {lineno}: expected {expected}")
         data[i] = arr
     fields = ({"means": data[:, 0::2].copy(), "stds": data[:, 1::2].copy()}
@@ -99,13 +101,11 @@ def load_predictions(path) -> tuple:
         return st.EnsemblePredictions(kind, **fields), header
 
 
-def save_predictions(path, preds: st.EnsemblePredictions,
-                     values: str = None) -> None:
-    """Write a prediction file; `values` picks probs vs logits for classification."""
+def save_predictions(path, preds: st.EnsemblePredictions) -> None:
+    """Write a prediction file: probs, logits or gaussian, as `preds` holds."""
     if preds.kind == st.CLASSIFICATION:
-        if values is None:
-            values = "logits" if preds.probs is None else "probs"
-        data = preds.logits if values == "logits" else preds.class_probs()
+        values = "logits" if preds.probs is None else "probs"
+        data = preds.logits if preds.probs is None else preds.probs
         header = {"kind": preds.kind, "rows": preds.num_rows,
                   "models": preds.num_models, "classes": preds.num_classes,
                   "values": values}

@@ -79,35 +79,26 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  mode: ppc_mod.UncertaintyMode,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
-    """Exact PMF of the replicated statistic under the given uncertainty mode."""
+    """Exact PMF of the replicated statistic under the given uncertainty mode:
+    each joint label outcome weighted by its mass under the mode's `law`."""
     ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
     ppc_mod.check_mode(preds, mode)
-    n, m, c = preds.num_rows, preds.num_models, preds.num_classes
-    joint = c ** n
-    required = joint * m if isinstance(mode, ppc_mod.Bayesian) else joint
+    ctx = ppc_mod.build_context(preds, weights)
+    member_weights, row_probs = mode.law(ctx)              # [K], [N, K, C]
+    n, c = preds.num_rows, preds.num_classes
+    required = c ** n * member_weights.size
     if required > budget.max_outcomes:
         raise BudgetExceededError(required, budget.max_outcomes)
 
-    ctx = ppc_mod.build_context(preds, weights)
-    probs = preds.class_probs()                             # [N, M, C]
-    w = ctx.weights
     rows = np.arange(n)
-
-    values = np.empty(joint)
-    masses = np.empty(joint)
+    values = np.empty(c ** n)
+    masses = np.empty(c ** n)
     for i, labels in enumerate(itertools.product(range(c), repeat=n)):
         y = np.asarray(labels, dtype=int)
-        if isinstance(mode, ppc_mod.Bayesian):
-            per_model = probs[rows, :, y].prod(axis=0)      # [M]
-            mass = float(per_model @ w)
-        elif isinstance(mode, ppc_mod.ConditionallyIndependent):
-            mass = float(np.prod(ctx.integrated[rows, y]))
-        else:
-            mass = float(np.prod(probs[rows, mode.index, y]))
         values[i] = statistic.evaluate(y, ctx)
-        masses[i] = mass
+        masses[i] = float(row_probs[rows, :, y].prod(axis=0) @ member_weights)
 
     pmf = _merge(values, masses)
     if abs(pmf.masses.sum() - 1.0) > 1e-9:

@@ -6,11 +6,16 @@ Replicated labels are drawn under one of three uncertainty modes:
 * ConditionallyIndependent — a fresh model index per row;
 * PointEstimate — a fixed model index for all rows.
 
+A mode's `members` draws the model index of each row, and its `law` gives the
+exact law of one replicate's labels, (w [K], row_probs [N, K, C]): member k
+with mass w[k], then each row n independently from row_probs[n, k].
+
 The test statistic is always evaluated against the full posterior-integrated
 predictive, never against the sampled model.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -30,19 +35,42 @@ class Bayesian:
     def describe(self) -> str:
         return "bayesian"
 
+    def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
+        return np.broadcast_to(draw_component(rng, weights, 1), (num_rows,))
+
+    def law(self, ctx: PredictiveContext) -> tuple:
+        return ctx.weights, ctx.preds.class_probs()
+
 
 @dataclass(frozen=True)
 class ConditionallyIndependent:
     def describe(self) -> str:
         return "independent"
 
+    def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
+        return draw_component(rng, weights, num_rows)
+
+    def law(self, ctx: PredictiveContext) -> tuple:
+        return np.ones(1), ctx.integrated[:, None, :]
+
 
 @dataclass(frozen=True)
 class PointEstimate:
     index: int
 
+    def __post_init__(self):
+        if isinstance(self.index, bool) or not isinstance(self.index, numbers.Integral):
+            raise InvalidParameterError(
+                f"point-estimate index must be an integer, got {self.index!r}")
+
     def describe(self) -> str:
         return f"point:{self.index}"
+
+    def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
+        return np.broadcast_to(self.index, (num_rows,))
+
+    def law(self, ctx: PredictiveContext) -> tuple:
+        return np.ones(1), ctx.preds.class_probs()[:, [self.index], :]
 
 
 UncertaintyMode = Union[Bayesian, ConditionallyIndependent, PointEstimate]
@@ -208,11 +236,8 @@ def replicate_rng(seed: int, k: int) -> np.random.Generator:
 
 def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                      mode: UncertaintyMode, rng: np.random.Generator) -> np.ndarray:
-    """One replicated label vector y_rep under the given uncertainty mode.
-
-    Consumes the rng as `predictive.draw_mixture` does: Bayesian shares one
-    model index across rows, PointEstimate draws none.
-    """
+    """One replicated label vector y_rep under the given uncertainty mode:
+    the mode's member draw, then one value draw per row."""
     check_mode(preds, mode)
     return _replicate_labels_ctx(build_context(preds, weights), mode, rng)
 
@@ -220,9 +245,7 @@ def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
 def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                           rng: np.random.Generator) -> np.ndarray:
     """One draw under a mode that `check_mode` has accepted."""
-    return draw_mixture(rng, ctx.weights, ctx.preds.num_rows,
-                        shared=isinstance(mode, Bayesian),
-                        index=getattr(mode, "index", None),
+    return draw_mixture(rng, mode.members(rng, ctx.weights, ctx.preds.num_rows),
                         means=ctx.preds.means, stds=ctx.preds.stds,
                         class_cums=ctx.class_cums)
 
@@ -230,32 +253,29 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
 def _replicate_hits_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                         rng: np.random.Generator) -> np.ndarray:
     """`_replicate_labels_ctx(ctx, mode, rng) == ctx.predicted`, from the same
-    uniforms, without drawing the labels: the component index as
-    `draw_mixture` draws it, then one uniform per row tested against the
-    row's hit band under the drawn member."""
+    uniforms, without drawing the labels: the mode's member draw, then one
+    uniform per row tested against the row's hit band under the drawn member."""
     num_rows = ctx.preds.num_rows
-    idx = draw_component(rng, ctx.weights, num_rows,
-                         shared=isinstance(mode, Bayesian),
-                         index=getattr(mode, "index", None))
-    flat = ctx.row_offsets + idx
+    flat = ctx.row_offsets + mode.members(rng, ctx.weights, num_rows)
     u = rng.random(num_rows)
     return (ctx.hit_lo[flat] < u) & (u <= ctx.hit_hi[flat])
 
 
 def _num_threads(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
+    """The worker count: `threads`, else PPC_UQ_THREADS, else the CPU count."""
+    name, count = "threads", threads
+    if threads is None:
+        name, threads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR)
+        if not threads:
+            return os.cpu_count() or 1
+        try:
+            count = int(threads)
+        except ValueError:
+            count = 0
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise InvalidParameterError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    return count
+            f"{name} must be a positive integer, got {threads!r}")
+    return int(count)
 
 
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -48,9 +47,6 @@ class Categorical:
     @property
     def num_classes(self) -> int:
         return len(self.probs)
-
-
-ComponentDistribution = Union[Gaussian, Categorical]
 
 
 @dataclass(frozen=True)
@@ -152,53 +148,47 @@ def cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def draw_component(rng: np.random.Generator, weights: np.ndarray, num_rows: int,
-                   shared: bool = False, index: int = None) -> np.ndarray:
+def draw_component(rng: np.random.Generator, weights: np.ndarray,
+                   num_rows: int) -> np.ndarray:
     """Mixture component index per row, [num_rows]: the first step of every
-    mixture draw. Uniforms consumed: none when M = 1 or `index` is given, one
-    shared by every row when `shared`, else one per row."""
-    if index is None:
-        if weights.size == 1:
-            index = 0
-        else:
-            u = rng.random() if shared else rng.random(num_rows)
-            index = np.searchsorted(cumulative(weights), u, side="right")
-    return np.broadcast_to(index, (num_rows,))
+    mixture draw. Uniforms consumed: one per row, none when M = 1."""
+    if weights.size == 1:
+        return np.broadcast_to(0, (num_rows,))
+    return np.searchsorted(cumulative(weights), rng.random(num_rows), side="right")
 
 
-def draw_mixture(rng: np.random.Generator, weights: np.ndarray, num_rows: int,
-                 shared: bool = False, index: int = None, means=None, stds=None,
+def draw_mixture(rng: np.random.Generator, idx: np.ndarray, means=None, stds=None,
                  class_cums=None) -> np.ndarray:
-    """One draw per row from per-row mixtures: component index, then value.
+    """One draw per row from per-row mixtures, given each row's component
+    index (`idx`, [N], from `draw_component` or a mode's `members`).
 
     The components are Gaussian (means, stds: [N, M]) or categorical
-    (class_cums: [N, M, C], see `cumulative`). RNG consumption order: the
-    component-index uniforms of `draw_component` first, then one value draw
-    per row in row order.
+    (class_cums: [N, M, C], see `cumulative`). RNG consumption: one value
+    draw per row, in row order.
     """
-    idx = draw_component(rng, weights, num_rows, shared, index)
-    rows = np.arange(num_rows)
+    rows = np.arange(idx.size)
     if class_cums is None:
-        return means[rows, idx] + stds[rows, idx] * rng.standard_normal(num_rows)
-    return (rng.random(num_rows)[:, None] > class_cums[rows, idx]).sum(axis=1)
+        return means[rows, idx] + stds[rows, idx] * rng.standard_normal(idx.size)
+    return (rng.random(idx.size)[:, None] > class_cums[rows, idx]).sum(axis=1)
 
 
 def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=None):
     """Draw from the mixture: component index m ~ weights, then from component m.
 
     With size=None returns a scalar; otherwise a vector of independent draws.
-    Consumes the rng as `draw_mixture` does: index uniforms first, then values.
+    Consumes the rng as the engine's label draw: index uniforms, then values.
     """
     n = 1 if size is None else int(size)
     w = mixture.weights.as_array()
+    idx = draw_component(rng, w, n)
     if mixture.kind == "gaussian":
         means = np.array([c.mean for c in mixture.components])
         stds = np.array([c.stddev for c in mixture.components])
-        out = draw_mixture(rng, w, n, means=np.broadcast_to(means, (n, w.size)),
+        out = draw_mixture(rng, idx, means=np.broadcast_to(means, (n, w.size)),
                            stds=np.broadcast_to(stds, (n, w.size)))
     else:
         cums = cumulative(np.array([c.probs for c in mixture.components]))
-        out = draw_mixture(rng, w, n, class_cums=np.broadcast_to(cums, (n,) + cums.shape))
+        out = draw_mixture(rng, idx, class_cums=np.broadcast_to(cums, (n,) + cums.shape))
     if size is None:
         return out[0] if mixture.kind == "gaussian" else int(out[0])
     return out

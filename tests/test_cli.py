@@ -13,10 +13,10 @@ from ppc_uq import analytic, cli, io, ppc
 from ppc_uq import statistics as st
 
 
-def write_fixture(tmp_path, preds, labels, values=None):
+def write_fixture(tmp_path, preds, labels):
     pred_path = tmp_path / "preds.jsonl"
     label_path = tmp_path / "labels.csv"
-    io.save_predictions(pred_path, preds, values=values)
+    io.save_predictions(pred_path, preds)
     io.save_labels(label_path, labels)
     return str(pred_path), str(label_path)
 
@@ -391,6 +391,10 @@ LINE_3_FAULTS = {
                      "expected 1x2 preds of JSON numbers"),
     "probs-boolean": ("probs", {}, "[[true, false]]", None,
                       "expected 1x2 preds of JSON numbers"),
+    "probs-boolean-among-numbers": ("probs", {}, "[[true, 0.0]]", None,
+                                    "expected 1x2 preds of JSON numbers"),
+    "logits-boolean-among-numbers": ("logits", {}, "[[0.5, false]]", None,
+                                     "expected 1x2 preds of JSON numbers"),
     "gaussian-string": ("gaussian", {}, '[{"mean": "0", "std": "1"}]', None,
                         "expected 1 gaussian entries of numbers 'mean' and 'std'"),
     "gaussian-boolean": ("gaussian", {}, '[{"mean": 0.0, "std": true}]', None,

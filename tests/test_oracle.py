@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,72 @@ class TestExactDistribution:
         with pytest.raises(st.KindMismatchError):
             oracle.exact_statistic_distribution(
                 preds, None, ppc.CalibrationErrorStatistic(), ppc.BAYESIAN)
+
+
+@dataclass(frozen=True)
+class OutcomeCode:
+    """The joint outcome's index in enumeration order, so that the PMF keeps
+    one mass per outcome with nonzero mass."""
+
+    kind = st.CLASSIFICATION
+    name = "outcome-code"
+
+    def evaluate(self, labels, ctx):
+        c = ctx.class_cums.shape[2]
+        return float(np.asarray(labels) @ c ** np.arange(len(labels))[::-1])
+
+
+def reference_masses(preds, mode):
+    """Each outcome's mass by the three per-mode formulas the modes' `law`
+    replaced, zero masses dropped as the PMF drops them."""
+    n, c = preds.num_rows, preds.num_classes
+    probs = preds.class_probs()
+    ctx = ppc.build_context(preds)
+    rows = np.arange(n)
+    masses = []
+    for labels in itertools.product(range(c), repeat=n):
+        y = np.asarray(labels, dtype=int)
+        if isinstance(mode, ppc.Bayesian):
+            masses.append(float(probs[rows, :, y].prod(axis=0) @ ctx.weights))
+        elif isinstance(mode, ppc.ConditionallyIndependent):
+            masses.append(float(np.prod(ctx.integrated[rows, y])))
+        else:
+            masses.append(float(np.prod(probs[rows, mode.index, y])))
+    masses = np.asarray(masses)
+    return masses[masses > 0]
+
+
+class TestLawMasses:
+    """The oracle's masses from each mode's `law` equal the per-mode
+    formulas bit for bit."""
+
+    @given(data=hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_per_mode_formulas(self, data):
+        n, m, c = (data.draw(hst.integers(1, hi)) for hi in (5, 4, 3))
+        c += 1
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        if data.draw(hst.booleans()):
+            preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, m, c)))
+        else:
+            preds = st.EnsemblePredictions.from_probs(
+                rng.dirichlet(np.full(c, 0.5), size=(n, m)))
+        for mode in (ppc.BAYESIAN, ppc.INDEPENDENT,
+                     ppc.PointEstimate(data.draw(hst.integers(0, m - 1)))):
+            pmf = oracle.exact_statistic_distribution(preds, None, OutcomeCode(), mode)
+            assert pmf.masses.tobytes() == reference_masses(preds, mode).tobytes()
+
+    @pytest.mark.parametrize("mode,outcomes", [
+        (ppc.BAYESIAN, 16), (ppc.INDEPENDENT, 8), (ppc.PointEstimate(1), 8)])
+    def test_budget_is_outcomes_times_members(self, mode, outcomes):
+        with pytest.raises(oracle.BudgetExceededError) as err:
+            oracle.exact_statistic_distribution(
+                two_model_onehot(3), None, ppc.AccuracyStatistic(), mode,
+                budget=oracle.EnumerationBudget(max_outcomes=outcomes - 1))
+        assert err.value.required == outcomes
+        oracle.exact_statistic_distribution(
+            two_model_onehot(3), None, ppc.AccuracyStatistic(), mode,
+            budget=oracle.EnumerationBudget(max_outcomes=outcomes))
 
 
 class TestMonteCarloAgreement:

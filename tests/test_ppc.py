@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as hst
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
-                               MixturePredictive, PosteriorWeights, draw_component,
-                               mixture_sample)
+                               MixturePredictive, PosteriorWeights, mixture_sample)
 
 from conftest import ks_uniform
 
@@ -159,8 +159,7 @@ def edge_uniforms(ctx, mode, rng):
     n, _, c = ctx.class_cums.shape
     members = rng.random(n)
     stub = UniformStub(members)
-    idx = draw_component(stub, ctx.weights, n, shared=isinstance(mode, ppc.Bayesian),
-                         index=getattr(mode, "index", None))
+    idx = mode.members(stub, ctx.weights, n)
     picks = ctx.class_cums[np.arange(n), idx, rng.integers(0, c, n)]
     step = rng.choice([-1, 0, 0, 1], n)
     u = np.where(step < 0, np.nextafter(picks, -np.inf),
@@ -361,6 +360,39 @@ class TestEngineProperties:
         ppc.sample_statistic(two_model_onehot(), None, ppc.AccuracyStatistic(),
                              ppc.PointEstimate(1), num_replicates=20, threads=2)
         assert len(calls) == 1
+
+
+class TestModeAndThreadParameters:
+    @pytest.mark.parametrize("index", [True, 1.5, "1"])
+    def test_point_index_must_be_an_integer(self, index):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^point-estimate index must be an integer, "
+                                 f"got {re.escape(repr(index))}$"):
+            ppc.PointEstimate(index)
+
+    def test_numpy_integer_point_index_is_the_same_mode(self):
+        preds = st.EnsemblePredictions.from_logits(
+            np.random.default_rng(3).normal(0, 2, (4, 3, 2)))
+        results = []
+        for index in (1, np.int64(1)):
+            mode = ppc.PointEstimate(index)
+            ss = ppc.sample_statistic(preds, None, ppc.EceStatistic(), mode,
+                                      num_replicates=50, seed=2)
+            pmf = oracle.exact_statistic_distribution(preds, None,
+                                                      ppc.EceStatistic(), mode)
+            results.append((ss.samples.tobytes(), ss.mode, pmf.values.tobytes(),
+                            pmf.masses.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.7, "2", True])
+    def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
+        builds = []
+        monkeypatch.setattr(ppc, "build_context", lambda *a, **k: builds.append(a))
+        with pytest.raises(InvalidParameterError,
+                           match="^threads must be a positive integer"):
+            ppc.sample_statistic(two_model_onehot(), None, ppc.AccuracyStatistic(),
+                                 ppc.BAYESIAN, num_replicates=20, threads=threads)
+        assert builds == []
 
 
 class TestPValue:
