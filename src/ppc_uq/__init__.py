@@ -1,6 +1,6 @@
 """Posterior predictive checks for probabilistic models with model uncertainty."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .predictive import (Categorical, Gaussian, InvalidParameterError,
                          MixturePredictive, PosteriorWeights, gaussian_cdf,

@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    orc = sub.add_parser("oracle", help="exact statistic PMF by enumeration")
+    orc = sub.add_parser("oracle", help="exact statistic PMF")
     orc.add_argument("--predictions", required=True)
     orc.add_argument("--labels", required=True)
     add_statistic_flags(orc)

@@ -1,7 +1,6 @@
-"""Exact statistic distributions for tiny classification ensembles.
-
-Enumerates every joint label outcome and aggregates probability mass by
-statistic value, giving ground truth for the Monte Carlo replicate sampler.
+"""Exact statistic distributions for classification ensembles, the ground
+truth for the Monte Carlo replicate sampler: accuracy's at any size, any other
+statistic's by enumerating the joint label outcomes of a tiny ensemble.
 """
 from __future__ import annotations
 
@@ -74,13 +73,29 @@ def _merge(values: np.ndarray, masses: np.ndarray, atol: float = 1e-12) -> Stati
     return StatisticPmf(values=out_v[keep], masses=out_m[keep])
 
 
+def _hit_count_pmf(hit_probs: np.ndarray) -> np.ndarray:
+    """PMFs [K, N + 1] of the hit count of N independent rows that hit with
+    probabilities hit_probs [K, N]: the O(N^2) Poisson-binomial recursion
+    (Hong 2013, CSDA 59)."""
+    k, n = hit_probs.shape
+    pmf = np.zeros((k, n + 1))
+    pmf[:, 0] = 1.0
+    for i in range(n):
+        p = hit_probs[:, i:i + 1]
+        pmf[:, 1:i + 2] = pmf[:, 1:i + 2] * (1.0 - p) + pmf[:, :i + 1] * p
+        pmf[:, 0] *= 1.0 - p[:, 0]
+    return pmf
+
+
 def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  weights: PosteriorWeights, statistic,
                                  mode: ppc_mod.UncertaintyMode,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
-    """Exact PMF of the replicated statistic under the given uncertainty mode:
-    each joint label outcome weighted by its mass under the mode's `law`."""
+    """Exact PMF of the replicated statistic under the mode's `law`. Given
+    member k, row n hits with probability row_probs[n, k, predicted[n]], so
+    accuracy's PMF mixes K Poisson-binomials; any other statistic weighs each
+    joint label outcome by its mass, C^N * K outcomes within the budget."""
     ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
@@ -88,17 +103,20 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
     ctx = ppc_mod.build_context(preds, weights)
     member_weights, row_probs = mode.law(ctx)              # [K], [N, K, C]
     n, c = preds.num_rows, preds.num_classes
-    required = c ** n * member_weights.size
-    if required > budget.max_outcomes:
-        raise BudgetExceededError(required, budget.max_outcomes)
-
     rows = np.arange(n)
-    values = np.empty(c ** n)
-    masses = np.empty(c ** n)
-    for i, labels in enumerate(itertools.product(range(c), repeat=n)):
-        y = np.asarray(labels, dtype=int)
-        values[i] = statistic.evaluate(y, ctx)
-        masses[i] = float(row_probs[rows, :, y].prod(axis=0) @ member_weights)
+    if isinstance(statistic, ppc_mod.AccuracyStatistic):
+        values = np.arange(n + 1) / n
+        masses = member_weights @ _hit_count_pmf(row_probs[rows, :, ctx.predicted].T)
+    else:
+        required = c ** n * member_weights.size
+        if required > budget.max_outcomes:
+            raise BudgetExceededError(required, budget.max_outcomes)
+        values = np.empty(c ** n)
+        masses = np.empty(c ** n)
+        for i, labels in enumerate(itertools.product(range(c), repeat=n)):
+            y = np.asarray(labels, dtype=int)
+            values[i] = statistic.evaluate(y, ctx)
+            masses[i] = float(row_probs[rows, :, y].prod(axis=0) @ member_weights)
 
     pmf = _merge(values, masses)
     if abs(pmf.masses.sum() - 1.0) > 1e-9:

@@ -8,7 +8,9 @@ Replicated labels are drawn under one of three uncertainty modes:
 
 A mode's `members` draws the model index of each row, and its `law` gives the
 exact law of one replicate's labels, (w [K], row_probs [N, K, C]): member k
-with mass w[k], then each row n independently from row_probs[n, k].
+with mass w[k], then each row n independently from row_probs[n, k]. Its
+`hit_law` is that of the hits `label == predicted`, (w [K], q [K, N]). Under
+`uniform_pit` a replicate's PIT values are i.i.d. U(0, 1) whatever the model.
 
 The test statistic is always evaluated against the full posterior-integrated
 predictive, never against the sampled model.
@@ -32,6 +34,8 @@ THREADS_ENV_VAR = "PPC_UQ_THREADS"
 
 @dataclass(frozen=True)
 class Bayesian:
+    uniform_pit = False
+
     def describe(self) -> str:
         return "bayesian"
 
@@ -41,9 +45,14 @@ class Bayesian:
     def law(self, ctx: PredictiveContext) -> tuple:
         return ctx.weights, ctx.preds.class_probs()
 
+    def hit_law(self, ctx: PredictiveContext) -> tuple:
+        return ctx.weights, ctx.hit_mass
+
 
 @dataclass(frozen=True)
 class ConditionallyIndependent:
+    uniform_pit = True      # each row is a draw from its own integrated predictive
+
     def describe(self) -> str:
         return "independent"
 
@@ -53,10 +62,15 @@ class ConditionallyIndependent:
     def law(self, ctx: PredictiveContext) -> tuple:
         return np.ones(1), ctx.integrated[:, None, :]
 
+    def hit_law(self, ctx: PredictiveContext) -> tuple:
+        return np.ones(1), (ctx.weights @ ctx.hit_mass)[None]
+
 
 @dataclass(frozen=True)
 class PointEstimate:
     index: int
+
+    uniform_pit = False
 
     def __post_init__(self):
         if isinstance(self.index, bool) or not isinstance(self.index, numbers.Integral):
@@ -72,6 +86,9 @@ class PointEstimate:
     def law(self, ctx: PredictiveContext) -> tuple:
         return np.ones(1), ctx.preds.class_probs()[:, [self.index], :]
 
+    def hit_law(self, ctx: PredictiveContext) -> tuple:
+        return np.ones(1), ctx.hit_mass[[self.index]]
+
 
 UncertaintyMode = Union[Bayesian, ConditionallyIndependent, PointEstimate]
 
@@ -84,12 +101,15 @@ def parse_mode(text: str) -> UncertaintyMode:
         return BAYESIAN
     if text == "independent":
         return INDEPENDENT
-    if text.startswith("point:"):
-        try:
-            return PointEstimate(int(text[len("point:"):]))
-        except ValueError:
-            pass
+    index = text.removeprefix("point:")
+    if index != text and _is_digits(index):
+        return PointEstimate(int(index))
     raise InvalidParameterError(f"unknown mode: {text!r}")
+
+
+def _is_digits(text: str) -> bool:
+    """Plain ASCII digits: `int` also takes '1_0', ' 2', '+1' and '\u0663'."""
+    return text.isascii() and text.isdigit()
 
 
 def check_mode(preds: st.EnsemblePredictions, mode: UncertaintyMode) -> None:
@@ -119,16 +139,15 @@ class PredictiveContext:
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
-    hit_lo: np.ndarray = None            # classification: [N*M], see below
-    hit_hi: np.ndarray = None            # classification: [N*M]
-    row_offsets: np.ndarray = None       # classification: row * M, [N]
+    hit_mass: np.ndarray = None          # classification: [M, N], see below
 
 
 def build_context(preds: st.EnsemblePredictions,
                   weights: PosteriorWeights = None) -> PredictiveContext:
-    """The context of one check. For classification, (hit_lo, hit_hi] at
-    n * M + m is the band of member m's CDF on row n that the predicted
-    class covers: a uniform in it draws the predicted class."""
+    """The context of one check. For classification, hit_mass[m, n] is the
+    probability that the label draw under member m gives row n its predicted
+    class: the length of the band (cums[pred - 1], cums[pred]] (cums[-1] = 0)
+    of member m's CDF, each CDF value clipped to [0, 1] as the uniform is."""
     w = st._weights_array(weights, preds.num_models)
     ctx = PredictiveContext(preds=preds, weights=w)
     if preds.kind == st.CLASSIFICATION:
@@ -137,66 +156,72 @@ def build_context(preds: st.EnsemblePredictions,
         ctx.integrated = np.einsum("nmc,m->nc", probs, w)
         ctx.predicted = ctx.integrated.argmax(axis=1)
         ctx.confidence = ctx.integrated.max(axis=1)
-        band = ctx.predicted[:, None, None] + np.array([-1, 0])
-        edges = np.take_along_axis(ctx.class_cums, np.maximum(band, 0), axis=2)
-        edges[ctx.predicted == 0, :, 0] = -1.0
-        ctx.hit_lo = edges[..., 0].ravel()
-        ctx.hit_hi = edges[..., 1].ravel()
-        ctx.row_offsets = np.arange(preds.num_rows) * preds.num_models
+        band = np.maximum(ctx.predicted[:, None] + np.array([-1, 0]), 0)
+        edges = np.clip(np.take_along_axis(
+            ctx.class_cums.transpose(1, 0, 2), band[None], axis=2), 0.0, 1.0)
+        edges[:, ctx.predicted == 0, 0] = 0.0
+        ctx.hit_mass = edges[..., 1] - edges[..., 0]
     return ctx
 
 
-@dataclass(frozen=True)
-class EceStatistic:
-    bins: st.BinningConfig = st.BinningConfig()
+class _ReadsHits:
+    """Reads labels only through the hits: `prepare_hits(ctx)(hits)`."""
 
     kind = st.CLASSIFICATION
-    name = "ece"
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return self.evaluate_hits(ctx.predicted == labels, ctx)
-
-    def evaluate_hits(self, hits: np.ndarray, ctx: PredictiveContext) -> float:
-        return st.ece_from_confidence(ctx.confidence, hits, self.bins.num_bins)
+        return self.prepare_hits(ctx)(ctx.predicted == labels)
 
 
-@dataclass(frozen=True)
-class AccuracyStatistic:
-    kind = st.CLASSIFICATION
-    name = "accuracy"
-
-    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return self.evaluate_hits(ctx.predicted == labels, ctx)
-
-    def evaluate_hits(self, hits: np.ndarray, ctx: PredictiveContext) -> float:
-        return float(np.mean(hits))
-
-
-@dataclass(frozen=True)
-class CalibrationErrorStatistic:
-    quantiles: st.QuantileSet = st.QuantileSet()
+class _ReadsPit:
+    """Reads labels only through their PIT values: `evaluate_pit(pit, ctx)`."""
 
     kind = st.REGRESSION
-    name = "calibration"
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        pit = st.pit_from_gaussians(ctx.preds.means, ctx.preds.stds, ctx.weights, labels)
+        return self.evaluate_pit(st.pit_from_gaussians(
+            ctx.preds.means, ctx.preds.stds, ctx.weights, labels), ctx)
+
+
+@dataclass(frozen=True)
+class EceStatistic(_ReadsHits):
+    bins: st.BinningConfig = st.BinningConfig()
+
+    name = "ece"
+
+    def prepare_hits(self, ctx: PredictiveContext):
+        return st.ece_kernel(ctx.confidence, self.bins.num_bins)
+
+
+@dataclass(frozen=True)
+class AccuracyStatistic(_ReadsHits):
+    name = "accuracy"
+
+    def prepare_hits(self, ctx: PredictiveContext):
+        return lambda hits: np.count_nonzero(hits) / hits.size
+
+
+@dataclass(frozen=True)
+class CalibrationErrorStatistic(_ReadsPit):
+    quantiles: st.QuantileSet = st.QuantileSet()
+
+    name = "calibration"
+
+    def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
         return st.calibration_error(pit, self.quantiles)
 
 
 @dataclass(frozen=True)
-class PicpStatistic:
+class PicpStatistic(_ReadsPit):
     lower: float = 0.025
     upper: float = 0.975
 
-    kind = st.REGRESSION
     name = "picp"
 
     def __post_init__(self):
         st.check_interval(self.lower, self.upper)
 
-    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        pit = st.pit_from_gaussians(ctx.preds.means, ctx.preds.stds, ctx.weights, labels)
+    def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
         return st.picp(pit, self.lower, self.upper)
 
 
@@ -250,15 +275,22 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                         class_cums=ctx.class_cums)
 
 
-def _replicate_hits_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
-                        rng: np.random.Generator) -> np.ndarray:
-    """`_replicate_labels_ctx(ctx, mode, rng) == ctx.predicted`, from the same
-    uniforms, without drawing the labels: the mode's member draw, then one
-    uniform per row tested against the row's hit band under the drawn member."""
+def _replicate_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode):
+    """One replicate's statistic as a function of its rng, drawn only through
+    what the statistic reads: hits (a member k of the `hit_law`, then row n
+    hits with probability q[k, n]), U(0, 1) PIT values, or else labels."""
     num_rows = ctx.preds.num_rows
-    flat = ctx.row_offsets + mode.members(rng, ctx.weights, num_rows)
-    u = rng.random(num_rows)
-    return (ctx.hit_lo[flat] < u) & (u <= ctx.hit_hi[flat])
+    if hasattr(statistic, "prepare_hits"):
+        member_weights, q = mode.hit_law(ctx)
+        evaluate = statistic.prepare_hits(ctx)
+
+        def replicate(rng):
+            k = draw_component(rng, member_weights, 1)[0]
+            return evaluate(rng.random(num_rows) < q[k])
+        return replicate
+    if hasattr(statistic, "evaluate_pit") and mode.uniform_pit:
+        return lambda rng: statistic.evaluate_pit(rng.random(num_rows), ctx)
+    return lambda rng: statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
 
 
 def _num_threads(threads) -> int:
@@ -268,10 +300,7 @@ def _num_threads(threads) -> int:
         name, threads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR)
         if not threads:
             return os.cpu_count() or 1
-        try:
-            count = int(threads)
-        except ValueError:
-            count = 0
+        count = int(threads) if _is_digits(threads) else 0
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise InvalidParameterError(
             f"{name} must be a positive integer, got {threads!r}")
@@ -284,9 +313,9 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """Replicated test-statistic values, one per deterministic rng substream.
 
     Output is bit-identical regardless of thread count: replicate k always
-    uses the substream derived from (seed, k) and lands at index k. A
-    statistic with `evaluate_hits` reads a replicate only through
-    `label == predicted`, so it gets the hit draw of the same uniforms.
+    uses the substream derived from (seed, k) and lands at index k. Each
+    replicate is drawn only through what the statistic reads (see
+    `_replicate_statistic`).
     """
     if num_replicates < 1:
         raise InvalidParameterError("need at least one replicate")
@@ -295,14 +324,11 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     workers = min(_num_threads(threads), num_replicates)
     ctx = build_context(preds, weights)
     out = np.empty(num_replicates, dtype=float)
-    if hasattr(statistic, "evaluate_hits"):
-        draw, evaluate = _replicate_hits_ctx, statistic.evaluate_hits
-    else:
-        draw, evaluate = _replicate_labels_ctx, statistic.evaluate
+    replicate = _replicate_statistic(ctx, statistic, mode)
 
     def run_block(lo: int, hi: int) -> None:
         for k in range(lo, hi):
-            out[k] = evaluate(draw(ctx, mode, replicate_rng(seed, k)), ctx)
+            out[k] = replicate(replicate_rng(seed, k))
 
     if workers <= 1:
         run_block(0, num_replicates)

@@ -217,20 +217,27 @@ def ece(integrated_probs: np.ndarray, labels, bins: BinningConfig = BinningConfi
 
 def ece_from_confidence(confidence: np.ndarray, hits: np.ndarray,
                         num_bins: int) -> float:
-    """ECE from each row's confidence and whether its predicted class is the
-    label (`hits`, bool): the one ECE kernel."""
+    """ECE from each row's confidence and whether its prediction hit."""
+    return ece_kernel(confidence, num_bins)(hits)
+
+
+def ece_kernel(confidence: np.ndarray, num_bins: int):
+    """The one ECE kernel: the ECE of a hit vector against these confidences.
+    The bins and their confidence sums are computed here once, so each call
+    is one weighted bincount."""
     n = confidence.shape[0]
     if n == 0:
         raise EmptyInputError("ece needs at least one row")
     # bin m holds confidences in ((m-1)/M, m/M]
     bin_idx = np.clip(np.ceil(confidence * num_bins).astype(int) - 1, 0, num_bins - 1)
-    correct = hits.astype(float)
-    counts = np.bincount(bin_idx, minlength=num_bins)
-    acc_sum = np.bincount(bin_idx, weights=correct, minlength=num_bins)
-    conf_sum = np.bincount(bin_idx, weights=confidence, minlength=num_bins)
-    nonempty = counts > 0
-    gaps = np.abs(acc_sum[nonempty] - conf_sum[nonempty])
-    return float(gaps.sum() / n)
+    nonempty = np.bincount(bin_idx, minlength=num_bins) > 0
+    conf_sum = np.bincount(bin_idx, weights=confidence, minlength=num_bins)[nonempty]
+
+    def ece_of(hits: np.ndarray) -> float:
+        acc_sum = np.bincount(bin_idx, weights=hits, minlength=num_bins)
+        return float(np.abs(acc_sum[nonempty] - conf_sum).sum() / n)
+
+    return ece_of
 
 
 def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,

@@ -283,7 +283,8 @@ class TestCheckCommand:
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "1_0", " 2", "+1",
+                                       "\u0663"])
     def test_invalid_thread_count_is_error(self, tmp_path, capsys, monkeypatch, value):
         preds, y = self_generated_regression(0, n=5)
         p, l = write_fixture(tmp_path, preds, y)
@@ -368,6 +369,19 @@ class TestCheckAndOracleAgree:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["point:1_0", "point: 2", "point:+1",
+                                      "point:\u0663", "point:2 ", "point:"])
+    def test_point_index_is_plain_ascii_digits(self, tmp_path, capsys, mode):
+        # with 11 members, int() would read each of these as a valid index
+        probs = np.full((2, 11, 2), 0.5)
+        p, l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
+                             np.zeros(2, dtype=int))
+        for command in ("check", "oracle"):
+            code = cli.main([command, "--predictions", p, "--labels", l,
+                             "--statistic", "ece", "--mode", mode])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: unknown mode: {mode!r}\n"
 
 
 GOOD_ROWS = {"probs": "[[0.5, 0.5]]", "logits": "[[0.5, 0.5]]",
@@ -577,7 +591,7 @@ class TestOracleCommand:
         preds = st.EnsemblePredictions.from_probs(probs)
         p, l = write_fixture(tmp_path, preds, np.zeros(8, dtype=int))
         code = cli.main(["oracle", "--predictions", p, "--labels", l,
-                         "--statistic", "accuracy", "--mode", "bayesian",
+                         "--statistic", "ece", "--mode", "bayesian",
                          "--budget", "100"])
         assert code == 1
         assert "512" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.stats import binom
 
 from ppc_uq import oracle, ppc
 from ppc_uq import statistics as st
@@ -63,7 +64,7 @@ class TestExactDistribution:
         preds = two_model_onehot(4)
         with pytest.raises(oracle.BudgetExceededError):
             oracle.exact_statistic_distribution(
-                preds, None, ppc.AccuracyStatistic(), ppc.BAYESIAN,
+                preds, None, ppc.EceStatistic(), ppc.BAYESIAN,
                 budget=oracle.EnumerationBudget(max_outcomes=10))
 
     def test_regression_statistic_is_kind_mismatch(self):
@@ -143,12 +144,64 @@ class TestLawMasses:
     def test_budget_is_outcomes_times_members(self, mode, outcomes):
         with pytest.raises(oracle.BudgetExceededError) as err:
             oracle.exact_statistic_distribution(
-                two_model_onehot(3), None, ppc.AccuracyStatistic(), mode,
+                two_model_onehot(3), None, ppc.EceStatistic(), mode,
                 budget=oracle.EnumerationBudget(max_outcomes=outcomes - 1))
         assert err.value.required == outcomes
         oracle.exact_statistic_distribution(
-            two_model_onehot(3), None, ppc.AccuracyStatistic(), mode,
+            two_model_onehot(3), None, ppc.EceStatistic(), mode,
             budget=oracle.EnumerationBudget(max_outcomes=outcomes))
+
+
+@dataclass(frozen=True)
+class EnumeratedAccuracy:
+    """Accuracy by its own evaluate, which the oracle enumerates."""
+
+    kind = st.CLASSIFICATION
+    name = "enumerated-accuracy"
+
+    def evaluate(self, labels, ctx):
+        return ppc.AccuracyStatistic().evaluate(labels, ctx)
+
+
+def masses_by_hit_count(pmf, n):
+    full = np.zeros(n + 1)
+    full[np.rint(pmf.values * n).astype(int)] = pmf.masses
+    return full
+
+
+class TestPoissonBinomial:
+    """Accuracy's PMF by the Poisson-binomial recursion."""
+
+    @given(data=hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_enumeration(self, data):
+        n, m, c = (data.draw(hst.integers(1, hi)) for hi in (6, 4, 3))
+        c += 1
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        if data.draw(hst.booleans()):
+            preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, m, c)))
+        else:
+            preds = st.EnsemblePredictions.from_probs(
+                rng.dirichlet(np.full(c, 0.5), size=(n, m)))
+        for mode in (ppc.BAYESIAN, ppc.INDEPENDENT,
+                     ppc.PointEstimate(data.draw(hst.integers(0, m - 1)))):
+            exact, enumerated = (oracle.exact_statistic_distribution(
+                preds, None, stat, mode) for stat in
+                (ppc.AccuracyStatistic(), EnumeratedAccuracy()))
+            assert set(exact.values) <= set(np.arange(n + 1) / n)
+            assert set(enumerated.values) <= set(np.arange(n + 1) / n)
+            np.testing.assert_allclose(masses_by_hit_count(exact, n),
+                                       masses_by_hit_count(enumerated, n),
+                                       rtol=0, atol=1e-12)
+
+    def test_no_budget_at_any_size(self):
+        # 2^400 outcomes; independent hits are fair coins: Binomial(400, 1/2)
+        pmf = oracle.exact_statistic_distribution(
+            two_model_onehot(400), None, ppc.AccuracyStatistic(), ppc.INDEPENDENT,
+            budget=oracle.EnumerationBudget(max_outcomes=1))
+        np.testing.assert_array_equal(pmf.values, np.arange(401) / 400)
+        np.testing.assert_allclose(pmf.masses, binom.pmf(np.arange(401), 400, 0.5),
+                                   rtol=1e-9, atol=1e-300)
 
 
 class TestMonteCarloAgreement:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.stats import ks_2samp
 
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
@@ -152,64 +153,93 @@ def edge_probs(draw):
                                                                   keepdims=True))
 
 
-def edge_uniforms(ctx, mode, rng):
-    """Uniforms for a stub draw under `mode`: the member uniforms it consumes,
-    then one per row on, or one ulp either side of, a CDF value of the
-    member that row draws."""
-    n, _, c = ctx.class_cums.shape
-    members = rng.random(n)
-    stub = UniformStub(members)
-    idx = mode.members(stub, ctx.weights, n)
-    picks = ctx.class_cums[np.arange(n), idx, rng.integers(0, c, n)]
-    step = rng.choice([-1, 0, 0, 1], n)
-    u = np.where(step < 0, np.nextafter(picks, -np.inf),
-                 np.where(step > 0, np.nextafter(picks, np.inf), picks))
-    return (list(members[:n - len(stub.values)])
-            + list(np.clip(u, 0.0, np.nextafter(1.0, 0.0))))
+def band_probes(ctx, member):
+    """(lo, hi): the band (lo, hi] of [0, 1) in which the label draw's
+    uniform gives each row its predicted class under `member`, read off the
+    CDF as the label draw reads it: a CDF value outside [0, 1] counts as 0 or
+    1, and class 0 also gets the point 0, which has no length."""
+    n = ctx.predicted.size
+    cums = ctx.class_cums[np.arange(n), member]
+    hi = cums[np.arange(n), ctx.predicted]
+    lo = np.where(ctx.predicted > 0, cums[np.arange(n), ctx.predicted - 1], 0.0)
+    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+
+
+def label_draw_hits(preds, ctx, member, uniforms):
+    """`labels == predicted` of the public label draw under `member`, fed one
+    preset uniform per row."""
+    labels = ppc.replicate_labels(preds, None, ppc.PointEstimate(member),
+                                  UniformStub(uniforms))
+    return labels == ctx.predicted
+
+
+def expected_hit_law(mode, weights, masses):
+    """(member_weights, q) of each mode from the member band masses [M, N]."""
+    if isinstance(mode, ppc.Bayesian):
+        return weights, masses
+    if isinstance(mode, ppc.ConditionallyIndependent):
+        return np.ones(1), (weights @ masses)[None]
+    return np.ones(1), masses[[mode.index]]
 
 
 class TestHitDraw:
-    """The engine's hit draw for ece and accuracy equals the label draw's
-    `labels == predicted`, from the same uniforms, bit for bit."""
+    """The hit law the engine draws from equals the label draw's law of
+    `labels == predicted`, exactly and with no RNG: each member's mass is the
+    length of the band in which the label draw's uniform hits, and each mode
+    mixes those masses as its members are drawn."""
 
     @given(probs=edge_probs(), data=hst.data())
     @settings(max_examples=150, deadline=None)
     def test_equals_label_draw(self, probs, data):
         preds = st.EnsemblePredictions.from_probs(probs)
         ctx = ppc.build_context(preds)
+        n, m, _ = probs.shape
+        masses = np.empty((m, n))
+        for member in range(m):
+            lo, hi = band_probes(ctx, member)
+            inside = hi > lo
+            # the label draw hits on (lo, hi] and nowhere next to it in [0, 1)
+            above_lo = label_draw_hits(preds, ctx, member, np.nextafter(lo, 2.0))
+            np.testing.assert_array_equal(above_lo[lo < 1.0], inside[lo < 1.0])
+            assert label_draw_hits(preds, ctx, member, hi)[inside].all()
+            above_hi = label_draw_hits(preds, ctx, member, np.nextafter(hi, 2.0))
+            assert not above_hi[hi < 1.0].any()
+            masses[member] = hi - lo
         mode = data.draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
-                                           ppc.PointEstimate(preds.num_models - 1)]))
-        seed = data.draw(hst.integers(0, 2 ** 31 - 1))
-        for k in range(3):
-            labels = ppc.replicate_labels(preds, None, mode, ppc.replicate_rng(seed, k))
-            hits = ppc._replicate_hits_ctx(ctx, mode, ppc.replicate_rng(seed, k))
-            np.testing.assert_array_equal(hits, labels == ctx.predicted)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            uniforms = edge_uniforms(ctx, mode, rng)
-            labels = ppc.replicate_labels(preds, None, mode, UniformStub(uniforms))
-            hits = ppc._replicate_hits_ctx(ctx, mode, UniformStub(uniforms))
-            np.testing.assert_array_equal(hits, labels == ctx.predicted)
+                                           ppc.PointEstimate(m - 1)]))
+        weights, q = mode.hit_law(ctx)
+        want_weights, want_q = expected_hit_law(mode, ctx.weights, masses)
+        assert weights.tobytes() == want_weights.tobytes()
+        assert q.shape == want_q.shape and q.flags.c_contiguous
+        assert q.tobytes() == want_q.tobytes()
 
     def test_uniforms_on_cdf_values(self):
         # member 0 has CDF (0.25, 0.75, 1) and member 1 (0.125, 0.75, 1) on
-        # every row; the integrated prediction is class 1 on every row
-        probs = np.tile([[0.25, 0.5, 0.25], [0.125, 0.625, 0.25]], (6, 1, 1))
+        # rows 0-5, the integrated prediction is class 1, and the bands are
+        # (0.25, 0.75] and (0.125, 0.75]; on row 6 member 1 has a first entry
+        # of -1e-12, whose CDF value counts as 0, so its band is [0, 0.5 - 1e-12]
+        probs = np.tile([[0.25, 0.5, 0.25], [0.125, 0.625, 0.25]], (7, 1, 1))
+        probs[6, 1] = [-1e-12, 0.5, 0.5 + 1e-12]
         preds = st.EnsemblePredictions.from_probs(probs)
         ctx = ppc.build_context(preds)
         np.testing.assert_array_equal(ctx.predicted, 1)
-        members = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5]    # members 0, 0, 0, 1, 1, 1
-        values = [0.25, 0.75, 0.0, 0.125, 0.75, 0.25]
-        uniforms = members + values
-        labels = ppc.replicate_labels(preds, None, ppc.INDEPENDENT, UniformStub(uniforms))
-        hits = ppc._replicate_hits_ctx(ctx, ppc.INDEPENDENT, UniformStub(uniforms))
-        np.testing.assert_array_equal(labels, [0, 1, 0, 0, 1, 1])
-        np.testing.assert_array_equal(hits, labels == 1)
+        uniforms = [0.25, 0.75, 0.0, 0.125, 0.75, np.nextafter(0.75, 1.0), 0.0]
+        np.testing.assert_array_equal(label_draw_hits(preds, ctx, 0, uniforms),
+                                      [False, True, False, False, True, False, False])
+        np.testing.assert_array_equal(label_draw_hits(preds, ctx, 1, uniforms),
+                                      [True, True, False, False, True, False, True])
+        row6 = np.cumsum([-1e-12, 0.5])[1]
+        want = np.array([[0.5] * 7, [0.625] * 6 + [row6]])
+        assert want[1, 6] != 0.5
+        for mode, q in ((ppc.BAYESIAN, want), (ppc.PointEstimate(1), want[[1]]),
+                        (ppc.INDEPENDENT, [[0.5625] * 6 + [0.25 + row6 / 2]])):
+            np.testing.assert_array_equal(mode.hit_law(ctx)[1], q)
 
 
 class TestLabelDrawReference:
-    """sample_statistic on ece and accuracy (the hit draw) gives what a loop
-    over the public label draw gives."""
+    """sample_statistic on ece and accuracy (the hit law) agrees in law with
+    a loop over the public label draw: a two-sample KS test at p >= 0.001,
+    on samples of 2,000 each from independent seeds."""
 
     @pytest.mark.parametrize("statistic", [ppc.EceStatistic(), ppc.AccuracyStatistic()],
                              ids=lambda s: s.name)
@@ -219,13 +249,57 @@ class TestLabelDrawReference:
     def test_engine_equals_label_loop(self, statistic, mode, threads):
         rng = np.random.default_rng(21)
         preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (40, 3, 4)))
-        seed, reps = 8, 60
+        reps = 2000
         ctx = ppc.build_context(preds)
         expected = [statistic.evaluate(ppc.replicate_labels(
-            preds, None, mode, ppc.replicate_rng(seed, k)), ctx) for k in range(reps)]
+            preds, None, mode, ppc.replicate_rng(9, k)), ctx) for k in range(reps)]
         got = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=reps,
-                                   seed=seed, threads=threads)
-        np.testing.assert_array_equal(got.samples, expected)
+                                   seed=8, threads=threads)
+        assert ks_2samp(got.samples, expected).pvalue >= 0.001
+
+
+def poisson_binomial_ks(pmf, samples) -> float:
+    """KS distance between the empirical law of samples on the support of a
+    discrete PMF and that PMF."""
+    assert np.isin(samples, pmf.values).all()
+    empirical = np.searchsorted(np.sort(samples), pmf.values, side="right") / samples.size
+    return float(np.max(np.abs(empirical - np.cumsum(pmf.masses))))
+
+
+class TestExactLaws:
+    """The engine's replicates follow their exact laws at benchmark scale."""
+
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(3)],
+                             ids=lambda m: m.describe())
+    def test_accuracy_agrees_with_the_poisson_binomial(self, mode):
+        # N = 2,000 rows; 4,000 replicates; the bound 0.031 is the KS critical
+        # value 1.95 / sqrt(4000) at level 0.001
+        rng = np.random.default_rng(71)
+        preds = st.EnsemblePredictions.from_logits(rng.normal(0, 1.5, (2000, 5, 3)))
+        stat = ppc.AccuracyStatistic()
+        pmf = oracle.exact_statistic_distribution(preds, None, stat, mode)
+        ss = ppc.sample_statistic(preds, None, stat, mode, num_replicates=4000, seed=72)
+        assert poisson_binomial_ks(pmf, ss.samples) < 0.031
+
+    @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic()], ids=lambda s: s.name)
+    def test_independent_pit_statistics_match_label_loop(self, statistic):
+        # the U(0, 1) draws of the independent PIT law against a loop over the
+        # public label draw and the Gaussian-mixture CDF: a two-sample KS test
+        # at p >= 0.001, 2,000 replicates each from independent seeds
+        rng = np.random.default_rng(73)
+        preds = st.EnsemblePredictions.from_gaussians(
+            rng.normal(0, 2, (200, 5)), rng.uniform(0.3, 1.5, (200, 5)))
+        ctx = ppc.build_context(preds)
+        reps = 2000
+        expected = []
+        for k in range(reps):
+            y = ppc.replicate_labels(preds, None, ppc.INDEPENDENT, ppc.replicate_rng(75, k))
+            pit = st.pit_from_gaussians(preds.means, preds.stds, ctx.weights, y)
+            expected.append(statistic.evaluate_pit(pit, ctx))
+        got = ppc.sample_statistic(preds, None, statistic, ppc.INDEPENDENT,
+                                   num_replicates=reps, seed=74)
+        assert ks_2samp(got.samples, expected).pvalue >= 0.001
 
 
 class TestSampleStatistic:
@@ -287,7 +361,8 @@ class TestSampleStatistic:
 
 @hst.composite
 def engine_cases(draw, kind):
-    """A small random ensemble, labels, statistic and mode of the given kind."""
+    """A small random ensemble, labels, built-in statistic and mode of the
+    given kind."""
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     n = draw(hst.integers(1, 20))
     m = draw(hst.integers(1, 3))
@@ -295,12 +370,15 @@ def engine_cases(draw, kind):
         c = draw(hst.integers(2, 4))
         preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, m, c)))
         labels = rng.integers(0, c, n)
-        statistic = ppc.EceStatistic(st.BinningConfig(draw(hst.integers(1, 15))))
+        statistic = draw(hst.sampled_from([
+            ppc.EceStatistic(st.BinningConfig(draw(hst.integers(1, 15)))),
+            ppc.AccuracyStatistic()]))
     else:
         preds = st.EnsemblePredictions.from_gaussians(
             rng.normal(0, 1, (n, m)), rng.uniform(0.2, 2, (n, m)))
         labels = rng.normal(0, 2, n)
-        statistic = ppc.CalibrationErrorStatistic()
+        statistic = draw(hst.sampled_from([ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic()]))
     mode = draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
                                   ppc.PointEstimate(m - 1)]))
     return preds, labels, statistic, mode
@@ -322,6 +400,17 @@ class TestEngineProperties:
         long = ppc.sample_statistic(preds, None, statistic, mode,
                                     num_replicates=r + k, seed=seed, threads=2)
         np.testing.assert_array_equal(short.samples, long.samples[:r])
+
+    @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
+    @given(data=hst.data())
+    @settings(max_examples=30, deadline=None)
+    def test_replicates_are_thread_invariant(self, kind, data):
+        preds, _, statistic, mode = data.draw(engine_cases(kind))
+        seed = data.draw(hst.integers(0, 2 ** 31 - 1))
+        runs = [ppc.sample_statistic(preds, None, statistic, mode, num_replicates=40,
+                                     seed=seed, threads=t).samples.tobytes()
+                for t in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
     @given(data=hst.data())

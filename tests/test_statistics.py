@@ -74,6 +74,38 @@ class TestEce:
         assert 0.0 <= st.ece(probs, labels) <= 1.0
 
 
+def ece_per_call(confidence, hits, num_bins):
+    """ECE with every per-bin quantity recomputed from the confidences."""
+    bin_idx = np.clip(np.ceil(confidence * num_bins).astype(int) - 1, 0, num_bins - 1)
+    counts = np.bincount(bin_idx, minlength=num_bins)
+    acc_sum = np.bincount(bin_idx, weights=hits.astype(float), minlength=num_bins)
+    conf_sum = np.bincount(bin_idx, weights=confidence, minlength=num_bins)
+    nonempty = counts > 0
+    return float(np.abs(acc_sum[nonempty] - conf_sum[nonempty]).sum() / confidence.size)
+
+
+class TestEceKernel:
+    """The kernel prepared once per check gives, on every call, what a full
+    recomputation gives, bit for bit."""
+
+    @given(data=hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_call_recomputation(self, data):
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        n = data.draw(hst.integers(1, 300))
+        num_bins = data.draw(hst.integers(1, 40))
+        confidence = data.draw(hst.sampled_from([
+            rng.uniform(0.25, 1.0, n),                          # generic
+            rng.integers(1, num_bins + 1, n) / num_bins,        # on bin edges
+            np.full(n, rng.uniform(0.5, 1.0))]))                # one bin
+        kernel = st.ece_kernel(confidence, num_bins)
+        for _ in range(4):
+            hits = rng.random(n) < rng.random()
+            want = ece_per_call(confidence, hits, num_bins)
+            assert kernel(hits) == want
+            assert st.ece_from_confidence(confidence, hits, num_bins) == want
+
+
 class TestPitValues:
     def test_single_model_at_mean(self):
         preds = st.EnsemblePredictions.from_gaussians([[0.0]], [[1.0]])
