@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ppc as ppc_mod
 from . import statistics as st
-from .predictive import InvalidParameterError, PosteriorWeights
+from .predictive import InvalidParameterError, PosteriorWeights, class_mass
 
 
 class BudgetExceededError(ValueError):
@@ -92,31 +92,33 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  mode: ppc_mod.UncertaintyMode,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
-    """Exact PMF of the replicated statistic under the mode's `law`. Given
-    member k, row n hits with probability row_probs[n, k, predicted[n]], so
-    accuracy's PMF mixes K Poisson-binomials; any other statistic weighs each
-    joint label outcome by its mass, C^N * K outcomes within the budget."""
+    """Exact PMF of the replicated statistic under the mode's `law` over the
+    engine's class masses: accuracy's mixes K Poisson-binomials of the hit
+    masses q [K, N]; any other statistic weighs each joint label outcome by
+    its mass, C^N * K outcomes within the budget."""
     ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
     ppc_mod.check_mode(preds, mode)
     ctx = ppc_mod.build_context(preds, weights)
-    member_weights, row_probs = mode.law(ctx)              # [K], [N, K, C]
     n, c = preds.num_rows, preds.num_classes
     rows = np.arange(n)
+    member_weights, q = mode.law(ctx.weights, ctx.hit_mass)          # [K], [K, N]
     if isinstance(statistic, ppc_mod.AccuracyStatistic):
         values = np.arange(n + 1) / n
-        masses = member_weights @ _hit_count_pmf(row_probs[rows, :, ctx.predicted].T)
+        masses = member_weights @ _hit_count_pmf(q)
     else:
         required = c ** n * member_weights.size
         if required > budget.max_outcomes:
             raise BudgetExceededError(required, budget.max_outcomes)
+        mass = class_mass(ctx.class_cums, np.arange(c)[None, None])    # [N, M, C]
+        row_mass = mode.law(ctx.weights, mass.transpose(1, 0, 2))[1]  # [K, N, C]
         values = np.empty(c ** n)
         masses = np.empty(c ** n)
         for i, labels in enumerate(itertools.product(range(c), repeat=n)):
             y = np.asarray(labels, dtype=int)
             values[i] = statistic.evaluate(y, ctx)
-            masses[i] = float(row_probs[rows, :, y].prod(axis=0) @ member_weights)
+            masses[i] = float(row_mass[:, rows, y].prod(axis=1) @ member_weights)
 
     pmf = _merge(values, masses)
     if abs(pmf.masses.sum() - 1.0) > 1e-9:

@@ -6,10 +6,10 @@ Replicated labels are drawn under one of three uncertainty modes:
 * ConditionallyIndependent — a fresh model index per row;
 * PointEstimate — a fixed model index for all rows.
 
-A mode's `members` draws the model index of each row, and its `law` gives the
-exact law of one replicate's labels, (w [K], row_probs [N, K, C]): member k
-with mass w[k], then each row n independently from row_probs[n, k]. Its
-`hit_law` is that of the hits `label == predicted`, (w [K], q [K, N]). Under
+A mode's `members` draws the model index of each row, and its `law(weights,
+per_member)` mixes a per-member array x [M, ...] into the mode's components,
+(w [K], x_k [K, ...]): over the label draw's class masses (`class_mass`) the
+exact law of one replicate's labels, over `hit_mass` that of its hits. Under
 `uniform_pit` a replicate's PIT values are i.i.d. U(0, 1) whatever the model.
 
 The test statistic is always evaluated against the full posterior-integrated
@@ -26,8 +26,8 @@ from typing import Union
 import numpy as np
 
 from . import statistics as st
-from .predictive import (InvalidParameterError, PosteriorWeights, cumulative,
-                         draw_component, draw_mixture)
+from .predictive import (InvalidParameterError, PosteriorWeights, class_mass,
+                         cumulative, draw_component, draw_mixture)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 
@@ -42,11 +42,8 @@ class Bayesian:
     def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
         return np.broadcast_to(draw_component(rng, weights, 1), (num_rows,))
 
-    def law(self, ctx: PredictiveContext) -> tuple:
-        return ctx.weights, ctx.preds.class_probs()
-
-    def hit_law(self, ctx: PredictiveContext) -> tuple:
-        return ctx.weights, ctx.hit_mass
+    def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
+        return weights, per_member
 
 
 @dataclass(frozen=True)
@@ -59,11 +56,8 @@ class ConditionallyIndependent:
     def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
         return draw_component(rng, weights, num_rows)
 
-    def law(self, ctx: PredictiveContext) -> tuple:
-        return np.ones(1), ctx.integrated[:, None, :]
-
-    def hit_law(self, ctx: PredictiveContext) -> tuple:
-        return np.ones(1), (ctx.weights @ ctx.hit_mass)[None]
+    def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
+        return np.ones(1), np.tensordot(weights, per_member, axes=1)[None]
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,8 @@ class PointEstimate:
     uniform_pit = False
 
     def __post_init__(self):
-        if isinstance(self.index, bool) or not isinstance(self.index, numbers.Integral):
-            raise InvalidParameterError(
-                f"point-estimate index must be an integer, got {self.index!r}")
+        _check_integer(self.index, None,
+                       f"point-estimate index must be an integer, got {self.index!r}")
 
     def describe(self) -> str:
         return f"point:{self.index}"
@@ -83,11 +76,8 @@ class PointEstimate:
     def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
         return np.broadcast_to(self.index, (num_rows,))
 
-    def law(self, ctx: PredictiveContext) -> tuple:
-        return np.ones(1), ctx.preds.class_probs()[:, [self.index], :]
-
-    def hit_law(self, ctx: PredictiveContext) -> tuple:
-        return np.ones(1), ctx.hit_mass[[self.index]]
+    def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
+        return np.ones(1), per_member[[self.index]]
 
 
 UncertaintyMode = Union[Bayesian, ConditionallyIndependent, PointEstimate]
@@ -135,7 +125,6 @@ class PredictiveContext:
 
     preds: st.EnsemblePredictions
     weights: np.ndarray                  # [M]
-    integrated: np.ndarray = None        # classification: [N, C]
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
@@ -146,21 +135,17 @@ def build_context(preds: st.EnsemblePredictions,
                   weights: PosteriorWeights = None) -> PredictiveContext:
     """The context of one check. For classification, hit_mass[m, n] is the
     probability that the label draw under member m gives row n its predicted
-    class: the length of the band (cums[pred - 1], cums[pred]] (cums[-1] = 0)
-    of member m's CDF, each CDF value clipped to [0, 1] as the uniform is."""
+    class, its `class_mass`."""
     w = st._weights_array(weights, preds.num_models)
     ctx = PredictiveContext(preds=preds, weights=w)
     if preds.kind == st.CLASSIFICATION:
         probs = preds.class_probs()
         ctx.class_cums = cumulative(probs)
-        ctx.integrated = np.einsum("nmc,m->nc", probs, w)
-        ctx.predicted = ctx.integrated.argmax(axis=1)
-        ctx.confidence = ctx.integrated.max(axis=1)
-        band = np.maximum(ctx.predicted[:, None] + np.array([-1, 0]), 0)
-        edges = np.clip(np.take_along_axis(
-            ctx.class_cums.transpose(1, 0, 2), band[None], axis=2), 0.0, 1.0)
-        edges[:, ctx.predicted == 0, 0] = 0.0
-        ctx.hit_mass = edges[..., 1] - edges[..., 0]
+        integrated = np.einsum("nmc,m->nc", probs, w)
+        ctx.predicted = integrated.argmax(axis=1)
+        ctx.confidence = integrated.max(axis=1)
+        ctx.hit_mass = class_mass(ctx.class_cums.transpose(1, 0, 2),
+                                  ctx.predicted[None, :, None])[..., 0]
     return ctx
 
 
@@ -277,11 +262,11 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
 
 def _replicate_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode):
     """One replicate's statistic as a function of its rng, drawn only through
-    what the statistic reads: hits (a member k of the `hit_law`, then row n
-    hits with probability q[k, n]), U(0, 1) PIT values, or else labels."""
+    what the statistic reads: hits (component k of `law` over `hit_mass`, then
+    row n hits with probability q[k, n]), U(0, 1) PIT values, or else labels."""
     num_rows = ctx.preds.num_rows
     if hasattr(statistic, "prepare_hits"):
-        member_weights, q = mode.hit_law(ctx)
+        member_weights, q = mode.law(ctx.weights, ctx.hit_mass)
         evaluate = statistic.prepare_hits(ctx)
 
         def replicate(rng):
@@ -293,6 +278,15 @@ def _replicate_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMod
     return lambda rng: statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
 
 
+def _check_integer(value, least, message: str) -> int:
+    """`value` as an int if it is an integer (numpy's too), not a bool, and at
+    least `least` (None: no bound); else InvalidParameterError(message)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        raise InvalidParameterError(message)
+    return int(value)
+
+
 def _num_threads(threads) -> int:
     """The worker count: `threads`, else PPC_UQ_THREADS, else the CPU count."""
     name, count = "threads", threads
@@ -301,10 +295,7 @@ def _num_threads(threads) -> int:
         if not threads:
             return os.cpu_count() or 1
         count = int(threads) if _is_digits(threads) else 0
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise InvalidParameterError(
-            f"{name} must be a positive integer, got {threads!r}")
-    return int(count)
+    return _check_integer(count, 1, f"{name} must be a positive integer, got {threads!r}")
 
 
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
@@ -317,8 +308,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     replicate is drawn only through what the statistic reads (see
     `_replicate_statistic`).
     """
-    if num_replicates < 1:
-        raise InvalidParameterError("need at least one replicate")
+    num_replicates = _check_integer(num_replicates, 1, "need at least one replicate")
+    seed = _check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     check_compatible(preds, statistic)
     check_mode(preds, mode)
     workers = min(_num_threads(threads), num_replicates)
@@ -371,8 +362,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
             statistic, mode: UncertaintyMode, num_replicates: int = 1000,
             seed: int = 0, threads: int = None) -> PpcReport:
     """Full check: observed statistic vs its posterior predictive distribution."""
-    if num_replicates < 2:
-        raise InvalidParameterError("a check needs at least two replicates")
+    _check_integer(num_replicates, 2, "a check needs at least two replicates")
     labels = st.validate_labels(preds, labels)
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)
@@ -387,8 +377,8 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
                      "p50": float(pcts[2]), "p75": float(pcts[3]),
                      "p95": float(pcts[4])},
         observed=observed,
-        num_replicates=num_replicates,
-        seed=seed,
+        num_replicates=ss.num_replicates,
+        seed=ss.seed,
         mode=mode.describe(),
         statistic=statistic.name,
     )

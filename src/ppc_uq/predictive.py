@@ -148,6 +148,17 @@ def cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
+def class_mass(cums: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The probability that the categorical draw of `draw_mixture` gives
+    class c under the CDF `cums` (see `cumulative`): the length of the band
+    (cums[c - 1], cums[c]], cums[-1] = 0, with each CDF value clipped to
+    [0, 1] as the uniform is. `classes` indexes the last axis of `cums` as
+    in `np.take_along_axis`, broadcast against its other axes."""
+    hi = np.clip(np.take_along_axis(cums, classes, axis=-1), 0.0, 1.0)
+    lo = np.take_along_axis(cums, np.maximum(classes - 1, 0), axis=-1)
+    return hi - np.where(classes > 0, np.clip(lo, 0.0, 1.0), 0.0)
+
+
 def draw_component(rng: np.random.Generator, weights: np.ndarray,
                    num_rows: int) -> np.ndarray:
     """Mixture component index per row, [num_rows]: the first step of every

@@ -109,12 +109,6 @@ def _fit_objective(logits: np.ndarray, labels: np.ndarray):
     return evaluate
 
 
-def _objective_and_gradient(logits: np.ndarray, labels: np.ndarray,
-                            log_tau: np.ndarray):
-    """Mean log ensemble-averaged label probability, with its log-temp gradient."""
-    return _fit_objective(logits, labels)(log_tau)
-
-
 def fit_temperatures(logits: np.ndarray, labels, max_iters: int = 500,
                      tol: float = 1e-8) -> TemperatureVector:
     """Deterministic gradient ascent on the mean log-likelihood, in log-temperature.

@@ -301,7 +301,9 @@ class TestCheckCommand:
          "need 0 <= lower < upper <= 1"),
         (["--statistic", "calibration", "--replications", "1"],
          "a check needs at least two replicates"),
-    ], ids=["picp-bounds", "one-replicate"])
+        (["--statistic", "calibration", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+    ], ids=["picp-bounds", "one-replicate", "negative-seed"])
     def test_bad_parameters_fail_before_any_work(self, tmp_path, capsys, context_builds,
                                                  flags, message):
         preds, y = self_generated_regression(0, n=5)
@@ -585,6 +587,32 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["observed"] == pytest.approx(0.35)
         assert len(context_builds) == 1
+
+    def test_row_sums_off_one_within_tolerance(self, tmp_path, capsys):
+        # row 0 sums to 1 + 5e-7, which the loader accepts; the label draw
+        # gives its predicted class 1 the band (0.4, 1], of mass 0.6, and
+        # row 1 the masses 0.25 and 0.875 under members 0 and 1
+        probs = np.array([[[0.4, 0.6000005], [0.4, 0.6000005]],
+                          [[0.75, 0.25], [0.125, 0.875]]])
+        p, l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
+                             np.array([1, 0]))
+
+        def hit_counts(q0, q1):
+            return np.array([(1 - q0) * (1 - q1), q0 * (1 - q1) + (1 - q0) * q1,
+                             q0 * q1])
+
+        accuracy = {"bayesian": (hit_counts(0.6, 0.25) + hit_counts(0.6, 0.875)) / 2,
+                    "independent": hit_counts(0.6, 0.5625),
+                    "point:1": hit_counts(0.6, 0.875)}
+        for mode, want in accuracy.items():
+            for statistic in ("ece", "accuracy"):
+                code = cli.main(["oracle", "--predictions", p, "--labels", l,
+                                 "--statistic", statistic, "--mode", mode])
+                captured = capsys.readouterr()
+                assert (code, captured.err) == (0, "")
+                masses = json.loads(captured.out)["masses"]
+                assert abs(math.fsum(masses) - 1.0) <= 1e-12
+            np.testing.assert_allclose(masses, want, rtol=0, atol=1e-12)
 
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
         probs = np.full((8, 2, 2), 0.5)

@@ -11,6 +11,8 @@ from ppc_uq import oracle, ppc
 from ppc_uq import statistics as st
 from ppc_uq.predictive import InvalidParameterError
 
+from conftest import edge_probs
+
 
 @dataclass(frozen=True)
 class FractionClassZero:
@@ -99,29 +101,43 @@ class OutcomeCode:
         return float(np.asarray(labels) @ c ** np.arange(len(labels))[::-1])
 
 
+def band_masses(ctx):
+    """[N, M, C] class masses of the label draw: the steps of each member's
+    CDF, each CDF value clipped to [0, 1] as the draw's uniform is."""
+    return np.diff(np.clip(ctx.class_cums, 0.0, 1.0), prepend=0.0, axis=-1)
+
+
 def reference_masses(preds, mode):
-    """Each outcome's mass by the three per-mode formulas the modes' `law`
-    replaced, zero masses dropped as the PMF drops them."""
+    """Each outcome's mass by the three per-mode formulas over the label
+    draw's class masses, zero masses dropped as the PMF drops them."""
     n, c = preds.num_rows, preds.num_classes
-    probs = preds.class_probs()
     ctx = ppc.build_context(preds)
+    band = band_masses(ctx)
+    mixed = (ctx.weights @ band.transpose(1, 0, 2).reshape(preds.num_models, -1)
+             ).reshape(n, c)
     rows = np.arange(n)
     masses = []
     for labels in itertools.product(range(c), repeat=n):
         y = np.asarray(labels, dtype=int)
         if isinstance(mode, ppc.Bayesian):
-            masses.append(float(probs[rows, :, y].prod(axis=0) @ ctx.weights))
+            masses.append(float(band[rows, :, y].prod(axis=0) @ ctx.weights))
         elif isinstance(mode, ppc.ConditionallyIndependent):
-            masses.append(float(np.prod(ctx.integrated[rows, y])))
+            masses.append(float(np.prod(mixed[rows, y])))
         else:
-            masses.append(float(np.prod(probs[rows, mode.index, y])))
+            masses.append(float(np.prod(band[rows, mode.index, y])))
     masses = np.asarray(masses)
     return masses[masses > 0]
 
 
+def assert_law_masses(preds, point):
+    for mode in (ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(point)):
+        pmf = oracle.exact_statistic_distribution(preds, None, OutcomeCode(), mode)
+        assert pmf.masses.tobytes() == reference_masses(preds, mode).tobytes()
+
+
 class TestLawMasses:
-    """The oracle's masses from each mode's `law` equal the per-mode
-    formulas bit for bit."""
+    """The oracle's masses from each mode's `law` over the label draw's class
+    masses equal the per-mode formulas bit for bit."""
 
     @given(data=hst.data())
     @settings(max_examples=100, deadline=None)
@@ -134,10 +150,15 @@ class TestLawMasses:
         else:
             preds = st.EnsemblePredictions.from_probs(
                 rng.dirichlet(np.full(c, 0.5), size=(n, m)))
-        for mode in (ppc.BAYESIAN, ppc.INDEPENDENT,
-                     ppc.PointEstimate(data.draw(hst.integers(0, m - 1)))):
-            pmf = oracle.exact_statistic_distribution(preds, None, OutcomeCode(), mode)
-            assert pmf.masses.tobytes() == reference_masses(preds, mode).tobytes()
+        assert_law_masses(preds, data.draw(hst.integers(0, m - 1)))
+
+    @given(probs=edge_probs(max_rows=5, max_classes=4), data=hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_edge_rows_equal_to_per_mode_formulas(self, probs, data):
+        # rows summing to 1 +- 1e-6 and entries down to -1e-12: the class
+        # masses differ from the probabilities, and still sum to 1
+        assert_law_masses(st.EnsemblePredictions.from_probs(probs),
+                          data.draw(hst.integers(0, probs.shape[1] - 1)))
 
     @pytest.mark.parametrize("mode,outcomes", [
         (ppc.BAYESIAN, 16), (ppc.INDEPENDENT, 8), (ppc.PointEstimate(1), 8)])
@@ -192,6 +213,28 @@ class TestPoissonBinomial:
             assert set(enumerated.values) <= set(np.arange(n + 1) / n)
             np.testing.assert_allclose(masses_by_hit_count(exact, n),
                                        masses_by_hit_count(enumerated, n),
+                                       rtol=0, atol=1e-12)
+
+    @given(probs=edge_probs(), data=hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_recursion_over_the_engine_hit_law(self, probs, data):
+        # the engine's q, not the raw probabilities of the predicted class,
+        # which differ by up to 1e-6 on these rows
+        preds = st.EnsemblePredictions.from_probs(probs)
+        ctx = ppc.build_context(preds)
+        n = preds.num_rows
+        for mode in (ppc.BAYESIAN, ppc.INDEPENDENT,
+                     ppc.PointEstimate(data.draw(hst.integers(0, probs.shape[1] - 1)))):
+            weights, q = mode.law(ctx.weights, ctx.hit_mass)
+            want = np.zeros(n + 1)
+            for w_k, q_k in zip(weights, q):
+                pmf_k = np.ones(1)
+                for p in q_k:
+                    pmf_k = np.convolve(pmf_k, [1.0 - p, p])
+                want += w_k * pmf_k
+            pmf = oracle.exact_statistic_distribution(preds, None,
+                                                      ppc.AccuracyStatistic(), mode)
+            np.testing.assert_allclose(masses_by_hit_count(pmf, n), want,
                                        rtol=0, atol=1e-12)
 
     def test_no_budget_at_any_size(self):

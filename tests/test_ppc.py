@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from ppc_uq import statistics as st
 from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
                                MixturePredictive, PosteriorWeights, mixture_sample)
 
-from conftest import ks_uniform
+from conftest import edge_probs, ks_uniform
 
 
 def two_model_onehot(n=2):
@@ -131,28 +132,6 @@ class UniformStub:
         return out
 
 
-@hst.composite
-def edge_probs(draw):
-    """[N, M, C] probabilities that EnsemblePredictions accepts at its edges:
-    entries in [-1e-12, 0), row sums 1 +- 1e-6, and exact dyadic rows whose
-    CDF values are exact and whose integrated classes tie."""
-    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
-    n, m, c = (draw(hst.integers(1, 20)), draw(hst.integers(1, 4)),
-               draw(hst.integers(2, 5)))
-    if draw(hst.booleans()):
-        counts = rng.multinomial(8, np.full(c, 1.0 / c), size=(n, m))
-        return counts / 8.0
-    probs = rng.dirichlet(np.full(c, 0.5), size=(n, m))
-    negative = rng.random((n, m, c)) < draw(hst.sampled_from([0.0, 0.2, 0.5]))
-    negative[..., 0] &= ~negative[..., 1:].all(axis=-1)
-    probs[negative] = -1e-12 * rng.uniform(0.01, 1.0, negative.sum())
-    target = 1.0 + rng.uniform(-0.99e-6, 0.99e-6, (n, m, 1))
-    positive = np.where(negative, 0.0, probs)
-    rest = target - np.where(negative, probs, 0.0).sum(axis=-1, keepdims=True)
-    return np.where(negative, probs, positive * rest / positive.sum(axis=-1,
-                                                                  keepdims=True))
-
-
 def band_probes(ctx, member):
     """(lo, hi): the band (lo, hi] of [0, 1) in which the label draw's
     uniform gives each row its predicted class under `member`, read off the
@@ -174,7 +153,7 @@ def label_draw_hits(preds, ctx, member, uniforms):
 
 
 def expected_hit_law(mode, weights, masses):
-    """(member_weights, q) of each mode from the member band masses [M, N]."""
+    """(member_weights, q) of each mode's law from the member band masses [M, N]."""
     if isinstance(mode, ppc.Bayesian):
         return weights, masses
     if isinstance(mode, ppc.ConditionallyIndependent):
@@ -207,7 +186,7 @@ class TestHitDraw:
             masses[member] = hi - lo
         mode = data.draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
                                            ppc.PointEstimate(m - 1)]))
-        weights, q = mode.hit_law(ctx)
+        weights, q = mode.law(ctx.weights, ctx.hit_mass)
         want_weights, want_q = expected_hit_law(mode, ctx.weights, masses)
         assert weights.tobytes() == want_weights.tobytes()
         assert q.shape == want_q.shape and q.flags.c_contiguous
@@ -233,7 +212,7 @@ class TestHitDraw:
         assert want[1, 6] != 0.5
         for mode, q in ((ppc.BAYESIAN, want), (ppc.PointEstimate(1), want[[1]]),
                         (ppc.INDEPENDENT, [[0.5625] * 6 + [0.25 + row6 / 2]])):
-            np.testing.assert_array_equal(mode.hit_law(ctx)[1], q)
+            np.testing.assert_array_equal(mode.law(ctx.weights, ctx.hit_mass)[1], q)
 
 
 class TestLabelDrawReference:
@@ -482,6 +461,37 @@ class TestModeAndThreadParameters:
             ppc.sample_statistic(two_model_onehot(), None, ppc.AccuracyStatistic(),
                                  ppc.BAYESIAN, num_replicates=20, threads=threads)
         assert builds == []
+
+    @pytest.mark.parametrize("run", ["sample_statistic", "run_ppc"])
+    @pytest.mark.parametrize("param,value,message", [
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("seed", "1", "seed must be a non-negative integer, got '1'"),
+        ("num_replicates", 2.5, None),
+        ("num_replicates", True, None),
+        ("num_replicates", 0, None),
+    ])
+    def test_seed_and_replicates_must_be_integers(self, monkeypatch, run, param,
+                                                  value, message):
+        builds = []
+        monkeypatch.setattr(ppc, "build_context", lambda *a, **k: builds.append(a))
+        preds = two_model_onehot()
+        args = (preds, None, ppc.AccuracyStatistic(), ppc.BAYESIAN)
+        if run == "run_ppc":
+            args = (preds, None, [0, 1], ppc.AccuracyStatistic(), ppc.BAYESIAN)
+        message = message or {"sample_statistic": "need at least one replicate",
+                              "run_ppc": "a check needs at least two replicates"}[run]
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            getattr(ppc, run)(*args, **{"num_replicates": 20, param: value})
+        assert builds == []
+
+    def test_numpy_integer_seed_is_the_same_run(self):
+        preds = two_model_onehot(4)
+        reports = [ppc.run_ppc(preds, None, [0, 1, 1, 0], ppc.EceStatistic(),
+                               ppc.INDEPENDENT, num_replicates=np.int64(30),
+                               seed=seed).to_dict() for seed in (4, np.int64(4))]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 class TestPValue:

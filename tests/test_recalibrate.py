@@ -104,7 +104,7 @@ class TestObjectiveReference:
     @settings(max_examples=200, deadline=None)
     def test_objective_and_gradient_match_reference(self, case):
         logits, labels, log_tau = case
-        obj, grad = rc._objective_and_gradient(logits, labels, log_tau)
+        obj, grad = rc._fit_objective(logits, labels)(log_tau)
         ref_obj, ref_grad = reference_objective_and_gradient(logits, labels,
                                                              log_tau)
         assert obj == pytest.approx(ref_obj, rel=1e-10, abs=1e-12)
@@ -178,8 +178,7 @@ class TestFitTemperatures:
         logits, labels = exact_stationary_fixture()
         # finite-difference check that tau = 1 really is stationary
         eps = 1e-5
-        obj = lambda lt: rc._objective_and_gradient(logits, labels,
-                                                    np.array([lt]))[0]
+        obj = lambda lt: rc._fit_objective(logits, labels)(np.array([lt]))[0]
         fd_grad = (obj(eps) - obj(-eps)) / (2 * eps)
         assert abs(fd_grad) < 1e-6
         temps = rc.fit_temperatures(logits, labels)
@@ -194,23 +193,22 @@ class TestFitTemperatures:
     def test_objective_never_below_unit_temperature(self):
         z, labels = overconfident_fixture(n=2000, seed=7)
         temps = rc.fit_temperatures(z, labels)
-        base, _ = rc._objective_and_gradient(z, labels, np.zeros(z.shape[1]))
-        fit, _ = rc._objective_and_gradient(z, labels,
-                                            np.log(temps.as_array()))
+        base, _ = rc._fit_objective(z, labels)(np.zeros(z.shape[1]))
+        fit, _ = rc._fit_objective(z, labels)(np.log(temps.as_array()))
         assert fit >= base
 
     def test_analytic_gradient_matches_finite_differences(self, rng):
         z = rng.normal(size=(50, 2, 3))
         labels = rng.integers(0, 3, 50)
         log_tau = np.array([0.3, -0.2])
-        _, grad = rc._objective_and_gradient(z, labels, log_tau)
+        _, grad = rc._fit_objective(z, labels)(log_tau)
         eps = 1e-6
         for j in range(2):
             lo, hi = log_tau.copy(), log_tau.copy()
             lo[j] -= eps
             hi[j] += eps
-            fd = (rc._objective_and_gradient(z, labels, hi)[0]
-                  - rc._objective_and_gradient(z, labels, lo)[0]) / (2 * eps)
+            fd = (rc._fit_objective(z, labels)(hi)[0]
+                  - rc._fit_objective(z, labels)(lo)[0]) / (2 * eps)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
     def test_probabilities_without_logits_unsupported(self):
