@@ -27,6 +27,20 @@ STATISTICS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error exits 1 through `main`, not 2 (FAIL)
+        raise ValueError(message)
+
+
+# argparse types, named for argparse's messages
+def integer(text: str) -> int:
+    return io.parse_number(text, integer=True)
+
+
+def number(text: str) -> float:
+    return io.parse_number(text, finite=True)
+
+
 def _load_run(args) -> tuple:
     """Predictions, labels, statistic and mode of a `check` or `oracle` run.
 
@@ -43,19 +57,16 @@ def cmd_check(args) -> int:
     preds, labels, statistic, mode = _load_run(args)
     report = ppc.run_ppc(preds, None, labels, statistic, mode,
                          num_replicates=args.replications, seed=args.seed)
-    payload = report.to_dict()
-    payload["version"] = __version__
-    payload["inputs"] = {"predictions": io.file_digest(args.predictions),
-                         "labels": io.file_digest(args.labels)}
+    payload = dict(report.to_dict(), version=__version__,
+                   inputs={"predictions": io.file_digest(args.predictions),
+                           "labels": io.file_digest(args.labels)})
     if args.out:
         io.save_report(args.out, payload)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"{verdict} statistic={report.statistic} mode={report.mode} "
-          f"observed={report.observed:.6g} p_value={report.p_value:.6g} "
-          f"sharpness={report.sharpness:.6g}")
-    pct = report.percentiles
-    print(f"  replicated percentiles: p5={pct['p5']:.6g} p25={pct['p25']:.6g} "
-          f"p50={pct['p50']:.6g} p75={pct['p75']:.6g} p95={pct['p95']:.6g}")
+    print(f"{'PASS' if report.passed else 'FAIL'} statistic={report.statistic} "
+          f"mode={report.mode} observed={report.observed:.6g} "
+          f"p_value={report.p_value:.6g} sharpness={report.sharpness:.6g}")
+    print("  replicated percentiles: "
+          + " ".join(f"{k}={v:.6g}" for k, v in report.percentiles.items()))
     return 0 if report.passed else 2
 
 
@@ -118,7 +129,7 @@ def _simulate_conjugate(args, out_dir: str) -> None:
     model = analytic.ConjugateNormalModel()
     rng = np.random.default_rng(args.seed)
     if args.data is not None:
-        observed = np.asarray([float(v) for v in args.data.split(",")])
+        observed = np.asarray([number(v) for v in args.data.split(",")])
     else:
         observed = args.theta_true + rng.standard_normal(args.n)
     mu, tau2 = analytic.conjugate_posterior(model, observed)
@@ -152,54 +163,51 @@ def cmd_oracle(args) -> int:
         preds, None, statistic, mode,
         budget=oracle.EnumerationBudget(max_outcomes=args.budget))
     observed = float(statistic.evaluate(labels, pmf.context))
-    print(json.dumps({"values": pmf.values.tolist(),
-                      "masses": pmf.masses.tolist(),
+    print(json.dumps({"values": pmf.values.tolist(), "masses": pmf.masses.tolist(),
                       "observed": observed}, indent=2))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppc-uq",
         description="Posterior predictive checks for models with model uncertainty")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_statistic_flags(p):
-        p.add_argument("--statistic", required=True,
-                       choices=list(STATISTICS))
+        p.add_argument("--statistic", required=True, choices=list(STATISTICS))
         p.add_argument("--mode", required=True,
                        help="bayesian | independent | point:IDX")
-        p.add_argument("--bins", type=int, default=15)
-        p.add_argument("--quantiles", type=int, default=100)
-        p.add_argument("--picp-low", type=float, default=0.025)
-        p.add_argument("--picp-high", type=float, default=0.975)
+        p.add_argument("--bins", type=integer, default=15)
+        p.add_argument("--quantiles", type=integer, default=100)
+        p.add_argument("--picp-low", type=number, default=0.025)
+        p.add_argument("--picp-high", type=number, default=0.975)
 
     check = sub.add_parser("check", help="run a posterior predictive check")
     check.add_argument("--predictions", required=True)
     check.add_argument("--labels", required=True)
     add_statistic_flags(check)
-    check.add_argument("--replications", type=int, default=1000)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--replications", type=integer, default=1000)
+    check.add_argument("--seed", type=integer, default=0)
     check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
 
     recal = sub.add_parser("recalibrate", help="fit per-model temperatures")
     recal.add_argument("--predictions", required=True)
     recal.add_argument("--labels", required=True)
-    recal.add_argument("--fraction", type=float, default=0.2)
+    recal.add_argument("--fraction", type=number, default=0.2)
     recal.add_argument("--out-temps", required=True)
     recal.add_argument("--out-predictions", required=True)
     recal.add_argument("--allow-log-probs", action="store_true")
     recal.set_defaults(func=cmd_recalibrate)
 
     sim = sub.add_parser("simulate", help="emit synthetic scenario files")
-    sim.add_argument("--scenario", required=True,
-                     choices=list(SCENARIOS))
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--n", type=int, default=1000)
-    sim.add_argument("--models", type=int, default=1000)
-    sim.add_argument("--theta-true", type=float, default=0.5)
+    sim.add_argument("--scenario", required=True, choices=list(SCENARIOS))
+    sim.add_argument("--seed", type=integer, default=0)
+    sim.add_argument("--n", type=integer, default=1000)
+    sim.add_argument("--models", type=integer, default=1000)
+    sim.add_argument("--theta-true", type=number, default=0.5)
     sim.add_argument("--data", default=None,
                      help="conjugate scenario: comma-separated observations")
     sim.add_argument("--noise-as-std", action="store_true",
@@ -211,15 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--predictions", required=True)
     orc.add_argument("--labels", required=True)
     add_statistic_flags(orc)
-    orc.add_argument("--budget", type=int, default=1_000_000)
+    orc.add_argument("--budget", type=integer, default=1_000_000)
     orc.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # the package's own errors are ValueErrors, except KindMismatchError
     except (OSError, ValueError, st.KindMismatchError) as exc:

@@ -20,6 +20,19 @@ class FileFormatError(ValueError):
     """Malformed prediction/label file; message names the offending line."""
 
 
+def parse_number(text: str, integer: bool = False, finite: bool = False):
+    """`text` as a float, or an int (optional '-', digits) if `integer`, in ASCII
+    with no `_`, finite if `finite`; else ValueError. The one spelling of numbers
+    in flags, label files and PPC_UQ_THREADS (`int` also reads '1_0', '\u0663')."""
+    if not text.isascii() or "_" in text or (
+            integer and not text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a number: {text!r}")
+    value = int(text) if integer else float(text)
+    if finite and not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_json_line(line: str, lineno: int) -> dict:
     try:
         obj = json.loads(line)
@@ -132,9 +145,7 @@ def load_labels(path, preds: st.EnsemblePredictions) -> np.ndarray:
     for i, (lineno, text) in enumerate(lines):
         text = text.strip()
         try:
-            if "_" in text:  # float() reads digit groups: "1_0" is 10
-                raise ValueError(text)
-            out[i] = float(text)
+            out[i] = parse_number(text)
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: bad label {text!r}") from exc
     with _rows_at(lines):

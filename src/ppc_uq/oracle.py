@@ -38,8 +38,7 @@ class StatisticPmf:
     values: np.ndarray
     masses: np.ndarray
     # the context the outcomes were evaluated against, for the observed value
-    context: ppc_mod.PredictiveContext = field(default=None, init=False,
-                                               repr=False, compare=False)
+    context: ppc_mod.PredictiveContext = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {float(v): float(m) for v, m in zip(self.values, self.masses)}
@@ -57,7 +56,7 @@ class StatisticPmf:
         return float(0.5 * (np.sum(np.abs(self.masses - freq)) + unmatched))
 
 
-def _merge(values: np.ndarray, masses: np.ndarray, atol: float = 1e-12) -> StatisticPmf:
+def _merge(values: np.ndarray, masses: np.ndarray, atol: float = 1e-12) -> tuple:
     order = np.argsort(values)
     values, masses = values[order], masses[order]
     out_v, out_m = [], []
@@ -67,10 +66,8 @@ def _merge(values: np.ndarray, masses: np.ndarray, atol: float = 1e-12) -> Stati
         else:
             out_v.append(v)
             out_m.append(m)
-    out_v = np.asarray(out_v)
-    out_m = np.asarray(out_m)
-    keep = out_m > 0
-    return StatisticPmf(values=out_v[keep], masses=out_m[keep])
+    out_v, out_m = np.asarray(out_v), np.asarray(out_m)
+    return out_v[out_m > 0], out_m[out_m > 0]
 
 
 def _hit_count_pmf(hit_probs: np.ndarray) -> np.ndarray:
@@ -120,8 +117,7 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
             values[i] = statistic.evaluate(y, ctx)
             masses[i] = float(row_mass[:, rows, y].prod(axis=1) @ member_weights)
 
-    pmf = _merge(values, masses)
-    if abs(pmf.masses.sum() - 1.0) > 1e-9:
+    values, masses = _merge(values, masses)
+    if abs(masses.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("enumerated masses failed to sum to 1")
-    pmf.context = ctx
-    return pmf
+    return StatisticPmf(values, masses, context=ctx)

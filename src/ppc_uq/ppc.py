@@ -17,6 +17,7 @@ predictive, never against the sampled model.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,7 @@ from typing import Union
 import numpy as np
 
 from . import statistics as st
+from .io import parse_number
 from .predictive import (InvalidParameterError, PosteriorWeights, class_mass,
                          cumulative, draw_component, draw_mixture)
 
@@ -91,15 +93,10 @@ def parse_mode(text: str) -> UncertaintyMode:
         return BAYESIAN
     if text == "independent":
         return INDEPENDENT
-    index = text.removeprefix("point:")
-    if index != text and _is_digits(index):
-        return PointEstimate(int(index))
+    with contextlib.suppress(ValueError):   # not point:INTEGER
+        if text.startswith("point:"):
+            return PointEstimate(parse_number(text.removeprefix("point:"), integer=True))
     raise InvalidParameterError(f"unknown mode: {text!r}")
-
-
-def _is_digits(text: str) -> bool:
-    """Plain ASCII digits: `int` also takes '1_0', ' 2', '+1' and '\u0663'."""
-    return text.isascii() and text.isdigit()
 
 
 def check_mode(preds: st.EnsemblePredictions, mode: UncertaintyMode) -> None:
@@ -219,8 +216,7 @@ class StatisticSamples:
     seed: int
     mode: str
     statistic: str
-    context: PredictiveContext = field(default=None, init=False, repr=False,
-                                       compare=False)
+    context: PredictiveContext = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -288,13 +284,14 @@ def _check_integer(value, least, message: str) -> int:
 
 
 def _num_threads(threads) -> int:
-    """The worker count: `threads`, else PPC_UQ_THREADS, else the CPU count."""
+    """The worker count asked for: `threads`, else PPC_UQ_THREADS, else all CPUs."""
     name, count = "threads", threads
     if threads is None:
         name, threads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR)
         if not threads:
             return os.cpu_count() or 1
-        count = int(threads) if _is_digits(threads) else 0
+        with contextlib.suppress(ValueError):   # else count stays None: rejected
+            count = parse_number(threads, integer=True)
     return _check_integer(count, 1, f"{name} must be a positive integer, got {threads!r}")
 
 
@@ -304,7 +301,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """Replicated test-statistic values, one per deterministic rng substream.
 
     Output is bit-identical regardless of thread count: replicate k always
-    uses the substream derived from (seed, k) and lands at index k. Each
+    uses the substream derived from (seed, k) and lands at index k, whichever
+    of the min(threads, num_replicates, CPUs) pool workers runs its block. Each
     replicate is drawn only through what the statistic reads (see
     `_replicate_statistic`).
     """
@@ -312,7 +310,7 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     seed = _check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     check_compatible(preds, statistic)
     check_mode(preds, mode)
-    workers = min(_num_threads(threads), num_replicates)
+    workers = min(_num_threads(threads), num_replicates, os.cpu_count() or 1)
     ctx = build_context(preds, weights)
     out = np.empty(num_replicates, dtype=float)
     replicate = _replicate_statistic(ctx, statistic, mode)
@@ -321,24 +319,15 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
         for k in range(lo, hi):
             out[k] = replicate(replicate_rng(seed, k))
 
-    if workers <= 1:
-        run_block(0, num_replicates)
-    else:
-        bounds = np.linspace(0, num_replicates, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_block, bounds[i], bounds[i + 1])
-                       for i in range(workers)]
-            for f in futures:
-                f.result()
-    ss = StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
-                          mode=mode.describe(), statistic=statistic.name)
-    ss.context = ctx
-    return ss
+    bounds = np.linspace(0, num_replicates, workers + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_block, bounds[:-1], bounds[1:]))  # raises a block's error
+    return StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
+                            mode=mode.describe(), statistic=statistic.name, context=ctx)
 
 
 def _sample_values(samples) -> np.ndarray:
-    vals = getattr(samples, "samples", samples)
-    return np.asarray(vals, dtype=float)
+    return np.asarray(getattr(samples, "samples", samples), dtype=float)
 
 
 def p_value(samples, observed: float) -> float:
@@ -368,17 +357,10 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
                           num_replicates=num_replicates, seed=seed, threads=threads)
     observed = float(statistic.evaluate(labels, ss.context))
     p = p_value(ss, observed)
-    pcts = np.quantile(ss.samples, [0.05, 0.25, 0.5, 0.75, 0.95])
-    return PpcReport(
-        p_value=p,
-        sharpness=sharpness(ss),
-        passed=bool(0.0 < p < 1.0),
-        percentiles={"p5": float(pcts[0]), "p25": float(pcts[1]),
-                     "p50": float(pcts[2]), "p75": float(pcts[3]),
-                     "p95": float(pcts[4])},
-        observed=observed,
-        num_replicates=ss.num_replicates,
-        seed=ss.seed,
-        mode=mode.describe(),
-        statistic=statistic.name,
-    )
+    pcts = dict(zip(("p5", "p25", "p50", "p75", "p95"),
+                    np.quantile(ss.samples, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()))
+    # the sharpness is `sharpness(ss)` bit for bit, from the same quantile call
+    return PpcReport(p_value=p, sharpness=pcts["p95"] - pcts["p5"],
+                     passed=bool(0.0 < p < 1.0), percentiles=pcts, observed=observed,
+                     num_replicates=ss.num_replicates, seed=ss.seed, mode=ss.mode,
+                     statistic=ss.statistic)

@@ -167,6 +167,8 @@ class QuantileSet:
 
     @staticmethod
     def default_levels(num: int) -> tuple:
+        if num < 1:
+            raise InvalidParameterError(f"quantile count must be >= 1, got {num}")
         return tuple((j / (num + 1)) for j in range(1, num + 1))
 
     def as_array(self) -> np.ndarray:

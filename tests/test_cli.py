@@ -266,7 +266,8 @@ class TestCheckCommand:
             rep.pop("mode")
         assert reports["point:0"] == reports["bayesian"]
 
-    def test_reports_byte_identical_across_threads(self, tmp_path):
+    def test_reports_byte_identical_across_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.ppc.os, "cpu_count", lambda: 4)   # 4 real workers
         preds, y = self_generated_regression(2, n=40)
         p, l = write_fixture(tmp_path, preds, y)
         payloads = []
@@ -303,7 +304,21 @@ class TestCheckCommand:
          "a check needs at least two replicates"),
         (["--statistic", "calibration", "--seed", "-1"],
          "seed must be a non-negative integer, got -1"),
-    ], ids=["picp-bounds", "one-replicate", "negative-seed"])
+        (["--statistic", "calibration", "--replications", "1_0"],
+         "argument --replications: invalid integer value: '1_0'"),
+        (["--statistic", "calibration", "--replications", "\u0663\u0660"],
+         "argument --replications: invalid integer value: '\u0663\u0660'"),
+        (["--statistic", "calibration", "--seed", "+1"],
+         "argument --seed: invalid integer value: '+1'"),
+        (["--statistic", "ece", "--bins", "1_5"],
+         "argument --bins: invalid integer value: '1_5'"),
+        (["--statistic", "picp", "--picp-low", "nan"],
+         "argument --picp-low: invalid number value: 'nan'"),
+        (["--statistic", "calibration", "--quantiles", "0"],
+         "quantile count must be >= 1, got 0"),
+    ], ids=["picp-bounds", "one-replicate", "negative-seed", "replications-digit-group",
+            "replications-arabic-indic", "seed-plus-sign", "bins-digit-group",
+            "picp-nan", "zero-quantiles"])
     def test_bad_parameters_fail_before_any_work(self, tmp_path, capsys, context_builds,
                                                  flags, message):
         preds, y = self_generated_regression(0, n=5)
@@ -313,6 +328,31 @@ class TestCheckCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert context_builds == []
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--predictions", "PREDS", "--statistic", "calibration", "--replications", "abc"],
+         "error: argument --replications: invalid integer value: 'abc'"),
+        (["--predictions", "PREDS", "--statistic", "nope"],
+         "error: argument --statistic: invalid choice: 'nope'"),
+        (["--statistic", "calibration"],
+         "error: the following arguments are required: --predictions"),
+    ], ids=["bad-integer", "unknown-statistic", "missing-predictions"])
+    def test_usage_errors_exit_1_not_the_fail_code(self, tmp_path, capsys, flags,
+                                                   message):
+        preds, y = self_generated_regression(0, n=5)
+        p, l = write_fixture(tmp_path, preds, y)
+        flags = [p if f == "PREDS" else f for f in flags]
+        assert cli.main(["check", "--labels", l, "--mode", "bayesian"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out
 
     def test_scipy_is_loaded_only_for_the_gaussian_cdf(self, tmp_path):
         # a fresh interpreter: the test process has scipy loaded already
@@ -420,6 +460,7 @@ LINE_3_FAULTS = {
                           "classification labels must be integers"),
     "label-out-of-range": ("probs", {}, None, "2", "class labels must be in [0, 2)"),
     "label-digit-group": ("gaussian", {}, None, "1_0", "bad label '1_0'"),
+    "label-arabic-indic-digit": ("probs", {}, None, "\u0660", "bad label '\u0660'"),
     "rows-string": ("probs", {"rows": "2"}, None, None,
                     "header field 'rows' must be a positive integer, got '2'"),
     "rows-boolean": ("probs", {"rows": True}, None, None,
@@ -550,6 +591,24 @@ class TestSimulateCommand:
         assert preds.num_models == 1
         assert preds.means[0, 0] == pytest.approx(0.0)
         assert preds.stds[0, 0] == pytest.approx(math.sqrt(1.5))
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--data", "1_0,\u0663"], "error: not a number: '1_0'"),
+        (["--data", "1,\u0663"], "error: not a number: '\u0663'"),
+        (["--data", "0,nan"], "error: not a finite number: 'nan'"),
+        (["--theta-true", "nan"],
+         "error: argument --theta-true: invalid number value: 'nan'"),
+        (["--n", "1_0"], "error: argument --n: invalid integer value: '1_0'"),
+    ], ids=["data-digit-group", "data-arabic-indic", "data-nan", "theta-nan",
+            "n-digit-group"])
+    def test_numbers_are_ascii_finite_without_digit_groups(self, tmp_path, capsys,
+                                                            flags, message):
+        out = tmp_path / "conj"
+        code = cli.main(["simulate", "--scenario", "conjugate", "--n", "4",
+                         "--models", "3", "--out-dir", str(out)] + flags)
+        assert (code, capsys.readouterr().err) == (1, message + "\n")
+        assert not (out / "labels.csv").exists()
 
 
 class TestOracleCommand:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,7 +310,8 @@ class TestSampleStatistic:
             ppc.sample_statistic(two_model_onehot(), None,
                                  ppc.CalibrationErrorStatistic(), ppc.BAYESIAN)
 
-    def test_determinism_across_thread_counts(self):
+    def test_determinism_across_thread_counts(self, monkeypatch):
+        monkeypatch.setattr(ppc.os, "cpu_count", lambda: 8)   # 8 real workers
         preds = two_model_onehot(4)
         runs = [ppc.sample_statistic(preds, None, ppc.EceStatistic(), ppc.BAYESIAN,
                                      num_replicates=500, seed=9, threads=t).samples
@@ -386,9 +388,10 @@ class TestEngineProperties:
     def test_replicates_are_thread_invariant(self, kind, data):
         preds, _, statistic, mode = data.draw(engine_cases(kind))
         seed = data.draw(hst.integers(0, 2 ** 31 - 1))
-        runs = [ppc.sample_statistic(preds, None, statistic, mode, num_replicates=40,
-                                     seed=seed, threads=t).samples.tobytes()
-                for t in (1, 2, 3)]
+        with mock.patch.object(ppc.os, "cpu_count", return_value=3):  # 3 real workers
+            runs = [ppc.sample_statistic(preds, None, statistic, mode, num_replicates=40,
+                                         seed=seed, threads=t).samples.tobytes()
+                    for t in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
@@ -397,10 +400,14 @@ class TestEngineProperties:
     def test_p_value_in_unit_interval(self, kind, data):
         preds, labels, statistic, mode = data.draw(engine_cases(kind))
         r = data.draw(hst.integers(2, 64))
+        seed = data.draw(hst.integers(0, 99))
         report = ppc.run_ppc(preds, None, labels, statistic, mode,
-                             num_replicates=r, seed=data.draw(hst.integers(0, 99)),
-                             threads=1)
+                             num_replicates=r, seed=seed, threads=1)
         assert 0.0 <= report.p_value <= 1.0
+        # the report's sharpness comes from its percentile call, not `sharpness`
+        replicates = ppc.sample_statistic(preds, None, statistic, mode,
+                                          num_replicates=r, seed=seed, threads=1)
+        assert report.sharpness.hex() == ppc.sharpness(replicates).hex()
 
 
     @pytest.mark.parametrize("statistic", [
@@ -428,6 +435,63 @@ class TestEngineProperties:
         ppc.sample_statistic(two_model_onehot(), None, ppc.AccuracyStatistic(),
                              ppc.PointEstimate(1), num_replicates=20, threads=2)
         assert len(calls) == 1
+
+
+class TestWorkerPool:
+    """Every worker count runs the replicates through one pool path."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_replicate_error_reaches_the_caller(self, threads):
+        class Failing:
+            kind, name = st.CLASSIFICATION, "failing"
+
+            def evaluate(self, labels, ctx):
+                raise RuntimeError("replicate failed")
+
+        with pytest.raises(RuntimeError, match="^replicate failed$"):
+            ppc.sample_statistic(two_model_onehot(), None, Failing(), ppc.BAYESIAN,
+                                 num_replicates=4, threads=threads)
+
+    @pytest.mark.parametrize("cpus,threads,env,replicates,workers", [
+        (3, 100_000, None, 50, 3),
+        (3, None, "100000", 50, 3),
+        (3, None, None, 50, 3),
+        (3, 2, None, 50, 2),
+        (8, 100_000, None, 5, 5),
+        (None, 4, None, 50, 1),
+    ], ids=["threads", "env", "default", "under-cap", "replicates", "no-cpu-count"])
+    def test_workers_are_capped_at_cpus_and_replicates(self, monkeypatch, cpus, threads,
+                                                        env, replicates, workers):
+        asked = []
+
+        class InlineExecutor:
+            """Records `max_workers` and runs the blocks on the calling thread."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(ppc.os, "cpu_count", lambda: cpus)
+        if env is None:
+            monkeypatch.delenv(ppc.THREADS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(ppc.THREADS_ENV_VAR, env)
+        monkeypatch.setattr(ppc, "ThreadPoolExecutor", InlineExecutor)
+        args = (two_model_onehot(4), None, ppc.EceStatistic(), ppc.BAYESIAN)
+        got = ppc.sample_statistic(*args, num_replicates=replicates, seed=5,
+                                   threads=threads)
+        assert asked == [workers]
+        monkeypatch.undo()
+        want = ppc.sample_statistic(*args, num_replicates=replicates, seed=5, threads=1)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 class TestModeAndThreadParameters:
