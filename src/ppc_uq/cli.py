@@ -41,6 +41,14 @@ def number(text: str) -> float:
     return io.parse_number(text, finite=True)
 
 
+def numbers(text: str) -> list:
+    """Comma-separated `number`s; the error names the first bad one."""
+    try:
+        return [number(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _load_run(args) -> tuple:
     """Predictions, labels, statistic and mode of a `check` or `oracle` run.
 
@@ -129,7 +137,7 @@ def _simulate_conjugate(args, out_dir: str) -> None:
     model = analytic.ConjugateNormalModel()
     rng = np.random.default_rng(args.seed)
     if args.data is not None:
-        observed = np.asarray([number(v) for v in args.data.split(",")])
+        observed = np.asarray(args.data)
     else:
         observed = args.theta_true + rng.standard_normal(args.n)
     mu, tau2 = analytic.conjugate_posterior(model, observed)
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=integer, default=1000)
     sim.add_argument("--models", type=integer, default=1000)
     sim.add_argument("--theta-true", type=number, default=0.5)
-    sim.add_argument("--data", default=None,
+    sim.add_argument("--data", type=numbers, default=None,
                      help="conjugate scenario: comma-separated observations")
     sim.add_argument("--noise-as-std", action="store_true",
                      help="treat the quadratic noise constant as a stddev")

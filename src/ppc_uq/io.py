@@ -1,8 +1,13 @@
-"""On-disk formats: JSON Lines predictions, CSV labels, JSON reports."""
+"""On-disk formats: JSON Lines predictions, CSV labels, JSON reports.
+
+Prediction lines are read and written with orjson, imported by the two
+prediction calls only; reports and the other JSON files use `json`.
+"""
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import stat
@@ -33,11 +38,27 @@ def parse_number(text: str, integer: bool = False, finite: bool = False):
     return value
 
 
+# orjson 3.8 recurses on the C stack with no depth limit: 70,000 nested objects
+# overflow an 8 MB stack and kill the process. A line with more brackets and
+# braces than this, which bound its depth, goes to `json` instead.
+ORJSON_MAX_OPENERS = 1024
+
+
 def _parse_json_line(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    """The line's JSON object. `json` decides every line orjson refuses (NaN,
+    Infinity, 1e400, an escaped lone surrogate) or is not given: it reads the
+    value or names the error, so a line is accepted or refused as by `json`."""
+    import orjson   # loaded by `load_predictions` before the file is read
+    obj = None
+    if line.count("[") + line.count("{") <= ORJSON_MAX_OPENERS:
+        with contextlib.suppress(orjson.JSONDecodeError, RecursionError):
+            obj = orjson.loads(line)
+    if obj is None:
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            why = getattr(exc, "msg", "nested too deeply")
+            raise FileFormatError(f"line {lineno}: invalid JSON ({why})") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"line {lineno}: expected a JSON object")
     return obj
@@ -62,6 +83,7 @@ def _rows_at(lines: list):
 def load_predictions(path) -> tuple:
     """Read a prediction file; returns (EnsemblePredictions, header dict).
     The library checks the values; their errors name the row's file line."""
+    import orjson  # noqa: F401  (here, not after the read: that raises peak RSS)
     lines = _numbered_lines(path)
     if not lines:
         raise FileFormatError("line 1: missing header")
@@ -115,7 +137,9 @@ def load_predictions(path) -> tuple:
 
 
 def save_predictions(path, preds: st.EnsemblePredictions) -> None:
-    """Write a prediction file: probs, logits or gaussian, as `preds` holds."""
+    """Write a prediction file: probs, logits or gaussian, as `preds` holds.
+    Each row is encoded and written in turn; the file is never one string."""
+    import orjson
     if preds.kind == st.CLASSIFICATION:
         values = "logits" if preds.probs is None else "probs"
         data = preds.logits if preds.probs is None else preds.probs
@@ -126,12 +150,11 @@ def save_predictions(path, preds: st.EnsemblePredictions) -> None:
     else:
         header = {"kind": preds.kind, "rows": preds.num_rows,
                   "models": preds.num_models, "values": "gaussian"}
-        rows = ({"preds": [{"mean": float(preds.means[i, j]),
-                            "std": float(preds.stds[i, j])}
-                           for j in range(preds.num_models)]}
+        rows = ({"preds": [{"mean": mean, "std": std} for mean, std
+                           in zip(preds.means[i].tolist(), preds.stds[i].tolist())]}
                 for i in range(preds.num_rows))
-    payload = "\n".join([json.dumps(header)] + [json.dumps(r) for r in rows]) + "\n"
-    atomic_write_text(path, payload)
+    atomic_write(path, (orjson.dumps(obj) + b"\n"
+                        for obj in itertools.chain([header], rows)))
 
 
 def load_labels(path, preds: st.EnsemblePredictions) -> np.ndarray:
@@ -170,16 +193,22 @@ def file_digest(path) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, [text.encode("utf-8")])
+
+
+def atomic_write(path, chunks) -> None:
+    """Write the byte strings of the iterable `chunks` to `path` as one file
+    that appears whole or not at all."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".ppc-uq-{os.urandom(8).hex()}")
     # the mode open(path, "w") gives: an existing file's, else 0o666 less the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             if os.path.exists(path):
                 os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
-            fh.write(text)
+            fh.writelines(chunks)
             # on disk before the rename, so a crash never leaves a torn file at path
             fh.flush()
             os.fsync(fh.fileno())

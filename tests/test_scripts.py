@@ -30,3 +30,11 @@ def test_quadratic_ppc_experiment():
     out = run_script("quadratic_ppc_experiment.py",
                      "--seeds", "2", "--n-ood", "200", "--replicates", "50")
     assert "independent rejects & bayesian passes: 2/2" in out.splitlines()
+
+
+def test_bad_model_trusted():
+    out = run_script("bad_model_trusted.py",
+                     "--seeds", "2", "--n", "500", "--replicates", "50")
+    lines = out.splitlines()
+    assert "independent passes: 2/2" in lines
+    assert "bayesian rejects: 2/2" in lines
