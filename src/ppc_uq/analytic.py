@@ -14,7 +14,7 @@ import numpy as np
 
 from . import statistics as st
 from .predictive import (Gaussian, InvalidParameterError, MixturePredictive,
-                         gaussian_cdf, mixture_cdf)
+                         check_integer, check_positive, gaussian_cdf, mixture_cdf)
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class ConjugateNormalModel:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if self.prior_var <= 0 or self.noise_var <= 0:
-            raise InvalidParameterError("variances must be positive")
+        check_positive("variances must be finite and positive", self.prior_var, self.noise_var)
 
 
 def conjugate_posterior(model: ConjugateNormalModel, data) -> tuple:
@@ -55,8 +54,7 @@ def location_example_demo(theta_true: float = 0.5, n: int = 10_000,
     location is nonzero, which is exactly why per-dataset CDF uniformity fails
     under model uncertainty.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    check_integer(n, 1, f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     y = theta_true + rng.standard_normal(n)
     marginal = MixturePredictive(components=(Gaussian(0.0, math.sqrt(2.0)),))
@@ -70,18 +68,20 @@ class QuadraticDatasetConfig:
     n: int = 100
     holdout: tuple = (-1.5, 0.0)
     noise_var: float = 0.5
-    noise_is_std: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError("n must be >= 1")
-        if self.holdout[0] >= self.holdout[1]:
-            raise InvalidParameterError("holdout interval endpoints must be ordered")
+        check_integer(self.n, 1, f"n must be an integer >= 1, got {self.n!r}")
+        check_positive("noise_var must be finite and > 0", self.noise_var)
+        lo, hi = self.holdout
+        outside = (math.erfc(-lo / math.sqrt(2)) + math.erfc(hi / math.sqrt(2))) / 2
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and outside >= 0.01):
+            raise InvalidParameterError(f"holdout must be finite, ordered and leave 1% of "
+                                        f"the N(0, 1) mass outside it, got {self.holdout}")
 
     @property
     def noise_std(self) -> float:
-        return self.noise_var if self.noise_is_std else math.sqrt(self.noise_var)
+        return math.sqrt(self.noise_var)
 
 
 def quadratic_mean(x: np.ndarray) -> np.ndarray:
@@ -119,10 +119,10 @@ class BayesianLinearEnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_models < 1:
-            raise InvalidParameterError("need at least one posterior draw")
-        if self.prior_precision <= 0 or self.noise_var <= 0:
-            raise InvalidParameterError("precision and noise variance must be positive")
+        check_integer(self.degree, 0, f"degree must be an integer >= 0, got {self.degree!r}")
+        check_integer(self.num_models, 1, "need at least one posterior draw")
+        check_positive("precision and noise variance must be finite and positive",
+                       self.prior_precision, self.noise_var)
 
 
 def _design(x: np.ndarray, degree: int) -> np.ndarray:

@@ -81,11 +81,7 @@ def cmd_check(args) -> int:
 def cmd_recalibrate(args) -> int:
     preds, _ = io.load_predictions(args.predictions)
     labels = io.load_labels(args.labels, preds)
-    if preds.probs is not None:
-        if not args.allow_log_probs:
-            raise recalibrate.UnsupportedInputError(
-                "prediction file carries probabilities; temperature fitting needs "
-                "logits (pass --allow-log-probs to use log-probabilities instead)")
+    if preds.probs is not None:   # softmax(log p / T) is softmax(z / T) for p = softmax(z)
         preds = st.EnsemblePredictions.from_logits(
             np.log(np.clip(preds.probs, 1e-300, None)))
     (recal_preds, recal_labels), (eval_preds, eval_labels) = \
@@ -118,7 +114,7 @@ def _simulate_location(args, out_dir: str) -> None:
 
 def _simulate_quadratic(args, out_dir: str) -> None:
     cfg = analytic.QuadraticDatasetConfig(n=args.n, seed=args.seed,
-                                          noise_is_std=args.noise_as_std)
+                                          noise_var=args.noise_var)
     x_train, y_train, x_ood, y_ood = analytic.generate_quadratic_dataset(cfg)
     io.atomic_write_text(os.path.join(out_dir, "train_inputs.csv"),
                          "x\n" + "\n".join(repr(float(v)) for v in x_train) + "\n")
@@ -207,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     recal.add_argument("--fraction", type=number, default=0.2)
     recal.add_argument("--out-temps", required=True)
     recal.add_argument("--out-predictions", required=True)
-    recal.add_argument("--allow-log-probs", action="store_true")
     recal.set_defaults(func=cmd_recalibrate)
 
     sim = sub.add_parser("simulate", help="emit synthetic scenario files")
@@ -218,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--theta-true", type=number, default=0.5)
     sim.add_argument("--data", type=numbers, default=None,
                      help="conjugate scenario: comma-separated observations")
-    sim.add_argument("--noise-as-std", action="store_true",
-                     help="treat the quadratic noise constant as a stddev")
+    sim.add_argument("--noise-as-std", dest="noise_var", action="store_const",
+                     const=0.25, default=analytic.QuadraticDatasetConfig.noise_var,
+                     help="the noise constant 0.5 is a standard deviation (variance 0.25)")
     sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=cmd_simulate)
 

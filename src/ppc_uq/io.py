@@ -65,10 +65,10 @@ def _parse_json_line(line: str, lineno: int) -> dict:
 
 
 def _numbered_lines(path) -> list:
-    """The file's non-blank lines as (file line number, text), numbered from 1."""
+    """The file's non-blank lines as (file line number, text), numbered from 1,
+    split at \n, \r\n and \r only: a JSON string may hold U+2028 and U+0085 raw."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1)
-                if ln.strip()]
+        return [(i, ln) for i, ln in enumerate(fh, 1) if ln.strip()]
 
 
 @contextlib.contextmanager

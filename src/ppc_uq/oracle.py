@@ -11,7 +11,8 @@ import numpy as np
 
 from . import ppc as ppc_mod
 from . import statistics as st
-from .predictive import InvalidParameterError, PosteriorWeights, class_mass
+from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
+                         class_mass)
 
 
 class BudgetExceededError(ValueError):
@@ -27,8 +28,7 @@ class EnumerationBudget:
     max_outcomes: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_outcomes < 1:
-            raise InvalidParameterError("budget must be positive")
+        check_integer(self.max_outcomes, 1, "budget must be a positive integer")
 
 
 @dataclass

@@ -18,7 +18,6 @@ predictive, never against the sampled model.
 from __future__ import annotations
 
 import contextlib
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -28,8 +27,8 @@ import numpy as np
 
 from . import statistics as st
 from .io import parse_number
-from .predictive import (InvalidParameterError, PosteriorWeights, class_mass,
-                         cumulative, draw_component, draw_mixture)
+from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
+                         class_mass, cumulative, draw_component, draw_mixture)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 
@@ -69,8 +68,8 @@ class PointEstimate:
     uniform_pit = False
 
     def __post_init__(self):
-        _check_integer(self.index, None,
-                       f"point-estimate index must be an integer, got {self.index!r}")
+        check_integer(self.index, None,
+                      f"point-estimate index must be an integer, got {self.index!r}")
 
     def describe(self) -> str:
         return f"point:{self.index}"
@@ -274,15 +273,6 @@ def _replicate_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMod
     return lambda rng: statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
 
 
-def _check_integer(value, least, message: str) -> int:
-    """`value` as an int if it is an integer (numpy's too), not a bool, and at
-    least `least` (None: no bound); else InvalidParameterError(message)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or least is not None and value < least):
-        raise InvalidParameterError(message)
-    return int(value)
-
-
 def _num_threads(threads) -> int:
     """The worker count asked for: `threads`, else PPC_UQ_THREADS, else all CPUs."""
     name, count = "threads", threads
@@ -292,7 +282,7 @@ def _num_threads(threads) -> int:
             return os.cpu_count() or 1
         with contextlib.suppress(ValueError):   # else count stays None: rejected
             count = parse_number(threads, integer=True)
-    return _check_integer(count, 1, f"{name} must be a positive integer, got {threads!r}")
+    return check_integer(count, 1, f"{name} must be a positive integer, got {threads!r}")
 
 
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
@@ -306,8 +296,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     replicate is drawn only through what the statistic reads (see
     `_replicate_statistic`).
     """
-    num_replicates = _check_integer(num_replicates, 1, "need at least one replicate")
-    seed = _check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
+    num_replicates = check_integer(num_replicates, 1, "need at least one replicate")
+    seed = check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     check_compatible(preds, statistic)
     check_mode(preds, mode)
     workers = min(_num_threads(threads), num_replicates, os.cpu_count() or 1)
@@ -351,7 +341,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
             statistic, mode: UncertaintyMode, num_replicates: int = 1000,
             seed: int = 0, threads: int = None) -> PpcReport:
     """Full check: observed statistic vs its posterior predictive distribution."""
-    _check_integer(num_replicates, 2, "a check needs at least two replicates")
+    check_integer(num_replicates, 2, "a check needs at least two replicates")
     labels = st.validate_labels(preds, labels)
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)

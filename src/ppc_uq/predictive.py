@@ -7,6 +7,7 @@ CDF integrates the per-model CDFs over those weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,23 @@ import numpy as np
 
 class InvalidParameterError(ValueError):
     """Raised when a distribution parameter is out of its valid range."""
+
+
+def check_integer(value, least, message: str) -> int:
+    """`value` as an int if it is an integer (numpy's too), not a bool, and at
+    least `least` (None: no bound); else InvalidParameterError(message)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        raise InvalidParameterError(message)
+    return int(value)
+
+
+def check_positive(message: str, *values) -> None:
+    """InvalidParameterError(message) unless every value is a real number, not
+    a bool, finite and > 0 (NaN fails the comparison)."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+               for v in values):
+        raise InvalidParameterError(message)
 
 
 @dataclass(frozen=True)
@@ -24,10 +42,9 @@ class Gaussian:
     kind = "gaussian"
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.stddev)):
+        if not math.isfinite(self.mean):
             raise InvalidParameterError("gaussian parameters must be finite")
-        if self.stddev <= 0:
-            raise InvalidParameterError(f"stddev must be > 0, got {self.stddev}")
+        check_positive(f"stddev must be finite and > 0, got {self.stddev}", self.stddev)
 
 
 @dataclass(frozen=True)
@@ -41,7 +58,7 @@ class Categorical:
         object.__setattr__(self, "probs", tuple(p.tolist()))
         if p.ndim != 1 or p.size < 2:
             raise InvalidParameterError("categorical needs at least 2 classes")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
             raise InvalidParameterError("categorical probs must be nonnegative and sum to 1")
 
     @property
@@ -60,13 +77,12 @@ class PosteriorWeights:
         object.__setattr__(self, "values", tuple(w.tolist()))
         if w.ndim != 1 or w.size < 1:
             raise InvalidParameterError("weights must be a nonempty vector")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise InvalidParameterError("weights must be nonnegative and sum to 1")
 
     @classmethod
     def uniform(cls, num_models: int) -> "PosteriorWeights":
-        if num_models < 1:
-            raise InvalidParameterError("need at least one model")
+        check_integer(num_models, 1, "need at least one model")
         return cls(tuple([1.0 / num_models] * num_models))
 
     def as_array(self) -> np.ndarray:
@@ -117,12 +133,10 @@ def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
 
 def gaussian_cdf(mean: float, stddev: float, y: float) -> float:
     """CDF of N(mean, stddev^2) at y."""
-    if not (math.isfinite(mean) and math.isfinite(stddev) and math.isfinite(y)):
+    component = Gaussian(mean, stddev)
+    if not math.isfinite(y):
         raise InvalidParameterError("gaussian_cdf inputs must be finite")
-    if stddev <= 0:
-        raise InvalidParameterError(f"stddev must be > 0, got {stddev}")
-    return float(pit_from_gaussians(np.array([mean]), np.array([stddev]),
-                                    np.ones(1), np.asarray(y, dtype=float)))
+    return mixture_cdf(MixturePredictive((component,)), y)
 
 
 def mixture_cdf(mixture: MixturePredictive, y) -> float:

@@ -11,7 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as st
-from .predictive import InvalidParameterError
+from .predictive import InvalidParameterError, check_positive
+
+# the fit's iteration cap and least gain, both part of its result (see fit_temperatures)
+FIT_MAX_ITERS = 500
+FIT_TOL = 1e-8
 
 
 class UnsupportedInputError(ValueError):
@@ -24,11 +28,10 @@ class TemperatureVector:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", tuple(v.tolist()))
         if v.ndim != 1 or v.size < 1:
             raise InvalidParameterError("need one temperature per model")
-        if np.any(~np.isfinite(v)) or np.any(v <= 0):
-            raise InvalidParameterError("temperatures must be finite and positive")
+        check_positive("temperatures must be finite and positive", *self.values)
+        object.__setattr__(self, "values", tuple(v.tolist()))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -109,16 +112,15 @@ def _fit_objective(logits: np.ndarray, labels: np.ndarray):
     return evaluate
 
 
-def fit_temperatures(logits: np.ndarray, labels, max_iters: int = 500,
-                     tol: float = 1e-8) -> TemperatureVector:
+def fit_temperatures(logits: np.ndarray, labels) -> TemperatureVector:
     """Deterministic gradient ascent on the mean log-likelihood, in log-temperature.
 
     Each iteration tries the step log_tau + grad and halves it, up to 50
-    times, until the objective rises. The fit stops after `max_iters`
+    times, until the objective rises. The fit stops after `FIT_MAX_ITERS`
     iterations, when no halved step rises, or when an iteration gains less
-    than `tol`. On realistic inputs the gain per iteration stays above `tol`
-    (on the N=2,000 M=10 C=10 benchmark ensembles the last gains are 4e-8 to
-    7e-7 and |grad| is about 1e-4), so the fit ends at the `max_iters` cap,
+    than `FIT_TOL`. On realistic inputs the gain per iteration stays above
+    `FIT_TOL` (on the N=2,000 M=10 C=10 benchmark ensembles the last gains are
+    4e-8 to 7e-7 and |grad| is about 1e-4), so the fit ends at the cap,
     short of the optimum: the cap is part of the fitted result, and an
     optimiser that converges further returns other temperatures.
     """
@@ -133,7 +135,7 @@ def fit_temperatures(logits: np.ndarray, labels, max_iters: int = 500,
     objective = _fit_objective(logits, labels)
     log_tau = np.zeros(logits.shape[1])
     obj, grad = objective(log_tau)
-    for _ in range(max_iters):
+    for _ in range(FIT_MAX_ITERS):
         step = 1.0
         improved = False
         for _ in range(50):
@@ -147,6 +149,6 @@ def fit_temperatures(logits: np.ndarray, labels, max_iters: int = 500,
             break
         gain = cand_obj - obj
         log_tau, obj, grad = cand, cand_obj, cand_grad
-        if gain < tol:
+        if gain < FIT_TOL:
             break
     return TemperatureVector(tuple(np.exp(log_tau).tolist()))

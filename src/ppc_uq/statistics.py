@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .predictive import InvalidParameterError, PosteriorWeights, pit_from_gaussians
+from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
+                         pit_from_gaussians)
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -149,8 +150,7 @@ class BinningConfig:
     num_bins: int = 15
 
     def __post_init__(self):
-        if self.num_bins < 1:
-            raise InvalidParameterError("num_bins must be >= 1")
+        check_integer(self.num_bins, 1, "num_bins must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -161,14 +161,13 @@ class QuantileSet:
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
-        object.__setattr__(self, "levels", tuple(lv.tolist()))
-        if lv.size < 1 or np.any(lv <= 0) or np.any(lv >= 1) or np.any(np.diff(lv) <= 0):
+        if not (lv.ndim == 1 and lv.size and np.all(np.diff(lv, prepend=0, append=1) > 0)):
             raise InvalidParameterError("quantile levels must be strictly increasing in (0,1)")
+        object.__setattr__(self, "levels", tuple(lv.tolist()))
 
     @staticmethod
     def default_levels(num: int) -> tuple:
-        if num < 1:
-            raise InvalidParameterError(f"quantile count must be >= 1, got {num}")
+        num = check_integer(num, 1, f"quantile count must be >= 1, got {num}")
         return tuple((j / (num + 1)) for j in range(1, num + 1))
 
     def as_array(self) -> np.ndarray:
@@ -200,9 +199,7 @@ def integrated_class_probs(preds: EnsemblePredictions,
 
 
 def _weights_array(weights, num_models: int) -> np.ndarray:
-    if weights is None:
-        return np.full(num_models, 1.0 / num_models)
-    w = weights.as_array()
+    w = (PosteriorWeights.uniform(num_models) if weights is None else weights).as_array()
     if w.size != num_models:
         raise InvalidParameterError("weights length must equal number of models")
     return w
@@ -260,7 +257,7 @@ def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:
     pit = np.asarray(pit, dtype=float)
     if pit.size == 0:
         raise EmptyInputError("calibration_error needs at least one PIT value")
-    if np.any(pit < 0) or np.any(pit > 1):
+    if not (np.all(pit >= 0) and np.all(pit <= 1)):
         raise InvalidParameterError("PIT values must lie in [0, 1]")
     levels = quantiles.as_array()
     pit_sorted = np.sort(pit)

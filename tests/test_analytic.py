@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ppc_uq import analytic, ppc
+from ppc_uq import analytic, cli, io, ppc
 from ppc_uq import statistics as st
 from ppc_uq.predictive import InvalidParameterError
 
@@ -88,6 +88,20 @@ class TestQuadraticDataset:
         assert x.size == 500
         assert not np.any((x > -1.5) & (x < 0.0))
 
+    @pytest.mark.parametrize("holdout", [(-40.0, 40.0), (-2.6, 2.6), (-math.inf, 0.0),
+                                         (0.0, math.inf), (math.nan, 0.0), (0.0, -1.0)])
+    def test_holdout_that_starves_training_is_refused(self, holdout):
+        # (-2.6, 2.6) leaves 0.93% of the N(0, 1) mass; (-40, 40) made the
+        # rejection sampler loop for ever, (-inf, 0) gave NaN inputs
+        with pytest.raises(InvalidParameterError, match="holdout"):
+            analytic.QuadraticDatasetConfig(holdout=holdout)
+
+    def test_holdout_leaving_one_percent_is_sampled(self):
+        cfg = analytic.QuadraticDatasetConfig(n=200, holdout=(-2.4, 2.4), seed=1)
+        x, _, x_ood, _ = analytic.generate_quadratic_dataset(cfg)
+        assert x.size == 200 and np.all(np.abs(x) >= 2.4)
+        assert np.all(np.isfinite(x_ood))
+
     def test_ood_grid_inside_holdout(self):
         cfg = analytic.QuadraticDatasetConfig(n=10, seed=1)
         _, _, x_ood, y_ood = analytic.generate_quadratic_dataset(cfg, n_ood=50)
@@ -101,12 +115,24 @@ class TestQuadraticDataset:
         assert residuals.mean() == pytest.approx(0.0, abs=0.03)
         assert residuals.var() == pytest.approx(0.5, abs=0.03)
 
-    def test_noise_as_std_flag(self):
-        cfg = analytic.QuadraticDatasetConfig(n=10_000, noise_var=0.5,
-                                              noise_is_std=True, seed=2)
+    def test_noise_as_std_flag(self, tmp_path):
+        """`simulate --noise-as-std` reads the noise constant 0.5 as a standard
+        deviation: it is the config's noise_var = 0.25, in the data and in the
+        ensemble's members."""
+        cfg = analytic.QuadraticDatasetConfig(n=10_000, noise_var=0.25, seed=2)
         x, y, _, _ = analytic.generate_quadratic_dataset(cfg)
         assert (y - analytic.quadratic_mean(x)).var() == pytest.approx(0.25,
                                                                        abs=0.02)
+        out = tmp_path / "quad"
+        assert cli.main(["simulate", "--scenario", "quadratic", "--seed", "2",
+                         "--n", "10000", "--models", "2", "--noise-as-std",
+                         "--out-dir", str(out)]) == 0
+        np.testing.assert_array_equal(
+            np.loadtxt(out / "train_inputs.csv", skiprows=1), x)
+        np.testing.assert_array_equal(
+            np.loadtxt(out / "train_labels.csv", skiprows=1), y)
+        preds, _ = io.load_predictions(out / "id_predictions.jsonl")
+        assert np.all(preds.stds == 0.5)
 
 
 class TestBayesianLinearEnsemble:

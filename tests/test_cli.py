@@ -538,16 +538,27 @@ class TestRecalibrateCommand:
         loaded, _ = io.load_predictions(out_preds)
         assert loaded.num_rows == 2000 - int(math.floor(0.2 * 2000))
 
-    def test_probabilities_rejected_without_flag(self, tmp_path, rng):
-        raw = rng.random((10, 1, 3))
-        probs = raw / raw.sum(axis=2, keepdims=True)
-        preds = st.EnsemblePredictions.from_probs(probs)
-        p, l = write_fixture(tmp_path, preds, rng.integers(0, 3, 10))
-        args = ["recalibrate", "--predictions", p, "--labels", l,
-                "--out-temps", str(tmp_path / "t.json"),
-                "--out-predictions", str(tmp_path / "o.jsonl")]
-        assert cli.main(args) == 1
-        assert cli.main(args + ["--allow-log-probs"]) == 0
+    def test_probabilities_fit_as_the_logits_they_came_from(self, tmp_path, rng):
+        """A probs file is fitted through log p, a per-row shift of the logits
+        that softmax ignores: same temperatures, same recalibrated rows."""
+        labels = rng.integers(0, 4, 500)
+        logits = 2.0 * rng.standard_normal((500, 3, 4))
+        logits[np.arange(500), :, labels] += rng.random((500, 3)) * [1.0, 2.0, 3.0]
+        out = {}
+        for name, preds in (("logits", st.EnsemblePredictions.from_logits(logits)),
+                            ("probs", st.EnsemblePredictions.from_probs(
+                                st.softmax(logits)))):
+            (tmp_path / name).mkdir()
+            p, l = write_fixture(tmp_path / name, preds, labels)
+            temps, recal = tmp_path / name / "t.json", tmp_path / name / "o.jsonl"
+            assert cli.main(["recalibrate", "--predictions", p, "--labels", l,
+                             "--out-temps", str(temps),
+                             "--out-predictions", str(recal)]) == 0
+            out[name] = (json.loads(temps.read_text())["temperatures"],
+                         io.load_predictions(recal)[0].probs)
+        np.testing.assert_allclose(out["probs"][0], out["logits"][0], rtol=1e-12, atol=0)
+        assert len(set(out["logits"][0])) == 3     # three members, three temperatures
+        np.testing.assert_allclose(out["probs"][1], out["logits"][1], rtol=0, atol=1e-12)
 
 
 class TestSimulateCommand:

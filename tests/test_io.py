@@ -161,3 +161,35 @@ def test_integer_beyond_64_bits_reads_as_the_nearest_double(tmp_path):
                        '{"preds": [[18446744073709551616, -9223372036854775809]]}')
     preds, _ = io.load_predictions(path)
     np.testing.assert_array_equal(bits(preds.logits), bits([[[2.0 ** 64, -2.0 ** 63]]]))
+
+
+# the line breaks of `str.splitlines` that a JSON string may hold raw (its
+# others are control characters, which JSON escapes)
+OTHER_BREAKS = "\x85\u2028\u2029"
+
+
+def test_other_line_breaks_inside_a_string_do_not_split_a_line(tmp_path):
+    header = json.dumps(dict(HEADERS["probs"], note=f"a{OTHER_BREAKS}b"),
+                        ensure_ascii=False)
+    path = write_lines(tmp_path, header, '{"preds": [[0.25, 0.75]]}')
+    preds, header_read = io.load_predictions(path)
+    np.testing.assert_array_equal(preds.probs, [[[0.25, 0.75]]])
+    assert header_read["note"] == f"a{OTHER_BREAKS}b"
+
+
+def test_a_bad_row_after_such_a_header_is_named_at_its_file_line(tmp_path):
+    header = json.dumps(dict(HEADERS["probs"], rows=2, note=OTHER_BREAKS),
+                        ensure_ascii=False)
+    path = write_lines(tmp_path, header, "", '{"preds": [[0.25, 0.75]]}',
+                       '{"preds": [[0.25, "x"]]}')
+    with pytest.raises(io.FileFormatError,
+                       match=r"^line 4: expected 1x2 preds of JSON numbers$"):
+        io.load_predictions(path)
+
+
+def test_carriage_returns_end_lines(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_bytes((json.dumps(dict(HEADERS["probs"], rows=2)) + "\r\n"
+                      + '{"preds": [[0.25, 0.75]]}\r{"preds": [[0.5, 0.5]]}\r\n').encode())
+    preds, _ = io.load_predictions(path)
+    np.testing.assert_array_equal(preds.probs, [[[0.25, 0.75]], [[0.5, 0.5]]])
