@@ -14,7 +14,8 @@ import numpy as np
 
 from . import statistics as st
 from .predictive import (Gaussian, InvalidParameterError, MixturePredictive,
-                         check_integer, check_positive, gaussian_cdf, mixture_cdf)
+                         check_finite, check_integer, check_positive, gaussian_cdf,
+                         mixture_cdf)
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,7 @@ class ConjugateNormalModel:
     noise_var: float = 1.0
 
     def __post_init__(self):
+        check_finite(f"prior_mean must be finite, got {self.prior_mean!r}", self.prior_mean)
         check_positive("variances must be finite and positive", self.prior_var, self.noise_var)
 
 
@@ -32,6 +34,8 @@ def conjugate_posterior(model: ConjugateNormalModel, data) -> tuple:
     y = np.asarray(data, dtype=float)
     if y.size == 0:
         raise InvalidParameterError("conjugate update needs at least one observation")
+    if not np.all(np.isfinite(y)):
+        raise InvalidParameterError("observations must be finite")
     precision = 1.0 / model.prior_var + y.size / model.noise_var
     tau2 = 1.0 / precision
     mu = tau2 * (model.prior_mean / model.prior_var + y.sum() / model.noise_var)
@@ -95,6 +99,7 @@ def generate_quadratic_dataset(cfg: QuadraticDatasetConfig, n_ood: int = 200):
     normal draws, rejection-resampled while inside the holdout interval so the
     training size is exact; the OOD inputs are an even grid inside it.
     """
+    check_integer(n_ood, 1, f"n_ood must be an integer >= 1, got {n_ood!r}")
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.holdout
     x_train = np.empty(cfg.n)
@@ -142,6 +147,9 @@ def bayesian_linear_ensemble(cfg: BayesianLinearEnsembleConfig, x_train, y_train
     y = np.asarray(y_train, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise InvalidParameterError("design matrix must be finite")
+    if y.shape != phi.shape[:1] or not np.all(np.isfinite(y)):
+        raise InvalidParameterError(
+            f"y_train must be {phi.shape[0]} finite targets, one per input")
     d = phi.shape[1]
     s_inv = cfg.prior_precision * np.eye(d) + phi.T @ phi / cfg.noise_var
     cov = np.linalg.inv(s_inv)

@@ -31,6 +31,7 @@ from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
                          class_mass, cumulative, draw_component, draw_mixture)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
+_BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def build_context(preds: st.EnsemblePredictions,
 
 
 class _ReadsHits:
-    """Reads labels only through the hits: `prepare_hits(ctx)(hits)`."""
+    """Reads labels only through the hits: `prepare_hits(ctx)(hits [..., N])` -> [...]."""
 
     kind = st.CLASSIFICATION
 
@@ -179,7 +180,7 @@ class AccuracyStatistic(_ReadsHits):
     name = "accuracy"
 
     def prepare_hits(self, ctx: PredictiveContext):
-        return lambda hits: np.count_nonzero(hits) / hits.size
+        return lambda hits: np.count_nonzero(hits, axis=-1) / hits.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ class PpcReport:
 
 
 def replicate_rng(seed: int, k: int) -> np.random.Generator:
-    """Substream for replicate k: a fixed mixing of (seed, k)."""
+    """Substream of block k: a fixed mixing of (seed, k)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, k])))
 
 
@@ -255,22 +256,24 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                         class_cums=ctx.class_cums)
 
 
-def _replicate_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode):
-    """One replicate's statistic as a function of its rng, drawn only through
-    what the statistic reads: hits (component k of `law` over `hit_mass`, then
-    row n hits with probability q[k, n]), U(0, 1) PIT values, or else labels."""
+def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, size: int):
+    """`(rng, count) ->` the first count values of a block of size replicates, drawn
+    only through what the statistic reads: hits (k [size] from `law` over `hit_mass`,
+    then u [size, N] < q[k]) or U(0, 1) PIT [size, N], both drawn whole, or labels."""
     num_rows = ctx.preds.num_rows
     if hasattr(statistic, "prepare_hits"):
         member_weights, q = mode.law(ctx.weights, ctx.hit_mass)
         evaluate = statistic.prepare_hits(ctx)
 
-        def replicate(rng):
-            k = draw_component(rng, member_weights, 1)[0]
-            return evaluate(rng.random(num_rows) < q[k])
-        return replicate
+        def block(rng, count):
+            k = draw_component(rng, member_weights, size)[:count]
+            return evaluate(rng.random((size, num_rows))[:count] < q[k])
+        return block
     if hasattr(statistic, "evaluate_pit") and mode.uniform_pit:
-        return lambda rng: statistic.evaluate_pit(rng.random(num_rows), ctx)
-    return lambda rng: statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
+        return lambda rng, count: [statistic.evaluate_pit(pit, ctx)
+                                   for pit in rng.random((size, num_rows))[:count]]
+    return lambda rng, count: [statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
+                               for _ in range(count)]
 
 
 def _num_threads(threads) -> int:
@@ -288,13 +291,12 @@ def _num_threads(threads) -> int:
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                      statistic, mode: UncertaintyMode, num_replicates: int = 1000,
                      seed: int = 0, threads: int = None) -> StatisticSamples:
-    """Replicated test-statistic values, one per deterministic rng substream.
+    """Replicated test-statistic values, drawn a block at a time.
 
-    Output is bit-identical regardless of thread count: replicate k always
-    uses the substream derived from (seed, k) and lands at index k, whichever
-    of the min(threads, num_replicates, CPUs) pool workers runs its block. Each
-    replicate is drawn only through what the statistic reads (see
-    `_replicate_statistic`).
+    Replicate k is slot k % B of block k // B, and block b draws from the
+    substream (seed, b) (see `_block_statistic`). B depends on N only, so the
+    output is bit-identical for every prefix length and thread count: the
+    min(threads, num_replicates, CPUs) pool workers take whole blocks.
     """
     num_replicates = check_integer(num_replicates, 1, "need at least one replicate")
     seed = check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
@@ -302,16 +304,16 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     check_mode(preds, mode)
     workers = min(_num_threads(threads), num_replicates, os.cpu_count() or 1)
     ctx = build_context(preds, weights)
+    size = max(1, _BLOCK_ELEMENTS // preds.num_rows)
     out = np.empty(num_replicates, dtype=float)
-    replicate = _replicate_statistic(ctx, statistic, mode)
+    block = _block_statistic(ctx, statistic, mode, size)
 
-    def run_block(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            out[k] = replicate(replicate_rng(seed, k))
+    def run_block(b: int) -> None:
+        lo, hi = b * size, min((b + 1) * size, num_replicates)
+        out[lo:hi] = block(replicate_rng(seed, b), hi - lo)
 
-    bounds = np.linspace(0, num_replicates, workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_block, bounds[:-1], bounds[1:]))  # raises a block's error
+        list(pool.map(run_block, range(-(-num_replicates // size))))  # raises a block's error
     return StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
                             mode=mode.describe(), statistic=statistic.name, context=ctx)
 

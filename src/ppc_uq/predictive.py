@@ -26,12 +26,17 @@ def check_integer(value, least, message: str) -> int:
     return int(value)
 
 
-def check_positive(message: str, *values) -> None:
+def check_finite(message: str, *values, least=-math.inf) -> None:
     """InvalidParameterError(message) unless every value is a real number, not
-    a bool, finite and > 0 (NaN fails the comparison)."""
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
-               for v in values):
+    a bool, finite and > least (NaN fails the comparison)."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and least < v < math.inf for v in values):
         raise InvalidParameterError(message)
+
+
+def check_positive(message: str, *values) -> None:
+    """`check_finite` with values > 0."""
+    check_finite(message, *values, least=0)
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,7 @@ class Gaussian:
     kind = "gaussian"
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise InvalidParameterError("gaussian parameters must be finite")
+        check_finite("gaussian parameters must be finite", self.mean)
         check_positive(f"stddev must be finite and > 0, got {self.stddev}", self.stddev)
 
 
@@ -203,7 +207,8 @@ def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=No
     With size=None returns a scalar; otherwise a vector of independent draws.
     Consumes the rng as the engine's label draw: index uniforms, then values.
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else check_integer(
+        size, 0, f"size must be None or an integer >= 0, got {size!r}")
     w = mixture.weights.as_array()
     idx = draw_component(rng, w, n)
     if mixture.kind == "gaussian":

@@ -128,9 +128,7 @@ def fit_temperatures(logits: np.ndarray, labels) -> TemperatureVector:
     if logits.ndim != 3:
         raise UnsupportedInputError(
             "temperature fitting needs raw logits [N, M, C]")
-    labels = np.asarray(labels, dtype=int)
-    if logits.shape[0] < 1:
-        raise InvalidParameterError("empty recalibration slice")
+    labels = st.validate_labels(st.EnsemblePredictions.from_logits(logits), labels)
 
     objective = _fit_objective(logits, labels)
     log_tau = np.zeros(logits.shape[1])

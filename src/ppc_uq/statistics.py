@@ -205,25 +205,32 @@ def _weights_array(weights, num_models: int) -> np.ndarray:
     return w
 
 
+def _checked_rows(integrated_probs, labels, name: str) -> tuple:
+    """[N, C] probabilities and their class labels, both checked by the rules
+    of a one-member ensemble; EmptyInputError for N = 0."""
+    probs = np.asarray(integrated_probs, dtype=float)
+    if probs.shape[0] == 0:
+        raise EmptyInputError(f"{name} needs at least one row")
+    return probs, validate_labels(EnsemblePredictions.from_probs(probs[:, None]), labels)
+
+
 def ece(integrated_probs: np.ndarray, labels, bins: BinningConfig = BinningConfig()) -> float:
     """Expected calibration error with equal-width confidence bins on (0, 1]."""
-    probs = np.asarray(integrated_probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    predicted = probs.argmax(axis=1)
-    confidence = probs.max(axis=1)
-    return ece_from_confidence(confidence, predicted == labels, bins.num_bins)
+    probs, labels = _checked_rows(integrated_probs, labels, "ece")
+    return ece_from_confidence(probs.max(axis=1), probs.argmax(axis=1) == labels,
+                               bins.num_bins)
 
 
 def ece_from_confidence(confidence: np.ndarray, hits: np.ndarray,
                         num_bins: int) -> float:
     """ECE from each row's confidence and whether its prediction hit."""
-    return ece_kernel(confidence, num_bins)(hits)
+    return float(ece_kernel(confidence, num_bins)(hits))
 
 
 def ece_kernel(confidence: np.ndarray, num_bins: int):
-    """The one ECE kernel: the ECE of a hit vector against these confidences.
-    The bins and their confidence sums are computed here once, so each call
-    is one weighted bincount."""
+    """The one ECE kernel: the ECE of each hit vector of hits [..., N] against
+    these confidences. The bins are computed here once, so each call is one
+    `add.reduceat` of the hits over the rows grouped by bin."""
     n = confidence.shape[0]
     if n == 0:
         raise EmptyInputError("ece needs at least one row")
@@ -231,12 +238,10 @@ def ece_kernel(confidence: np.ndarray, num_bins: int):
     bin_idx = np.clip(np.ceil(confidence * num_bins).astype(int) - 1, 0, num_bins - 1)
     nonempty = np.bincount(bin_idx, minlength=num_bins) > 0
     conf_sum = np.bincount(bin_idx, weights=confidence, minlength=num_bins)[nonempty]
-
-    def ece_of(hits: np.ndarray) -> float:
-        acc_sum = np.bincount(bin_idx, weights=hits, minlength=num_bins)
-        return float(np.abs(acc_sum[nonempty] - conf_sum).sum() / n)
-
-    return ece_of
+    order = np.argsort(bin_idx, kind="stable")                     # rows grouped by bin
+    starts = np.flatnonzero(np.diff(bin_idx[order], prepend=-1))   # each group's first
+    return lambda hits: np.abs(np.add.reduceat(
+        hits[..., order], starts, axis=-1, dtype=float) - conf_sum).sum(axis=-1) / n
 
 
 def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,
@@ -249,16 +254,23 @@ def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,
     return pit_from_gaussians(preds.means, preds.stds, w, y)
 
 
+def _checked_pit(pit, name: str) -> np.ndarray:
+    """PIT values as an array: EmptyInputError if there are none, and
+    InvalidParameterError unless each lies in [0, 1] (NaN does not)."""
+    pit = np.asarray(pit, dtype=float)
+    if pit.size == 0:
+        raise EmptyInputError(f"{name} needs at least one PIT value")
+    if not (np.all(pit >= 0) and np.all(pit <= 1)):
+        raise InvalidParameterError("PIT values must lie in [0, 1]")
+    return pit
+
+
 def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:
     """Sum over quantile levels of squared (level - empirical frequency) gaps.
 
     The empirical frequency at level p counts PIT values strictly below p.
     """
-    pit = np.asarray(pit, dtype=float)
-    if pit.size == 0:
-        raise EmptyInputError("calibration_error needs at least one PIT value")
-    if not (np.all(pit >= 0) and np.all(pit <= 1)):
-        raise InvalidParameterError("PIT values must lie in [0, 1]")
+    pit = _checked_pit(pit, "calibration_error")
     levels = quantiles.as_array()
     pit_sorted = np.sort(pit)
     below = np.searchsorted(pit_sorted, levels, side="left") / pit.size
@@ -273,17 +285,12 @@ def check_interval(lower: float, upper: float) -> None:
 
 def picp(pit, lower: float = 0.025, upper: float = 0.975) -> float:
     """Fraction of PIT values inside the inclusive interval [lower, upper]."""
-    pit = np.asarray(pit, dtype=float)
-    if pit.size == 0:
-        raise EmptyInputError("picp needs at least one PIT value")
+    pit = _checked_pit(pit, "picp")
     check_interval(lower, upper)
     return float(np.mean((pit >= lower) & (pit <= upper)))
 
 
 def accuracy(integrated_probs: np.ndarray, labels) -> float:
     """Fraction of rows whose argmax class (ties to lowest index) matches the label."""
-    probs = np.asarray(integrated_probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if probs.shape[0] == 0:
-        raise EmptyInputError("accuracy needs at least one row")
+    probs, labels = _checked_rows(integrated_probs, labels, "accuracy")
     return float(np.mean(probs.argmax(axis=1) == labels))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import ppc_uq
 from ppc_uq import cli
 
 tomllib = pytest.importorskip("tomllib")   # Python 3.11+
@@ -40,3 +41,8 @@ def test_every_third_party_import_is_a_declared_dependency():
                    - {"ppc_uq"})
     assert "numpy" in third_party           # the scan sees the imports
     assert third_party <= declared
+
+
+def test_package_and_project_versions_agree():
+    with open(PYPROJECT, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == ppc_uq.__version__

@@ -9,7 +9,8 @@ import pytest
 from ppc_uq import analytic, oracle, ppc
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
-                               PosteriorWeights, gaussian_cdf)
+                               MixturePredictive, PosteriorWeights, gaussian_cdf,
+                               mixture_sample)
 from ppc_uq.recalibrate import TemperatureVector
 
 NAN, INF = float("nan"), float("inf")
@@ -24,11 +25,19 @@ INTEGER_SITES = {
     "QuadraticDatasetConfig.n": (lambda v: analytic.QuadraticDatasetConfig(n=v), 10),
     "BayesianLinearEnsembleConfig.num_models":
         (lambda v: analytic.BayesianLinearEnsembleConfig(num_models=v), 5),
+    "generate_quadratic_dataset.n_ood": (lambda v: analytic.generate_quadratic_dataset(
+        analytic.QuadraticDatasetConfig(n=10), n_ood=v), 5),
 }
 # integer sites whose bound is 0: every bad integer but 0
 INTEGER_SITES_FROM_0 = {
     "BayesianLinearEnsembleConfig.degree":
         (lambda v: analytic.BayesianLinearEnsembleConfig(degree=v), 0),
+    "mixture_sample.size": (lambda v: mixture_sample(
+        MixturePredictive((Gaussian(0.0, 1.0),)), np.random.default_rng(0), size=v), 3),
+}
+FINITE_SITES = {
+    "ConjugateNormalModel.prior_mean":
+        (lambda v: analytic.ConjugateNormalModel(prior_mean=v), -0.5),
 }
 POSITIVE_SITES = {
     "Gaussian.stddev": (lambda v: Gaussian(0.0, v), 0.5),
@@ -49,6 +58,7 @@ INTEGER_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "2.5": 2.5,
                "0": 0, "-1": -1}
 POSITIVE_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "0": 0.0,
                 "-1": -1.0}
+FINITE_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True}
 # the probability-vector and quantile-level rules
 VECTOR_BAD = {
     "PosteriorWeights(nan x3)": lambda: PosteriorWeights((NAN,) * 3),
@@ -62,6 +72,18 @@ VECTOR_BAD = {
     "QuantileSet(nan, 0.5)": lambda: st.QuantileSet((NAN, 0.5)),
     "QuantileSet(inf)": lambda: st.QuantileSet((INF,)),
 }
+# data rules: each call must be refused with a message naming the input at fault
+DATA_BAD = {
+    "conjugate_posterior(data=[nan])": (lambda: analytic.conjugate_posterior(
+        analytic.ConjugateNormalModel(), [NAN]), "observations must be finite"),
+    "bayesian_linear_ensemble(2 inputs, 1 target)": (
+        lambda: analytic.bayesian_linear_ensemble(
+            analytic.BayesianLinearEnsembleConfig(), [0.0, 1.0], [1.0], [0.5]), "y_train"),
+    "bayesian_linear_ensemble(nan target)": (
+        lambda: analytic.bayesian_linear_ensemble(
+            analytic.BayesianLinearEnsembleConfig(), [0.0, 1.0], [NAN, 1.0], [0.5]),
+        "y_train"),
+}
 
 
 def cases(sites, bad):
@@ -72,7 +94,8 @@ def cases(sites, bad):
 @pytest.mark.parametrize("make,value", cases(INTEGER_SITES, INTEGER_BAD)
                          + cases(INTEGER_SITES_FROM_0,
                                  {k: v for k, v in INTEGER_BAD.items() if k != "0"})
-                         + cases(POSITIVE_SITES, POSITIVE_BAD))
+                         + cases(POSITIVE_SITES, POSITIVE_BAD)
+                         + cases(FINITE_SITES, FINITE_BAD))
 def test_bad_value_is_refused_where_it_is_made(make, value):
     with pytest.raises(InvalidParameterError):
         make(value)
@@ -84,8 +107,15 @@ def test_non_finite_vector_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make,rule", list(DATA_BAD.values()), ids=list(DATA_BAD))
+def test_bad_data_is_refused_by_name(make, rule):
+    with pytest.raises(InvalidParameterError, match=rule):
+        make()
+
+
 @pytest.mark.parametrize("make,value", [pytest.param(make, good, id=site) for site, (
-    make, good) in {**INTEGER_SITES, **INTEGER_SITES_FROM_0, **POSITIVE_SITES}.items()])
+    make, good) in {**INTEGER_SITES, **INTEGER_SITES_FROM_0, **POSITIVE_SITES,
+                    **FINITE_SITES}.items()])
 def test_good_value_is_accepted(make, value):
     make(value)
     make(np.int64(value) if isinstance(value, int) else np.float64(value))

@@ -494,6 +494,114 @@ class TestWorkerPool:
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
+@dataclass(frozen=True)
+class LabelMean:
+    """A custom classification statistic, so replicates go through the labels."""
+
+    kind = st.CLASSIFICATION
+    name = "label-mean"
+
+    def evaluate(self, labels, ctx):
+        return float(np.mean(labels))
+
+
+ANY_MODE = None
+# reader -> (prediction kind, statistic, mode or ANY_MODE)
+BLOCK_READERS = {
+    "hits-ece": (st.CLASSIFICATION, ppc.EceStatistic(st.BinningConfig(4)), ANY_MODE),
+    "hits-accuracy": (st.CLASSIFICATION, ppc.AccuracyStatistic(), ANY_MODE),
+    "pit-calibration": (st.REGRESSION, ppc.CalibrationErrorStatistic(), ppc.INDEPENDENT),
+    "pit-picp": (st.REGRESSION, ppc.PicpStatistic(), ppc.INDEPENDENT),
+    "labels-bayesian-calibration": (st.REGRESSION, ppc.CalibrationErrorStatistic(),
+                                    ppc.BAYESIAN),
+    "labels-custom": (st.CLASSIFICATION, LabelMean(), ANY_MODE),
+}
+
+
+class ShuffledInlineExecutor:
+    """One worker, on the calling thread, that runs the blocks in the order of
+    a permutation of block indices (as a pool's workers may) and returns the
+    results in block order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        blocks = list(blocks)
+        results = {b: fn(blocks[b]) for b in self.order if b < len(blocks)}
+        return [results[b] for b in range(len(blocks))]
+
+
+class TestBlocks:
+    """Replicate k is slot k % B of block k // B, and block b draws from its
+    own substream, whichever worker runs it and whatever ran before it. B is
+    forced down to 2-4 replicates, so that every run spans at least three
+    blocks and ends in a partial one."""
+
+    @pytest.mark.parametrize("reader", list(BLOCK_READERS))
+    @given(data=hst.data())
+    @settings(max_examples=25, deadline=None)
+    def test_runs_agree_across_blocks(self, reader, data):
+        kind, statistic, mode = BLOCK_READERS[reader]
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        n, m = data.draw(hst.integers(1, 12)), data.draw(hst.integers(1, 3))
+        if kind == st.CLASSIFICATION:
+            preds = st.EnsemblePredictions.from_logits(
+                rng.normal(0, 2, (n, m, data.draw(hst.integers(2, 4)))))
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(
+                rng.normal(0, 1, (n, m)), rng.uniform(0.2, 2, (n, m)))
+        if mode is ANY_MODE:
+            mode = data.draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
+                                               ppc.PointEstimate(m - 1)]))
+        size = data.draw(hst.integers(2, 4))
+        # the short run ends in block 2 or 3, part-filled; the long one later
+        short = size * data.draw(hst.integers(2, 3)) + data.draw(hst.integers(1, size - 1))
+        long = short + size * data.draw(hst.integers(1, 2)) + data.draw(
+            hst.integers(0, size - 1))
+        seed = data.draw(hst.integers(0, 2 ** 31 - 1))
+        order = data.draw(hst.permutations(range(long // size + 1)))
+
+        def run(replicates, threads):
+            return ppc.sample_statistic(preds, None, statistic, mode,
+                                        num_replicates=replicates, seed=seed,
+                                        threads=threads).samples
+
+        with mock.patch.object(ppc, "_BLOCK_ELEMENTS", size * n), \
+                mock.patch.object(ppc.os, "cpu_count", return_value=3):  # 3 real workers
+            first = run(short, 1)
+            runs = [run(long, threads) for threads in (1, 2, 3)]
+            with mock.patch.object(ppc, "ThreadPoolExecutor", ShuffledInlineExecutor(order)):
+                runs.append(run(long, 1))
+        assert (short - 1) // size < (long - 1) // size
+        assert first.tobytes() == runs[0][:short].tobytes()
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes() \
+            == runs[3].tobytes()
+
+    @pytest.mark.parametrize("statistic", [ppc.EceStatistic(), ppc.AccuracyStatistic()],
+                             ids=lambda s: s.name)
+    @given(data=hst.data())
+    @settings(max_examples=50, deadline=None)
+    def test_hit_kernel_on_a_block_equals_one_vector_at_a_time(self, statistic, data):
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        n = data.draw(hst.integers(1, 300))
+        ctx = ppc.build_context(st.EnsemblePredictions.from_logits(
+            rng.normal(0, 2, (n, 2, data.draw(hst.integers(2, 5))))))
+        size = data.draw(hst.integers(1, 8))
+        hits = rng.random((size, n)) < rng.random((size, 1))
+        kernel = statistic.prepare_hits(ctx)
+        assert kernel(hits).tolist() == [float(kernel(h)) for h in hits]
+
+
 class TestModeAndThreadParameters:
     @pytest.mark.parametrize("index", [True, 1.5, "1"])
     def test_point_index_must_be_an_integer(self, index):

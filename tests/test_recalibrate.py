@@ -211,6 +211,24 @@ class TestFitTemperatures:
                   - rc._fit_objective(z, labels)(lo)[0]) / (2 * eps)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("case", ["one-label", "fractional-labels", "nan-logit",
+                                      "label-out-of-range"])
+    def test_input_outside_the_rules_is_refused(self, case):
+        # logits z ~ N(0, 2) of shape (30, 3, 4); each case was fitted, or
+        # died in numpy, before the logits and labels were checked
+        z = np.random.default_rng(5).normal(0.0, 2.0, (30, 3, 4))
+        labels = np.arange(30) % 4
+        if case == "one-label":
+            labels = labels[:1]
+        elif case == "fractional-labels":
+            labels = labels + 0.5
+        elif case == "nan-logit":
+            z[7, 1, 2] = np.nan
+        else:
+            z, labels = z[..., :2], np.full(30, 5)
+        with pytest.raises(InvalidParameterError):
+            rc.fit_temperatures(z, labels)
+
     def test_probabilities_without_logits_unsupported(self):
         with pytest.raises(rc.UnsupportedInputError):
             rc.fit_temperatures(np.full((4, 2), 0.5), [0, 1, 0, 1])

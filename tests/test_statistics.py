@@ -202,6 +202,35 @@ class TestAccuracy:
             st.accuracy(np.empty((0, 2)), [])
 
 
+class TestMetricInputRules:
+    """The metric functions check their labels by the class-label rule of
+    `validate_labels`, their probabilities by an ensemble's, and their PIT
+    values by one range rule."""
+
+    PROBS = [[0.9, 0.1], [0.2, 0.8]]
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("metric", [st.ece, st.accuracy], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("labels,rule", [
+        ([0.7, 1.9], "integers"), ([0, NAN], "finite"), ([0, 2], r"in \[0, 2\)"),
+        ([0], "length 2")], ids=["fraction", "nan", "out-of-range", "short"])
+    def test_bad_labels_are_refused(self, metric, labels, rule):
+        with pytest.raises(InvalidParameterError, match=rule):
+            metric(self.PROBS, labels)
+
+    @pytest.mark.parametrize("metric", [st.ece, st.accuracy], ids=lambda f: f.__name__)
+    def test_nan_probability_is_refused(self, metric):
+        with pytest.raises(InvalidParameterError, match="row 1: probs must be finite"):
+            metric([[0.9, 0.1], [self.NAN, 0.8]], [0, 1])
+
+    @pytest.mark.parametrize("metric", [st.picp, st.calibration_error],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("pit", [[NAN, 0.5], [0.5, 1.5], [-0.1]])
+    def test_pit_out_of_range_is_refused(self, metric, pit):
+        with pytest.raises(InvalidParameterError, match=r"PIT values must lie in \[0, 1\]"):
+            metric(pit)
+
+
 @given(hst.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20)
 def test_permutation_invariance(seed):
