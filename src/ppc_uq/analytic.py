@@ -130,9 +130,11 @@ class BayesianLinearEnsembleConfig:
                        self.prior_precision, self.noise_var)
 
 
-def _design(x: np.ndarray, degree: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.vander(x, degree + 1, increasing=True)
+def _design(x: np.ndarray, degree: int, name: str) -> np.ndarray:
+    phi = np.vander(np.asarray(x, dtype=float), degree + 1, increasing=True)
+    if not np.all(np.isfinite(phi)):
+        raise InvalidParameterError(f"{name} and its powers up to {degree} must be finite")
+    return phi
 
 
 def bayesian_linear_ensemble(cfg: BayesianLinearEnsembleConfig, x_train, y_train,
@@ -143,10 +145,9 @@ def bayesian_linear_ensemble(cfg: BayesianLinearEnsembleConfig, x_train, y_train
     noise_var) at every query point. The prior precision doubles as a ridge
     term, so the normal equations are never singular.
     """
-    phi = _design(x_train, cfg.degree)
+    phi = _design(x_train, cfg.degree, "x_train")
+    phi_q = _design(x_query, cfg.degree, "x_query")
     y = np.asarray(y_train, dtype=float)
-    if not np.all(np.isfinite(phi)):
-        raise InvalidParameterError("design matrix must be finite")
     if y.shape != phi.shape[:1] or not np.all(np.isfinite(y)):
         raise InvalidParameterError(
             f"y_train must be {phi.shape[0]} finite targets, one per input")
@@ -157,7 +158,6 @@ def bayesian_linear_ensemble(cfg: BayesianLinearEnsembleConfig, x_train, y_train
     rng = np.random.default_rng(cfg.seed)
     chol = np.linalg.cholesky(cov)
     draws = mean[None, :] + rng.standard_normal((cfg.num_models, d)) @ chol.T
-    phi_q = _design(x_query, cfg.degree)
     means = phi_q @ draws.T                                # [Nq, M]
     stds = np.full_like(means, math.sqrt(cfg.noise_var))
     return st.EnsemblePredictions.from_gaussians(means, stds)

@@ -65,15 +65,12 @@ def apply_temperatures(logits: np.ndarray, temps: TemperatureVector) -> np.ndarr
     return st.softmax(logits / tau[None, :, None])
 
 
-def ensemble_log_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """log of the ensemble-averaged probability of each row's true label."""
-    avg = probs.mean(axis=1)
-    return np.log(avg[np.arange(labels.size), labels])
-
-
 def ensemble_nll(probs: np.ndarray, labels) -> float:
-    labels = np.asarray(labels, dtype=int)
-    return float(-np.mean(ensemble_log_probs(np.asarray(probs, dtype=float), labels)))
+    """Mean negative log of the ensemble-averaged probability of each row's label."""
+    preds = st.EnsemblePredictions.from_probs(probs)
+    labels = st.validate_labels(preds, labels)
+    avg = preds.probs.mean(axis=1)
+    return float(-np.mean(np.log(avg[np.arange(labels.size), labels])))
 
 
 def _fit_objective(logits: np.ndarray, labels: np.ndarray):
@@ -82,31 +79,31 @@ def _fit_objective(logits: np.ndarray, labels: np.ndarray):
     The objective is the mean log ensemble-averaged label probability; the
     gradient is taken in log-temperature. Everything that does not depend on
     tau is computed here once: the logits shifted by their row-and-model max
-    (d <= 0, so exp(d / tau) cannot overflow) and the label columns. Each
-    evaluation then makes one multiply, one exp and two sums over [N, M, C],
-    into one scratch buffer, and works on [N, M] arrays after that.
+    (d <= 0, so exp(d / tau) cannot overflow), the label's shifted logit d_y
+    and g = d - d_y. They are stored member-major, [M, C, N], so each pass
+    runs along the contiguous row axis instead of N * M loops of C elements.
+    Each evaluation makes one multiply, one exp and one sum over C into one
+    scratch buffer, one product-sum with g, and works on [M, N] after that.
     """
-    n, m, c = logits.shape
-    rows = np.arange(n)
-    d = logits - logits.max(axis=2, keepdims=True)         # [N, M, C], <= 0
-    d_true = d[rows, :, labels]                            # [N, M]
-    z_true = logits[rows, :, labels]
-    ones = np.ones(c)
+    n, m, _ = logits.shape
+    z = logits.transpose(1, 2, 0)                              # [M, C, N] view
+    d = np.ascontiguousarray(z - z.max(axis=1, keepdims=True))  # [M, C, N], <= 0
+    d_true = d[:, labels, np.arange(n)]                         # [M, N]
+    g = d - d_true[:, None, :]
     e = np.empty_like(d)
 
     def evaluate(log_tau: np.ndarray):
         tau = np.exp(log_tau)
         inv_tau = 1.0 / tau
-        np.multiply(d, inv_tau[None, :, None], out=e)
+        np.multiply(d, inv_tau[:, None, None], out=e)
         np.exp(e, out=e)
-        total = e @ ones                                   # [N, M]
-        a = np.exp(d_true * inv_tau[None, :]) / total      # [N, M] prob of true label
-        p = a.mean(axis=1)                                 # [N]
+        total = np.add.reduce(e, axis=1)                       # [M, N]
+        a = np.exp(d_true * inv_tau[:, None]) / total          # [M, N] prob of true label
+        p = a.mean(axis=0)                                     # [N]
         obj = float(np.mean(np.log(p)))
-        # d a_ij / d log tau_j = a_ij * (sum_c s_ijc z_ijc - z_ij[y_i]) / tau_j
-        sz = np.einsum("nmc,nmc->nm", e, logits) / total
-        da = a * (sz - z_true) / tau[None, :]
-        grad = np.mean(da / (m * p[:, None]), axis=0)
+        # d a_jn / d log tau_j = a_jn * sum_c s_jcn (z_jcn - z_jn[y_n]) / tau_j
+        sg = np.einsum("mcn,mcn->mn", e, g) / total
+        grad = np.mean(a * sg / p, axis=1) / (m * tau)
         return obj, grad
 
     return evaluate

@@ -209,6 +209,8 @@ def _checked_rows(integrated_probs, labels, name: str) -> tuple:
     """[N, C] probabilities and their class labels, both checked by the rules
     of a one-member ensemble; EmptyInputError for N = 0."""
     probs = np.asarray(integrated_probs, dtype=float)
+    if probs.ndim != 2:
+        raise InvalidParameterError(f"{name} needs probs [N, C], got shape {probs.shape}")
     if probs.shape[0] == 0:
         raise EmptyInputError(f"{name} needs at least one row")
     return probs, validate_labels(EnsemblePredictions.from_probs(probs[:, None]), labels)

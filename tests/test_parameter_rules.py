@@ -83,6 +83,14 @@ DATA_BAD = {
         lambda: analytic.bayesian_linear_ensemble(
             analytic.BayesianLinearEnsembleConfig(), [0.0, 1.0], [NAN, 1.0], [0.5]),
         "y_train"),
+    "bayesian_linear_ensemble(nan query)": (
+        lambda: analytic.bayesian_linear_ensemble(
+            analytic.BayesianLinearEnsembleConfig(), [0.0, 1.0], [1.0, 1.0], [0.5, NAN]),
+        "x_query"),
+    "bayesian_linear_ensemble(nan input)": (
+        lambda: analytic.bayesian_linear_ensemble(
+            analytic.BayesianLinearEnsembleConfig(), [NAN, 1.0], [1.0, 1.0], [0.5]),
+        "x_train"),
 }
 
 

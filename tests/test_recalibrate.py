@@ -40,6 +40,12 @@ def criterion_6_fit_input():
     return rp.logits, rl
 
 
+def bench_shaped_fixture():
+    """The benchmark's fit shape: N = 2,000 rows, M = 10 members, C = 10 classes.
+    With M = C, a label taken from the member axis has the right shape."""
+    return overconfident_fixture(n=2000, m=10, c=10)
+
+
 def reference_objective_and_gradient(logits, labels, log_tau):
     """The fit objective computed directly from softmax(logits / tau)."""
     tau = np.exp(log_tau)
@@ -111,11 +117,20 @@ class TestObjectiveReference:
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("fixture", [overconfident_fixture,
-                                         criterion_6_fit_input])
+                                         criterion_6_fit_input,
+                                         bench_shaped_fixture])
     def test_fit_matches_reference_loop(self, fixture):
         z, labels = fixture()
         temps = rc.fit_temperatures(z, labels).as_array()
         np.testing.assert_allclose(temps, reference_fit(z, labels), rtol=1e-10)
+
+    def test_permuting_members_permutes_temperatures(self):
+        z, labels = bench_shaped_fixture()
+        temps = rc.fit_temperatures(z, labels).as_array()
+        for seed in (0, 1):
+            perm = np.random.default_rng(seed).permutation(z.shape[1])
+            permuted = rc.fit_temperatures(z[:, perm], labels).as_array()
+            np.testing.assert_allclose(permuted, temps[perm], rtol=1e-12)
 
 
 class TestSplitRecalibration:
@@ -241,3 +256,10 @@ class TestFitTemperatures:
         nll_unit = rc.ensemble_nll(st.softmax(ep.logits), el)
         nll_fit = rc.ensemble_nll(rc.apply_temperatures(ep.logits, temps), el)
         assert nll_fit < nll_unit + 1e-6
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7], [0, 2], [-1, 0]],
+                         ids=["fractional", "out-of-range", "negative"])
+def test_ensemble_nll_refuses_labels_outside_the_rule(labels):
+    with pytest.raises(InvalidParameterError):
+        rc.ensemble_nll(np.full((2, 1, 2), 0.5), labels)

@@ -219,6 +219,13 @@ class TestMetricInputRules:
             metric(self.PROBS, labels)
 
     @pytest.mark.parametrize("metric", [st.ece, st.accuracy], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("probs", [[0.2, 0.8], [[[0.2, 0.8]], [[0.5, 0.5]]]],
+                             ids=["1-d", "3-d"])
+    def test_probs_not_rows_of_classes_are_refused_by_the_n_c_rule(self, metric, probs):
+        with pytest.raises(InvalidParameterError, match=r"probs \[N, C\]"):
+            metric(probs, [1, 0])
+
+    @pytest.mark.parametrize("metric", [st.ece, st.accuracy], ids=lambda f: f.__name__)
     def test_nan_probability_is_refused(self, metric):
         with pytest.raises(InvalidParameterError, match="row 1: probs must be finite"):
             metric([[0.9, 0.1], [self.NAN, 0.8]], [0, 1])
