@@ -38,10 +38,11 @@ def parse_number(text: str, integer: bool = False, finite: bool = False):
     return value
 
 
-# orjson 3.8 recurses on the C stack with no depth limit: 70,000 nested objects
-# overflow an 8 MB stack and kill the process. A line with more brackets and
-# braces than this, which bound its depth, goes to `json` instead.
-ORJSON_MAX_OPENERS = 1024
+# orjson 3.8 recurses on the C stack with no depth limit: 54,000 nested objects
+# overflow an 8 MB stack and kill the process, 32,768 parse. A line with more
+# brackets and braces than this, which bound its depth, goes to `json` instead;
+# a line no longer than this cannot hold more, so it is not scanned.
+ORJSON_MAX_OPENERS = 16384
 
 
 def _parse_json_line(line: str, lineno: int) -> dict:
@@ -50,9 +51,12 @@ def _parse_json_line(line: str, lineno: int) -> dict:
     value or names the error, so a line is accepted or refused as by `json`."""
     import orjson   # loaded by `load_predictions` before the file is read
     obj = None
-    if line.count("[") + line.count("{") <= ORJSON_MAX_OPENERS:
-        with contextlib.suppress(orjson.JSONDecodeError, RecursionError):
+    if (len(line) <= ORJSON_MAX_OPENERS
+            or line.count("[") + line.count("{") <= ORJSON_MAX_OPENERS):
+        try:
             obj = orjson.loads(line)
+        except (orjson.JSONDecodeError, RecursionError):
+            pass
     if obj is None:
         try:
             obj = json.loads(line)

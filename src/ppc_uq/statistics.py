@@ -150,7 +150,11 @@ class BinningConfig:
     num_bins: int = 15
 
     def __post_init__(self):
-        check_integer(self.num_bins, 1, "num_bins must be an integer >= 1")
+        # up to 2**53 the count is a double exactly, so each confidence's bin
+        # ceil(confidence * num_bins) is an exact int64
+        rule = "num_bins must be an integer in [1, 2**53]"
+        if check_integer(self.num_bins, 1, rule) > 2 ** 53:
+            raise InvalidParameterError(rule)
 
 
 @dataclass(frozen=True)
@@ -231,19 +235,24 @@ def ece_from_confidence(confidence: np.ndarray, hits: np.ndarray,
 
 def ece_kernel(confidence: np.ndarray, num_bins: int):
     """The one ECE kernel: the ECE of each hit vector of hits [..., N] against
-    these confidences. The bins are computed here once, so each call is one
-    `add.reduceat` of the hits over the rows grouped by bin."""
+    these confidences. The rows are grouped once, by nonempty bin in ascending
+    order, so each call is one `bincount` of the hits over `v * K + group` for
+    hit vector v and K <= min(N, num_bins) groups: no array grows with num_bins."""
     n = confidence.shape[0]
     if n == 0:
         raise EmptyInputError("ece needs at least one row")
     # bin m holds confidences in ((m-1)/M, m/M]
     bin_idx = np.clip(np.ceil(confidence * num_bins).astype(int) - 1, 0, num_bins - 1)
-    nonempty = np.bincount(bin_idx, minlength=num_bins) > 0
-    conf_sum = np.bincount(bin_idx, weights=confidence, minlength=num_bins)[nonempty]
-    order = np.argsort(bin_idx, kind="stable")                     # rows grouped by bin
-    starts = np.flatnonzero(np.diff(bin_idx[order], prepend=-1))   # each group's first
-    return lambda hits: np.abs(np.add.reduceat(
-        hits[..., order], starts, axis=-1, dtype=float) - conf_sum).sum(axis=-1) / n
+    _, group = np.unique(bin_idx, return_inverse=True)
+    conf_sum = np.bincount(group, weights=confidence)    # in row order, per group
+    k = conf_sum.size
+
+    def evaluate(hits):
+        offsets = np.arange(hits.size // n)[:, None] * k
+        acc_sum = np.bincount((offsets + group).ravel(), weights=hits.ravel(),
+                              minlength=offsets.size * k)
+        return np.abs(acc_sum.reshape(hits.shape[:-1] + (k,)) - conf_sum).sum(axis=-1) / n
+    return evaluate
 
 
 def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,

@@ -312,13 +312,17 @@ class TestCheckCommand:
          "argument --seed: invalid integer value: '+1'"),
         (["--statistic", "ece", "--bins", "1_5"],
          "argument --bins: invalid integer value: '1_5'"),
+        (["--statistic", "ece", "--bins", str(2 ** 63)],
+         "num_bins must be an integer in [1, 2**53]"),
+        (["--statistic", "ece", "--bins", str(2 ** 70)],
+         "num_bins must be an integer in [1, 2**53]"),
         (["--statistic", "picp", "--picp-low", "nan"],
          "argument --picp-low: invalid number value: 'nan'"),
         (["--statistic", "calibration", "--quantiles", "0"],
          "quantile count must be >= 1, got 0"),
     ], ids=["picp-bounds", "one-replicate", "negative-seed", "replications-digit-group",
             "replications-arabic-indic", "seed-plus-sign", "bins-digit-group",
-            "picp-nan", "zero-quantiles"])
+            "bins-2**63", "bins-2**70", "picp-nan", "zero-quantiles"])
     def test_bad_parameters_fail_before_any_work(self, tmp_path, capsys, context_builds,
                                                  flags, message):
         preds, y = self_generated_regression(0, n=5)

@@ -1,7 +1,11 @@
 """The prediction-line codec: orjson writes and reads the lines, `json`
 decides every line orjson refuses."""
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -144,14 +148,54 @@ def test_deep_nesting_is_invalid_json_not_a_crash(tmp_path, where):
         io.load_predictions(path)
 
 
-def test_rows_with_many_brackets_read_the_same_through_json(tmp_path):
-    models = io.ORJSON_MAX_OPENERS
+def test_rows_with_many_brackets_read_the_same_through_json(tmp_path, monkeypatch):
+    models = io.ORJSON_MAX_OPENERS   # each row line holds models + 2 openers
     means = np.linspace(-1.0, 1.0, 2 * models).reshape(2, models)
     preds = st.EnsemblePredictions.from_gaussians(means, np.ones_like(means))
     path = tmp_path / "p.jsonl"
     io.save_predictions(path, preds)
+    read_by_json = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: read_by_json.append(s) or loads(s))
+    start = time.perf_counter()
     loaded, _ = io.load_predictions(path)
+    assert time.perf_counter() - start < 1.0
+    assert len(read_by_json) == 2
     np.testing.assert_array_equal(bits(loaded.means), bits(means))
+
+
+# the deepest lines orjson is given: one exactly ORJSON_MAX_OPENERS characters
+# long, which is not scanned, and one holding exactly ORJSON_MAX_OPENERS openers
+DEEPEST = {
+    "short-arrays": lambda most: "[" * (most // 2) + "]" * (most // 2),
+    "short-objects": lambda most: ('{"":' * ((most - 1) // 5) + "0"
+                                   + "}" * ((most - 1) // 5)).rjust(most),
+    "most-openers-arrays": lambda most: "[" * most + "]" * most,
+    "most-openers-objects": lambda most: '{"":' * most + "0" + "}" * most,
+}
+
+
+@pytest.mark.parametrize("case", list(DEEPEST))
+def test_deepest_line_given_to_orjson_is_an_error_not_a_crash(tmp_path, case):
+    # in a fresh process, so a stack overflow in orjson is a signal, not a lost run
+    line = DEEPEST[case](io.ORJSON_MAX_OPENERS)
+    assert len(line) == io.ORJSON_MAX_OPENERS or (
+        line.count("[") + line.count("{") == io.ORJSON_MAX_OPENERS)
+    path = tmp_path / "p.jsonl"   # no final line break: the row line is `line` exactly
+    path.write_text(json.dumps(HEADERS["probs"]) + "\n" + line, encoding="utf-8")
+    script = """import sys, orjson
+from ppc_uq import io
+loads = orjson.loads
+orjson.loads = lambda s: print("orjson", len(s), file=sys.stderr) or loads(s)
+io.load_predictions(sys.argv[1])
+"""
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    result = subprocess.run([sys.executable, "-c", script, str(path)],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert f"orjson {len(line)}\n" in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("ppc_uq.io.FileFormatError: line 2: ")
 
 
 def test_integer_beyond_64_bits_reads_as_the_nearest_double(tmp_path):

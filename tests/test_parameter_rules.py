@@ -54,6 +54,10 @@ POSITIVE_SITES = {
     "QuadraticDatasetConfig.noise_var":
         (lambda v: analytic.QuadraticDatasetConfig(noise_var=v), 0.5),
 }
+# integer sites with an upper bound too, and values above it
+INTEGER_SITES_BOUNDED_ABOVE = {
+    "BinningConfig.num_bins": INTEGER_SITES["BinningConfig.num_bins"]}
+INTEGER_ABOVE_BOUND = {"2**53+1": 2 ** 53 + 1, "2**63": 2 ** 63, "2**70": 2 ** 70}
 INTEGER_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "2.5": 2.5,
                "0": 0, "-1": -1}
 POSITIVE_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "0": 0.0,
@@ -102,6 +106,7 @@ def cases(sites, bad):
 @pytest.mark.parametrize("make,value", cases(INTEGER_SITES, INTEGER_BAD)
                          + cases(INTEGER_SITES_FROM_0,
                                  {k: v for k, v in INTEGER_BAD.items() if k != "0"})
+                         + cases(INTEGER_SITES_BOUNDED_ABOVE, INTEGER_ABOVE_BOUND)
                          + cases(POSITIVE_SITES, POSITIVE_BAD)
                          + cases(FINITE_SITES, FINITE_BAD))
 def test_bad_value_is_refused_where_it_is_made(make, value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,17 +94,40 @@ class TestEceKernel:
     def test_equals_per_call_recomputation(self, data):
         rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
         n = data.draw(hst.integers(1, 300))
-        num_bins = data.draw(hst.integers(1, 40))
+        num_bins = data.draw(hst.one_of(hst.integers(1, 40),       # bins < N
+                                        hst.integers(n, 10 ** 6)))  # bins >= N
         confidence = data.draw(hst.sampled_from([
             rng.uniform(0.25, 1.0, n),                          # generic
             rng.integers(1, num_bins + 1, n) / num_bins,        # on bin edges
             np.full(n, rng.uniform(0.5, 1.0))]))                # one bin
         kernel = st.ece_kernel(confidence, num_bins)
-        for _ in range(4):
-            hits = rng.random(n) < rng.random()
-            want = ece_per_call(confidence, hits, num_bins)
-            assert kernel(hits) == want
-            assert st.ece_from_confidence(confidence, hits, num_bins) == want
+        for _ in range(2):
+            block = data.draw(hst.integers(1, 8))
+            hits = rng.random((block, n)) < rng.random((block, 1))
+            got = kernel(hits)
+            assert got.shape == (block,)
+            for row, value in zip(hits, got):
+                want = ece_per_call(confidence, row, num_bins)
+                assert value == want
+                assert kernel(row) == want
+                assert st.ece_from_confidence(confidence, row, num_bins) == want
+
+    def test_memory_grows_with_the_rows_not_the_bins(self):
+        rng = np.random.default_rng(0)
+        confidence = rng.uniform(0.25, 1.0, 1000)
+        hits = rng.random((8, 1000)) < 0.5
+        tracemalloc.start()
+        try:
+            st.ece_kernel(confidence, 10 ** 7)(hits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_largest_bin_count_gives_each_confidence_its_own_bin(self):
+        probs = np.array([[0.9, 0.1], [0.3, 0.7]])   # conf 0.9 correct, 0.7 wrong
+        got = st.ece(probs, [0, 0], st.BinningConfig(num_bins=2 ** 53))
+        assert got == pytest.approx((0.1 + 0.7) / 2, abs=1e-12)
 
 
 class TestPitValues:
