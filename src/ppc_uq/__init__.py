@@ -2,9 +2,8 @@
 
 __version__ = "0.3.0"
 
-from .predictive import (Categorical, Gaussian, InvalidParameterError,
-                         MixturePredictive, PosteriorWeights, gaussian_cdf,
-                         mixture_cdf, mixture_sample)
+from .predictive import (Gaussian, InvalidParameterError, MixturePredictive,
+                         PosteriorWeights, gaussian_cdf, mixture_cdf, mixture_sample)
 from .statistics import (BinningConfig, EnsemblePredictions, QuantileSet,
                          accuracy, calibration_error, ece,
                          integrated_class_probs, picp, pit_values)

@@ -232,8 +232,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    # the package's own errors are ValueErrors, except KindMismatchError
-    except (OSError, ValueError, st.KindMismatchError) as exc:
+    # the package's own errors are ValueErrors, except KindMismatchError; a
+    # MemoryError is numpy refusing an array that a count asks for (--replications)
+    except (OSError, ValueError, MemoryError, st.KindMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

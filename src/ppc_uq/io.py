@@ -58,8 +58,9 @@ def _parse_json_line(line: str, lineno: int) -> dict:
         except (orjson.JSONDecodeError, RecursionError):
             pass
     if obj is None:
-        try:
-            obj = json.loads(line)
+        try:   # an integer as orjson reads it: the nearest double outside [-2**63, 2**64)
+            obj = json.loads(line, parse_int=lambda s: int(s) if len(s) <= 20
+                             and -2 ** 63 <= int(s) < 2 ** 64 else float(s))
         except (json.JSONDecodeError, RecursionError) as exc:
             why = getattr(exc, "msg", "nested too deeply")
             raise FileFormatError(f"line {lineno}: invalid JSON ({why})") from exc
@@ -117,7 +118,6 @@ def load_predictions(path) -> tuple:
     shape = (2 * m,) if gaussian else (m, header["classes"])
     expected = (f"{m} gaussian entries of numbers 'mean' and 'std'" if gaussian
                 else f"{m}x{header['classes']} preds of JSON numbers")
-    data = np.empty((n,) + shape)
     for i, (lineno, text) in enumerate(lines[1:]):
         row = _parse_json_line(text, lineno).get("preds")
         try:
@@ -133,6 +133,8 @@ def load_predictions(path) -> tuple:
                 or ("u" in text or "l" in text)
                 and bool in set(map(type, np.asarray(row, dtype=object).flat))):
             raise FileFormatError(f"line {lineno}: expected {expected}")
+        if i == 0:   # sized by a row that has the header's shape, not by the header
+            data = np.empty((n,) + shape)
         data[i] = arr
     fields = ({"means": data[:, 0::2].copy(), "stds": data[:, 1::2].copy()}
               if gaussian else {values: data})
@@ -144,19 +146,17 @@ def save_predictions(path, preds: st.EnsemblePredictions) -> None:
     """Write a prediction file: probs, logits or gaussian, as `preds` holds.
     Each row is encoded and written in turn; the file is never one string."""
     import orjson
-    if preds.kind == st.CLASSIFICATION:
-        values = "logits" if preds.probs is None else "probs"
-        data = preds.logits if preds.probs is None else preds.probs
-        header = {"kind": preds.kind, "rows": preds.num_rows,
-                  "models": preds.num_models, "classes": preds.num_classes,
-                  "values": values}
-        rows = ({"preds": data[i].tolist()} for i in range(preds.num_rows))
-    else:
-        header = {"kind": preds.kind, "rows": preds.num_rows,
-                  "models": preds.num_models, "values": "gaussian"}
+    gaussian = preds.kind == st.REGRESSION
+    values = "gaussian" if gaussian else "logits" if preds.probs is None else "probs"
+    header = dict(kind=preds.kind, rows=preds.num_rows, models=preds.num_models,
+                  **({} if gaussian else {"classes": preds.num_classes}), values=values)
+    if gaussian:
         rows = ({"preds": [{"mean": mean, "std": std} for mean, std
                            in zip(preds.means[i].tolist(), preds.stds[i].tolist())]}
                 for i in range(preds.num_rows))
+    else:
+        data = getattr(preds, values)
+        rows = ({"preds": data[i].tolist()} for i in range(preds.num_rows))
     atomic_write(path, (orjson.dumps(obj) + b"\n"
                         for obj in itertools.chain([header], rows)))
 
@@ -168,6 +168,9 @@ def load_labels(path, preds: st.EnsemblePredictions) -> np.ndarray:
         lines = lines[1:]
     if not lines:
         raise FileFormatError("line 1: label file has no values")
+    if len(lines) != preds.num_rows:
+        raise FileFormatError(f"line {lines[-1][0]}: predictions have "
+                              f"{preds.num_rows} rows, file has {len(lines)} labels")
     out = np.empty(len(lines), dtype=float)
     for i, (lineno, text) in enumerate(lines):
         text = text.strip()

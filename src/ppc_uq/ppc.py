@@ -133,7 +133,7 @@ def build_context(preds: st.EnsemblePredictions,
     """The context of one check. For classification, hit_mass[m, n] is the
     probability that the label draw under member m gives row n its predicted
     class, its `class_mass`."""
-    w = st._weights_array(weights, preds.num_models)
+    w = PosteriorWeights.for_models(weights, preds.num_models).as_array()
     ctx = PredictiveContext(preds=preds, weights=w)
     if preds.kind == st.CLASSIFICATION:
         probs = preds.class_probs()

@@ -44,30 +44,9 @@ class Gaussian:
     mean: float
     stddev: float
 
-    kind = "gaussian"
-
     def __post_init__(self):
         check_finite("gaussian parameters must be finite", self.mean)
         check_positive(f"stddev must be finite and > 0, got {self.stddev}", self.stddev)
-
-
-@dataclass(frozen=True)
-class Categorical:
-    probs: tuple
-
-    kind = "categorical"
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", tuple(p.tolist()))
-        if p.ndim != 1 or p.size < 2:
-            raise InvalidParameterError("categorical needs at least 2 classes")
-        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
-            raise InvalidParameterError("categorical probs must be nonnegative and sum to 1")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.probs)
 
 
 @dataclass(frozen=True)
@@ -89,13 +68,24 @@ class PosteriorWeights:
         check_integer(num_models, 1, "need at least one model")
         return cls(tuple([1.0 / num_models] * num_models))
 
+    @classmethod
+    def for_models(cls, weights, num_models: int) -> "PosteriorWeights":
+        """The one weights rule: uniform when `weights` is None, else exactly
+        one weight per model."""
+        if weights is None:
+            return cls.uniform(num_models)
+        if len(weights.values) != num_models:
+            raise InvalidParameterError(f"need one weight per model: got "
+                                        f"{len(weights.values)} for {num_models}")
+        return weights
+
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
 class MixturePredictive:
-    """Posterior-integrated predictive: weighted mixture of same-kind components."""
+    """Posterior-integrated predictive: a weighted mixture of Gaussians."""
 
     components: tuple
     weights: PosteriorWeights = None
@@ -105,21 +95,10 @@ class MixturePredictive:
         object.__setattr__(self, "components", comps)
         if len(comps) == 0:
             raise InvalidParameterError("mixture needs at least one component")
-        kinds = {c.kind for c in comps}
-        if len(kinds) != 1:
-            raise InvalidParameterError("mixture components must share a kind")
-        if comps[0].kind == "categorical":
-            sizes = {c.num_classes for c in comps}
-            if len(sizes) != 1:
-                raise InvalidParameterError("categorical components must share class count")
-        if self.weights is None:
-            object.__setattr__(self, "weights", PosteriorWeights.uniform(len(comps)))
-        elif len(self.weights.values) != len(comps):
-            raise InvalidParameterError("weights length must match component count")
-
-    @property
-    def kind(self) -> str:
-        return self.components[0].kind
+        if not all(isinstance(c, Gaussian) for c in comps):
+            raise InvalidParameterError("mixture components must be Gaussian")
+        object.__setattr__(self, "weights",
+                           PosteriorWeights.for_models(self.weights, len(comps)))
 
 
 def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
@@ -143,17 +122,19 @@ def gaussian_cdf(mean: float, stddev: float, y: float) -> float:
     return mixture_cdf(MixturePredictive((component,)), y)
 
 
+def _mixture_arrays(mixture: MixturePredictive) -> tuple:
+    """The mixture's component means and stddevs and its weights, each [M]."""
+    return (np.array([c.mean for c in mixture.components]),
+            np.array([c.stddev for c in mixture.components]), mixture.weights.as_array())
+
+
 def mixture_cdf(mixture: MixturePredictive, y) -> float:
     """Posterior-integrated CDF: sum of weighted per-component Gaussian CDFs.
 
     Accepts a scalar or array y; vectorized over y.
     """
-    if mixture.kind != "gaussian":
-        raise InvalidParameterError("mixture_cdf is defined for gaussian mixtures")
     y_arr = np.asarray(y, dtype=float)
-    means = np.array([c.mean for c in mixture.components])
-    stds = np.array([c.stddev for c in mixture.components])
-    total = pit_from_gaussians(means, stds, mixture.weights.as_array(), y_arr)
+    total = pit_from_gaussians(*_mixture_arrays(mixture), y_arr)
     return float(total) if y_arr.ndim == 0 else total
 
 
@@ -209,16 +190,8 @@ def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=No
     """
     n = 1 if size is None else check_integer(
         size, 0, f"size must be None or an integer >= 0, got {size!r}")
-    w = mixture.weights.as_array()
-    idx = draw_component(rng, w, n)
-    if mixture.kind == "gaussian":
-        means = np.array([c.mean for c in mixture.components])
-        stds = np.array([c.stddev for c in mixture.components])
-        out = draw_mixture(rng, idx, means=np.broadcast_to(means, (n, w.size)),
-                           stds=np.broadcast_to(stds, (n, w.size)))
-    else:
-        cums = cumulative(np.array([c.probs for c in mixture.components]))
-        out = draw_mixture(rng, idx, class_cums=np.broadcast_to(cums, (n,) + cums.shape))
-    if size is None:
-        return out[0] if mixture.kind == "gaussian" else int(out[0])
-    return out
+    means, stds, w = _mixture_arrays(mixture)
+    out = draw_mixture(rng, draw_component(rng, w, n),
+                       means=np.broadcast_to(means, (n, w.size)),
+                       stds=np.broadcast_to(stds, (n, w.size)))
+    return out[0] if size is None else out

@@ -7,7 +7,7 @@ been integrated out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,16 +52,14 @@ class EnsemblePredictions:
         if self.kind == CLASSIFICATION:
             if self.probs is None and self.logits is None:
                 raise InvalidParameterError("classification needs probs or logits")
-            if self.logits is not None:
-                self.logits = np.asarray(self.logits, dtype=float)
-                if self.logits.ndim != 3:
-                    raise InvalidParameterError("logits must be [N, M, C]")
-                _require_rows(np.isfinite(self.logits), "logits must be finite")
+            for name in ("logits", "probs"):
+                if getattr(self, name) is not None:
+                    values = np.asarray(getattr(self, name), dtype=float)
+                    setattr(self, name, values)
+                    if values.ndim != 3:
+                        raise InvalidParameterError(f"{name} must be [N, M, C]")
+                    _require_rows(np.isfinite(values), f"{name} must be finite")
             if self.probs is not None:
-                self.probs = np.asarray(self.probs, dtype=float)
-                if self.probs.ndim != 3:
-                    raise InvalidParameterError("probs must be [N, M, C]")
-                _require_rows(np.isfinite(self.probs), "probs must be finite")
                 _require_rows(self.probs >= -1e-12, "probs must be >= 0")
                 _require_rows(np.abs(self.probs.sum(axis=2) - 1.0) <= 1e-6,
                               "per-model probability rows must sum to 1")
@@ -82,16 +80,15 @@ class EnsemblePredictions:
 
     @classmethod
     def from_probs(cls, probs) -> "EnsemblePredictions":
-        return cls(kind=CLASSIFICATION, probs=np.asarray(probs, dtype=float))
+        return cls(kind=CLASSIFICATION, probs=probs)
 
     @classmethod
     def from_logits(cls, logits) -> "EnsemblePredictions":
-        return cls(kind=CLASSIFICATION, logits=np.asarray(logits, dtype=float))
+        return cls(kind=CLASSIFICATION, logits=logits)
 
     @classmethod
     def from_gaussians(cls, means, stds) -> "EnsemblePredictions":
-        return cls(kind=REGRESSION, means=np.asarray(means, dtype=float),
-                   stds=np.asarray(stds, dtype=float))
+        return cls(kind=REGRESSION, means=means, stds=stds)
 
     @property
     def _values(self) -> np.ndarray:
@@ -120,14 +117,8 @@ class EnsemblePredictions:
         return softmax(self.logits)
 
     def take_rows(self, index) -> "EnsemblePredictions":
-        if self.kind == CLASSIFICATION:
-            return EnsemblePredictions(
-                kind=self.kind,
-                probs=None if self.probs is None else self.probs[index],
-                logits=None if self.logits is None else self.logits[index],
-            )
-        return EnsemblePredictions(kind=self.kind, means=self.means[index],
-                                   stds=self.stds[index])
+        return replace(self, **{k: v[index] for k, v in vars(self).items()
+                                if k != "kind" and v is not None})
 
 
 def _require_rows(ok: np.ndarray, rule: str) -> None:
@@ -186,11 +177,11 @@ def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:
     _require_rows(np.isfinite(labels), "labels must be finite")
     if preds.kind == REGRESSION:
         return labels
-    classes = labels.astype(int)
-    _require_rows(classes == labels, "classification labels must be integers")
-    _require_rows((classes >= 0) & (classes < preds.num_classes),
+    # both rules in floating point: a cast of 1e300 to int is undefined
+    _require_rows(np.floor(labels) == labels, "classification labels must be integers")
+    _require_rows((labels >= 0) & (labels < preds.num_classes),
                   f"class labels must be in [0, {preds.num_classes})")
-    return classes
+    return labels.astype(int)
 
 
 def integrated_class_probs(preds: EnsemblePredictions,
@@ -198,15 +189,8 @@ def integrated_class_probs(preds: EnsemblePredictions,
     """Posterior-averaged class probabilities, [N, C]."""
     if preds.kind != CLASSIFICATION:
         raise KindMismatchError("integrated_class_probs needs classification predictions")
-    w = _weights_array(weights, preds.num_models)
+    w = PosteriorWeights.for_models(weights, preds.num_models).as_array()
     return np.einsum("nmc,m->nc", preds.class_probs(), w)
-
-
-def _weights_array(weights, num_models: int) -> np.ndarray:
-    w = (PosteriorWeights.uniform(num_models) if weights is None else weights).as_array()
-    if w.size != num_models:
-        raise InvalidParameterError("weights length must equal number of models")
-    return w
 
 
 def _checked_rows(integrated_probs, labels, name: str) -> tuple:
@@ -261,7 +245,7 @@ def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,
     if preds.kind != REGRESSION:
         raise KindMismatchError("pit_values needs regression predictions")
     y = validate_labels(preds, labels)
-    w = _weights_array(weights, preds.num_models)
+    w = PosteriorWeights.for_models(weights, preds.num_models).as_array()
     return pit_from_gaussians(preds.means, preds.stds, w, y)
 
 

@@ -333,6 +333,18 @@ class TestCheckCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert context_builds == []
 
+    def test_replicate_count_past_memory_is_one_error_line(self, tmp_path, capsys):
+        # 10**17 replicates ask numpy for 8e17 bytes, past any 57-bit address
+        # space, so the allocation is refused at once and touches no memory
+        preds, y = self_generated_regression(0, n=5)
+        p, l = write_fixture(tmp_path, preds, y)
+        code = cli.main(["check", "--predictions", p, "--labels", l, "--mode", "bayesian",
+                         "--statistic", "calibration", "--replications", str(10 ** 17)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flags,message", [
         (["--predictions", "PREDS", "--statistic", "calibration", "--replications", "abc"],
          "error: argument --replications: invalid integer value: 'abc'"),
@@ -387,7 +399,8 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
 """
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                             check=True,
                              capture_output=True, text=True).stdout
         result = json.loads(out.splitlines()[-1])
         assert result["version_loaded"] == [False, False]

@@ -156,7 +156,8 @@ def test_rows_with_many_brackets_read_the_same_through_json(tmp_path, monkeypatc
     io.save_predictions(path, preds)
     read_by_json = []
     loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s: read_by_json.append(s) or loads(s))
+    monkeypatch.setattr(json, "loads",
+                        lambda s, **kw: read_by_json.append(s) or loads(s, **kw))
     start = time.perf_counter()
     loaded, _ = io.load_predictions(path)
     assert time.perf_counter() - start < 1.0
@@ -190,7 +191,7 @@ orjson.loads = lambda s: print("orjson", len(s), file=sys.stderr) or loads(s)
 io.load_predictions(sys.argv[1])
 """
     src = os.path.dirname(os.path.dirname(io.__file__))
-    result = subprocess.run([sys.executable, "-c", script, str(path)],
+    result = subprocess.run([sys.executable, "-W", "error", "-c", script, str(path)],
                             env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True)
     assert result.returncode == 1

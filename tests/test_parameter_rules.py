@@ -8,7 +8,7 @@ import pytest
 
 from ppc_uq import analytic, oracle, ppc
 from ppc_uq import statistics as st
-from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
+from ppc_uq.predictive import (Gaussian, InvalidParameterError,
                                MixturePredictive, PosteriorWeights, gaussian_cdf,
                                mixture_sample)
 from ppc_uq.recalibrate import TemperatureVector
@@ -68,9 +68,6 @@ VECTOR_BAD = {
     "PosteriorWeights(nan x3)": lambda: PosteriorWeights((NAN,) * 3),
     "PosteriorWeights(inf, -inf)": lambda: PosteriorWeights((INF, -INF)),
     "PosteriorWeights(0.5, nan, 0.5)": lambda: PosteriorWeights((0.5, NAN, 0.5)),
-    "Categorical(nan, nan)": lambda: Categorical((NAN, NAN)),
-    "Categorical(1, nan)": lambda: Categorical((1.0, NAN)),
-    "Categorical(inf, 1)": lambda: Categorical((INF, 1.0)),
     "QuantileSet(nan)": lambda: st.QuantileSet((NAN,)),
     "QuantileSet(0.5, nan)": lambda: st.QuantileSet((0.5, NAN)),
     "QuantileSet(nan, 0.5)": lambda: st.QuantileSet((NAN, 0.5)),

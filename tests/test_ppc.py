@@ -12,7 +12,7 @@ from scipy.stats import ks_2samp
 
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
-from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
+from ppc_uq.predictive import (Gaussian, InvalidParameterError,
                                MixturePredictive, PosteriorWeights, mixture_sample)
 
 from conftest import edge_probs, ks_uniform
@@ -104,19 +104,6 @@ class TestSharedSampler:
         expected = mixture_sample(mix, np.random.default_rng(4), size=n)
         got = ppc.replicate_labels(preds, mix.weights, ppc.INDEPENDENT,
                                    np.random.default_rng(4))
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("weights", [(1.0,), (0.6, 0.1, 0.3)])
-    def test_categorical(self, weights):
-        table = ((0.1, 0.6, 0.3), (0.5, 0.25, 0.25), (0.0, 0.2, 0.8))[:len(weights)]
-        mix = MixturePredictive(tuple(Categorical(p) for p in table),
-                                PosteriorWeights(weights))
-        n = 257
-        preds = st.EnsemblePredictions.from_probs(np.tile(table, (n, 1, 1)))
-        expected = mixture_sample(mix, np.random.default_rng(9), size=n)
-        got = ppc.replicate_labels(preds, mix.weights, ppc.INDEPENDENT,
-                                   np.random.default_rng(9))
-        assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ppc_uq.predictive import (Categorical, Gaussian, InvalidParameterError,
-                               MixturePredictive, PosteriorWeights,
-                               gaussian_cdf, mixture_cdf, mixture_sample)
+from ppc_uq.predictive import (Gaussian, InvalidParameterError, MixturePredictive,
+                               PosteriorWeights, gaussian_cdf, mixture_cdf,
+                               mixture_sample)
 
 from conftest import ks_uniform
 
@@ -93,17 +94,6 @@ class TestMixtureCdf:
 
 
 class TestMixtureSample:
-    def test_degenerate_categorical(self, rng):
-        mix = MixturePredictive(components=(Categorical((1.0, 0.0)),))
-        draws = [mixture_sample(mix, rng) for _ in range(100)]
-        assert all(d == 0 for d in draws)
-
-    def test_equal_weight_onehot_frequency(self, rng):
-        mix = MixturePredictive(components=(Categorical((1.0, 0.0)),
-                                            Categorical((0.0, 1.0))))
-        draws = mixture_sample(mix, rng, size=100_000)
-        assert np.mean(draws == 0) == pytest.approx(0.5, abs=0.01)
-
     def test_near_degenerate_gaussian(self, rng):
         mix = MixturePredictive(components=(Gaussian(5.0, 1e-9),))
         assert mixture_sample(mix, rng) == pytest.approx(5.0, abs=1e-6)
@@ -117,17 +107,11 @@ class TestMixtureSample:
 
 
 class TestValidation:
-    def test_categorical_needs_two_classes(self):
-        with pytest.raises(InvalidParameterError):
-            Categorical((1.0,))
-
-    def test_categorical_sum(self):
-        with pytest.raises(InvalidParameterError):
-            Categorical((0.6, 0.5))
-
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            MixturePredictive(components=(Gaussian(0, 1), Categorical((0.5, 0.5))))
+        # a component with a mean and a stddev, but not a Gaussian, is refused
+        other = collections.namedtuple("Other", "mean stddev")(0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="must be Gaussian"):
+            MixturePredictive(components=(Gaussian(0, 1), other))
 
     def test_weights_default_uniform(self):
         mix = MixturePredictive(components=(Gaussian(0, 1), Gaussian(1, 1)))
@@ -137,3 +121,18 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             MixturePredictive(components=(Gaussian(0, 1),),
                               weights=PosteriorWeights((0.5, 0.5)))
+
+    def test_weights_rule_has_one_message(self):
+        # the mixture and the ensemble functions state the rule through its owner
+        from ppc_uq import statistics as st
+        weights = PosteriorWeights((0.5, 0.5))
+        calls = [lambda: MixturePredictive((Gaussian(0, 1),) * 3, weights),
+                 lambda: st.pit_values(st.EnsemblePredictions.from_gaussians(
+                     np.zeros((1, 3)), np.ones((1, 3))), weights, [0.0]),
+                 lambda: st.integrated_class_probs(st.EnsemblePredictions.from_probs(
+                     np.full((1, 3, 2), 0.5)), weights),
+                 lambda: PosteriorWeights.for_models(weights, 3)]
+        for call in calls:
+            with pytest.raises(InvalidParameterError) as info:
+                call()
+            assert str(info.value) == "need one weight per model: got 2 for 3"

@@ -11,7 +11,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def run_script(name, *args):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(ppc.__file__)))
-    result = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name)]
+    # warnings are errors in the child too, as pytest makes them in process
+    result = subprocess.run([sys.executable, "-W", "error",
+                             os.path.join(ROOT, "scripts", name)]
                             + list(args), env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout

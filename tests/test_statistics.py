@@ -312,3 +312,43 @@ class TestInputValidation:
         labels = st.validate_labels(two_model_onehot(2), [1.0, 0.0])
         assert labels.dtype.kind == "i"
         np.testing.assert_array_equal(labels, [1, 0])
+
+    @pytest.mark.parametrize("label, rule", [
+        (1e300, "row 1: class labels must be in [0, 2)"),
+        (-1e300, "row 1: class labels must be in [0, 2)"),
+        (2.0 ** 63, "row 1: class labels must be in [0, 2)"),
+        (-1.0, "row 1: class labels must be in [0, 2)"),
+        (2.5, "row 1: classification labels must be integers"),
+    ])
+    def test_class_label_rules_hold_before_the_integer_cast(self, label, rule):
+        # an integral value past int64 is out of range, not a cast warning
+        # (pytest runs with warnings as errors)
+        with pytest.raises(InvalidParameterError) as info:
+            st.validate_labels(two_model_onehot(2), [0.0, label])
+        assert str(info.value) == rule
+
+
+class TestEnsembleConstructor:
+    def test_logits_are_checked_before_probs(self):
+        with pytest.raises(InvalidParameterError, match="logits must be \\[N, M, C\\]"):
+            st.EnsemblePredictions(st.CLASSIFICATION, probs=[[0.5, 0.5]],
+                                   logits=[[0.0, 0.0]])
+        with pytest.raises(InvalidParameterError, match="logits must be finite"):
+            st.EnsemblePredictions(st.CLASSIFICATION, probs=[[[np.nan, 0.5]]],
+                                   logits=[[[np.inf, 0.0]]])
+
+    def test_take_rows_slices_every_array_that_is_set(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=(4, 2))
+        both = st.EnsemblePredictions(st.CLASSIFICATION, probs=probs,
+                                      logits=np.log(probs))
+        taken = both.take_rows([2, 0])
+        np.testing.assert_array_equal(taken.probs, probs[[2, 0]])
+        np.testing.assert_array_equal(taken.logits, np.log(probs)[[2, 0]])
+        only_logits = st.EnsemblePredictions.from_logits(np.log(probs)).take_rows([3])
+        assert only_logits.probs is None and only_logits.logits.shape == (1, 2, 3)
+        reg = st.EnsemblePredictions.from_gaussians(rng.normal(size=(4, 2)),
+                                                    np.ones((4, 2)))
+        taken = reg.take_rows(slice(1, 3))
+        assert taken.kind == st.REGRESSION and taken.probs is None
+        np.testing.assert_array_equal(taken.means, reg.means[1:3])
+        np.testing.assert_array_equal(taken.stds, reg.stds[1:3])
