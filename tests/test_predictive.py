@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError, MixturePredictive,
                                PosteriorWeights, gaussian_cdf, mixture_cdf,
                                mixture_sample)
@@ -124,7 +125,6 @@ class TestValidation:
 
     def test_weights_rule_has_one_message(self):
         # the mixture and the ensemble functions state the rule through its owner
-        from ppc_uq import statistics as st
         weights = PosteriorWeights((0.5, 0.5))
         calls = [lambda: MixturePredictive((Gaussian(0, 1),) * 3, weights),
                  lambda: st.pit_values(st.EnsemblePredictions.from_gaussians(

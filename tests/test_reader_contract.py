@@ -332,18 +332,16 @@ def test_label_reader_agrees_with_the_reference(workdir, case):
 
 # ---- the two reader faults, through the command line ------------------------------
 
-def run_cli_child(argv, limit=None):
-    """`cli.main(argv)` in a fresh interpreter with warnings as errors and an
-    optional address-space limit in bytes: (exit code, stderr)."""
+def run_cli_child(argv):
+    """`cli.main(argv)` in a fresh interpreter with warnings as errors and a
+    4 GiB address-space limit: (exit code, stderr)."""
     script = ("import resource, sys\n"
-              "if sys.argv[1] != 'None':\n"
-              "    limit = int(sys.argv[1])\n"
-              "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
               "from ppc_uq import cli\n"
-              "sys.exit(cli.main(sys.argv[2:]))\n")
+              "sys.exit(cli.main(sys.argv[1:]))\n")
     src = os.path.dirname(os.path.dirname(io.__file__))
-    result = subprocess.run([sys.executable, "-W", "error", "-c", script, str(limit)]
-                            + argv, capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-W", "error", "-c", script] + argv,
+                            capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
     return result.returncode, result.stderr
 
@@ -357,7 +355,7 @@ def test_header_counts_allocate_nothing_before_a_row_matches(tmp_path, classes):
     preds = write(tmp_path / "p.jsonl", json.dumps(header) + '\n{"preds": [[0.5, 0.5]]}\n')
     labels = write(tmp_path / "l.csv", "0\n")
     code, err = run_cli_child(["check", "--predictions", preds, "--labels", labels,
-                               "--statistic", "ece", "--mode", "bayesian"], limit=4 << 30)
+                               "--statistic", "ece", "--mode", "bayesian"])
     assert (code, err) == (1, f"error: line 2: expected 1x{classes} preds of JSON numbers\n")
 
 
