@@ -13,9 +13,9 @@ data, so the Bayesian check fails with p = 0.
 Usage: python3 scripts/bad_model_trusted.py [--seeds 10] [--n 2000]
 """
 import argparse
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from ppc_uq import ppc
 from ppc_uq import statistics as st
@@ -29,7 +29,8 @@ def main() -> None:
     ap.add_argument("--replicates", type=int, default=300)
     args = ap.parse_args()
 
-    centres = ndtri((np.arange(args.models) + 0.5) / args.models)
+    centres = np.array([NormalDist().inv_cdf((m + 0.5) / args.models)
+                        for m in range(args.models)])
     preds = st.EnsemblePredictions.from_gaussians(
         np.tile(centres, (args.n, 1)),
         np.full((args.n, args.models), np.sqrt(1.0 - centres.var())))

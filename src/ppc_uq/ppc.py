@@ -27,8 +27,9 @@ import numpy as np
 
 from . import statistics as st
 from .io import parse_number
-from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
-                         class_mass, cumulative, draw_component, draw_mixture)
+from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
+                         check_integer, class_mass, cumulative, draw_component,
+                         draw_mixture)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 _BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
@@ -156,13 +157,15 @@ class _ReadsHits:
 
 
 class _ReadsPit:
-    """Reads labels only through their PIT values: `evaluate_pit(pit, ctx)`."""
+    """Reads labels only through their PIT values, `evaluate_pit(pit, ctx)`, and
+    reads each PIT value only by comparing it with the sorted `cuts`. So the
+    PIT of `_pit_near_cuts`, exact only near a cut, gives the value of exact PIT."""
 
     kind = st.REGRESSION
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return self.evaluate_pit(st.pit_from_gaussians(
-            ctx.preds.means, ctx.preds.stds, ctx.weights, labels), ctx)
+        return self.evaluate_pit(_pit_near_cuts(
+            ctx.preds.means, ctx.preds.stds, ctx.weights, labels, self.cuts), ctx)
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,10 @@ class CalibrationErrorStatistic(_ReadsPit):
 
     name = "calibration"
 
+    @property
+    def cuts(self) -> tuple:
+        return self.quantiles.levels
+
     def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
         return st.calibration_error(pit, self.quantiles)
 
@@ -202,6 +209,10 @@ class PicpStatistic(_ReadsPit):
 
     def __post_init__(self):
         st.check_interval(self.lower, self.upper)
+
+    @property
+    def cuts(self) -> tuple:
+        return self.lower, self.upper
 
     def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
         return st.picp(pit, self.lower, self.upper)

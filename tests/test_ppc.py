@@ -6,14 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as hst
 from scipy.stats import ks_2samp
 
 from ppc_uq import ppc, oracle
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError,
-                               MixturePredictive, PosteriorWeights, mixture_sample)
+                               MixturePredictive, PosteriorWeights, mixture_sample,
+                               pit_from_gaussians)
 
 from conftest import edge_probs, ks_uniform
 
@@ -352,6 +353,54 @@ def engine_cases(draw, kind):
     return preds, labels, statistic, mode
 
 
+def labels_at_levels(preds, weights, levels):
+    """Per row, the label whose exact PIT is levels[row], found by bisection
+    until the two ends meet."""
+    w = weights.as_array()
+    lo, hi = np.full(preds.num_rows, -100.0), np.full(preds.num_rows, 100.0)
+    for _ in range(200):
+        mid = lo + (hi - lo) / 2
+        below = pit_from_gaussians(preds.means, preds.stds, w, mid) < levels
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
+
+
+@hst.composite
+def near_cut_cases(draw):
+    """A regression case of `engine_cases` with random weights, whose labels or
+    cuts are placed where the bracket of `_pit_near_cuts` must hand a row to
+    the exact kernel. "quantile": some labels sit at a cut's quantile, so
+    their PIT lies within 1e-12 of it. "grid": every z = (y - mean) / std is a
+    grid point of the bracket table, so a row's lower bound and its exact PIT
+    are sums of the same terms in different orders, and the cuts are exact PIT
+    values of the rows."""
+    preds, labels, statistic, mode = draw(engine_cases(st.REGRESSION))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n, m = preds.num_rows, preds.num_models
+    weights = PosteriorWeights.for_models(rng.dirichlet(np.ones(m)).tolist(), m)
+    if draw(hst.sampled_from(["quantile", "grid"])) == "quantile":
+        cuts = np.asarray(statistic.cuts)
+        at_cut = rng.random(n) < 0.5
+        placed = labels_at_levels(preds, weights, cuts[rng.integers(0, cuts.size, n)])
+        labels = np.where(at_cut, placed, labels)
+        return preds, weights, labels, statistic, mode
+    # more rows and members than engine_cases draws, so that sums differ by order;
+    # m >= 3 keeps the point mode's index in range
+    n, m = int(rng.integers(2, 21)), int(rng.integers(3, 9))
+    weights = PosteriorWeights.for_models(rng.dirichlet(np.ones(m)).tolist(), m)
+    preds = st.EnsemblePredictions.from_gaussians(
+        rng.integers(-1024, 1024, (n, m)) / 1024, rng.choice([0.25, 0.5, 1.0], (n, m)))
+    labels = rng.integers(-2048, 2048, n) / 1024
+    pit = pit_from_gaussians(preds.means, preds.stds, weights.as_array(), labels)
+    levels = np.unique(np.concatenate([[0.5], pit[(pit > 0) & (pit < 1)]]))
+    if isinstance(statistic, ppc.CalibrationErrorStatistic):
+        statistic = ppc.CalibrationErrorStatistic(st.QuantileSet(tuple(levels.tolist())))
+    else:
+        bounds = np.sort(rng.choice(np.concatenate([[0.0, 1.0], levels]), 2, replace=False))
+        statistic = ppc.PicpStatistic(float(bounds[0]), float(bounds[1]))
+    return preds, weights, labels, statistic, mode
+
+
 class TestEngineProperties:
     """Invariants of sample_statistic and run_ppc over random small inputs."""
 
@@ -409,6 +458,51 @@ class TestEngineProperties:
         permuted = statistic.evaluate(labels[perm],
                                       ppc.build_context(preds.take_rows(perm)))
         assert abs(permuted - observed) <= 1e-12
+
+    @given(case=near_cut_cases(), replicates=hst.integers(2, 40),
+           seed_=hst.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    @seed(17)
+    def test_pit_near_cuts_gives_the_values_of_exact_pit(self, case, replicates, seed_):
+        preds, weights, labels, statistic, mode = case
+        ctx = ppc.build_context(preds, weights)
+        pit = pit_from_gaussians(preds.means, preds.stds, ctx.weights, labels)
+        assert (statistic.evaluate(labels, ctx).hex()
+                == statistic.evaluate_pit(pit, ctx).hex())
+        with mock.patch.object(ppc, "_pit_near_cuts",
+                               lambda means, stds, w, y, cuts:
+                               pit_from_gaussians(means, stds, w, y)):
+            exact = ppc.sample_statistic(preds, weights, statistic, mode,
+                                         num_replicates=replicates, seed=seed_, threads=1)
+        bracket = ppc.sample_statistic(preds, weights, statistic, mode,
+                                       num_replicates=replicates, seed=seed_, threads=1)
+        assert bracket.samples.tobytes() == exact.samples.tobytes()
+
+    def test_picp_bound_at_each_rows_exact_pit(self):
+        # every z on the bracket table's grid: a row's lower bound sums the
+        # terms of its PIT in another order (BLAS against einsum), so it may lie
+        # an ulp above; an upper bound placed at the PIT must still count the row
+        rng = np.random.default_rng(20)
+        n, m = 40, 17
+        preds = st.EnsemblePredictions.from_gaussians(
+            rng.integers(-1024, 1024, (n, m)) / 1024, rng.choice([0.25, 0.5, 1.0], (n, m)))
+        labels = rng.integers(-2048, 2048, n) / 1024
+        ctx = ppc.build_context(preds, PosteriorWeights(tuple(rng.dirichlet(np.ones(m)))))
+        pit = pit_from_gaussians(preds.means, preds.stds, ctx.weights, labels)
+        for upper in pit[(pit > 0) & (pit < 1)]:
+            statistic = ppc.PicpStatistic(0.0, float(upper))
+            assert statistic.evaluate(labels, ctx) == statistic.evaluate_pit(pit, ctx)
+
+    def test_near_cut_cases_place_pit_at_the_cuts(self):
+        # the quantile placement puts PIT within 1e-12 of a level
+        rng = np.random.default_rng(19)
+        preds = st.EnsemblePredictions.from_gaussians(rng.normal(0, 1, (50, 3)),
+                                                      rng.uniform(0.2, 2, (50, 3)))
+        weights = PosteriorWeights((0.2, 0.3, 0.5))
+        levels = np.asarray(ppc.CalibrationErrorStatistic().cuts)[rng.integers(0, 100, 50)]
+        pit = pit_from_gaussians(preds.means, preds.stds, weights.as_array(),
+                                 labels_at_levels(preds, weights, levels))
+        assert np.abs(pit - levels).max() <= 1e-12
 
     def test_mode_is_checked_once_per_call(self, monkeypatch):
         calls = []

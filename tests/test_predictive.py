@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import ndtr
 
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError, MixturePredictive,
-                               PosteriorWeights, gaussian_cdf, mixture_cdf,
-                               mixture_sample)
+                               PosteriorWeights, _ERFC_ZERO_FROM, _NDTR_CHUNK, _ndtr,
+                               gaussian_cdf, mixture_cdf, mixture_sample,
+                               pit_from_gaussians)
 
 from conftest import ks_uniform
 
@@ -94,6 +96,66 @@ class TestMixtureCdf:
         assert mixture_cdf(mix, y) == pytest.approx(ref, rel=0, abs=8e-16 * len(params))
 
 
+class TestNdtrKernel:
+    """The numpy port of Cephes' ndtr against scipy.special.ndtr, the reference."""
+
+    @staticmethod
+    def ulps(a, b):
+        # both are CDF values >= 0, whose bit patterns order as the values do
+        return np.abs(a.view(np.int64) - b.view(np.int64))
+
+    def test_within_3_ulps_of_scipy_and_mostly_bit_identical(self):
+        a = np.concatenate([np.linspace(-40.0, 40.0, 800_001),
+                            np.random.default_rng(17).normal(0.0, 3.0, 200_000)])
+        got, want = _ndtr(a), ndtr(a)
+        assert self.ulps(got, want).max() <= 3
+        assert np.mean(got == want) >= 0.98
+
+    def test_edge_values_equal_scipy(self):
+        # erfc(z) is 0 once z * z > MAXLOG, Cephes' log of the largest double
+        maxlog = 7.09782712893383996843e2
+        z0 = _ERFC_ZERO_FROM
+        assert z0 * z0 > maxlog and not np.nextafter(z0, 0.0) ** 2 > maxlog
+        subnormal_tail = np.linspace(-38.6, -37.4, 1201)
+        # around each switch point, x = a / sqrt 2 at -z0, -8, -1, 1, 8, z0
+        switches = np.concatenate([s * np.sqrt(2.0) + np.arange(-20, 21) * 1e-15
+                                   for s in (-z0, -8.0, -1.0, 1.0, 8.0, z0)])
+        a = np.concatenate([[np.inf, -np.inf, 1e300, -1e300, 38.0, -38.0, 0.0, -0.0,
+                             1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0), 8.0 * np.sqrt(2.0),
+                             -8.0 * np.sqrt(2.0), 5e-324, -5e-324], subnormal_tail,
+                            switches])
+        got = _ndtr(a)
+        assert got.tobytes() == ndtr(a).tobytes()
+        assert got[0] == 1.0 and got[1] == 0.0
+        assert ((got[16:] > 0.0) & (got[16:] < np.finfo(float).tiny)).any()   # subnormals
+        assert np.isnan(_ndtr(np.array([np.nan])))[0]
+
+    def test_same_bits_whatever_the_array_around_an_element(self):
+        a = np.random.default_rng(18).normal(0.0, 6.0, 1000)
+        whole = _ndtr(a)
+        for size in (1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200):
+            for start in (0, 1, 3, 500):
+                part = a[start:start + size]
+                assert _ndtr(part).tobytes() == whole[start:start + size].tobytes()
+                assert _ndtr(part.copy()).tobytes() == whole[start:start + size].tobytes()
+        assert _ndtr(a.reshape(40, 25)).tobytes() == whole.tobytes()
+        assert _ndtr(a[::3]).tobytes() == whole[::3].tobytes()
+        # across the kernel's passes of _NDTR_CHUNK elements
+        big = np.random.default_rng(19).normal(0.0, 6.0, 3 * _NDTR_CHUNK + 5)
+        whole = _ndtr(big)
+        for start in (_NDTR_CHUNK - 2, 2 * _NDTR_CHUNK - 7, 3 * _NDTR_CHUNK):
+            part = big[start:start + 9]
+            assert _ndtr(part).tobytes() == whole[start:start + 9].tobytes()
+
+    def test_mixture_sum_is_capped_at_one(self):
+        # 29 weights of 1/29 sum to more than 1 in the matvec over 3 rows
+        w = np.full(29, 1 / 29)
+        assert (np.ones((3, 29)) @ w > 1.0).all()
+        pit = pit_from_gaussians(np.zeros((3, 29)), np.ones((3, 29)), w,
+                                 np.array([0.1, -0.3, 40.0]))
+        assert pit[2] == 1.0
+
+
 class TestMixtureSample:
     def test_near_degenerate_gaussian(self, rng):
         mix = MixturePredictive(components=(Gaussian(5.0, 1e-9),))
@@ -136,3 +198,15 @@ class TestValidation:
             with pytest.raises(InvalidParameterError) as info:
                 call()
             assert str(info.value) == "need one weight per model: got 2 for 3"
+
+    def test_plain_sequence_weights_go_through_the_rule(self):
+        mix = MixturePredictive((Gaussian(0, 1), Gaussian(1, 1)), (0.25, 0.75))
+        assert mix.weights == PosteriorWeights((0.25, 0.75))
+        probs = st.EnsemblePredictions.from_probs(np.array([[[0.5, 0.5], [1.0, 0.0]]]))
+        np.testing.assert_array_equal(st.integrated_class_probs(probs, [0.5, 0.5]),
+                                      [[0.75, 0.25]])
+        with pytest.raises(InvalidParameterError) as info:
+            MixturePredictive((Gaussian(0, 1),) * 3, [0.5, 0.5])
+        assert str(info.value) == "need one weight per model: got 2 for 3"
+        with pytest.raises(InvalidParameterError, match="sum to 1"):
+            MixturePredictive((Gaussian(0, 1), Gaussian(1, 1)), (0.5, 0.6))
