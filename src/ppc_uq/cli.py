@@ -183,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--statistic", required=True, choices=list(STATISTICS))
         p.add_argument("--mode", required=True,
                        help="bayesian | independent | point:IDX")
-        p.add_argument("--bins", type=integer, default=15)
-        p.add_argument("--quantiles", type=integer, default=100)
-        p.add_argument("--picp-low", type=number, default=0.025)
-        p.add_argument("--picp-high", type=number, default=0.975)
+        p.add_argument("--bins", type=integer, default=st.BinningConfig.num_bins)
+        p.add_argument("--quantiles", type=integer, default=len(st.QuantileSet().levels))
+        p.add_argument("--picp-low", type=number, default=ppc.PicpStatistic.lower)
+        p.add_argument("--picp-high", type=number, default=ppc.PicpStatistic.upper)
 
     check = sub.add_parser("check", help="run a posterior predictive check")
     check.add_argument("--predictions", required=True)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--predictions", required=True)
     orc.add_argument("--labels", required=True)
     add_statistic_flags(orc)
-    orc.add_argument("--budget", type=integer, default=1_000_000)
+    orc.add_argument("--budget", type=integer, default=oracle.EnumerationBudget.max_outcomes)
     orc.set_defaults(func=cmd_oracle)
     return parser
 
@@ -232,10 +232,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    # the package's own errors are ValueErrors, except KindMismatchError; a
-    # MemoryError is numpy refusing an array that a count asks for (--replications)
-    except (OSError, ValueError, MemoryError, st.KindMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # a MemoryError: numpy refusing an array that a count asks for, or Python's own (no text)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -195,23 +195,23 @@ def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
                       1.0)
 
 
-# Phi on the grid t_k = -8.5 + k / 1024, k = 0..17408, for `_pit_near_cuts`:
-# z in cell j (t_{j-1} <= z < t_j, with t_{-1} = -inf and t_17409 = +inf) has
-# lower[j] <= Phi(z) <= upper[j], as Phi is monotone.
+# Phi on the grid t_k = -8.5 + k / 1024, k = 0..17408, padded for `_pit_near_cuts`
+# as phi = [0, Phi(t_0), ..., Phi(t_17408), 1]: z in cell j (t_{j-1} <= z < t_j, with
+# t_{-1} = -inf and t_17409 = +inf) has phi[j] <= Phi(z) <= phi[j + 1], as Phi is monotone.
 _GRID_END = 8.5
 _GRID_CELLS_PER_UNIT = 1024
+_GRID_HALF = int(_GRID_END * _GRID_CELLS_PER_UNIT)     # cells on each side of 0
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
 
 
 @functools.cache
 def _cdf_table() -> tuple:
-    """(lower [17410], upper [17410], the widest cell's upper - lower), built
-    with `_ndtr` on first use; read-only, as every caller shares them."""
-    half = int(_GRID_END * _GRID_CELLS_PER_UNIT)
-    phi = _ndtr(np.arange(-half, half + 1) / _GRID_CELLS_PER_UNIT)
-    lower, upper = np.concatenate(([0.0], phi)), np.concatenate((phi, [1.0]))
-    lower.flags.writeable = upper.flags.writeable = False
-    return lower, upper, float(np.max(upper - lower))
+    """(phi [17411], the widest cell's phi[j + 1] - phi[j]), built with `_ndtr`
+    on first use; read-only, as every caller shares it."""
+    phi = np.concatenate(([0.0], _ndtr(np.arange(-_GRID_HALF, _GRID_HALF + 1)
+                                       / _GRID_CELLS_PER_UNIT), [1.0]))
+    phi.flags.writeable = False
+    return phi, float(np.max(np.diff(phi)))
 
 
 def _pit_near_cuts(means: np.ndarray, stds: np.ndarray, w: np.ndarray, y: np.ndarray,
@@ -225,19 +225,19 @@ def _pit_near_cuts(means: np.ndarray, stds: np.ndarray, w: np.ndarray, y: np.nda
     others get exact PIT. hi is needed only where the least cut above lo is
     within the widest cell of it, as hi - lo is at most that cell's width (the
     weights sum to 1 within 1e-9)."""
-    lower, upper, widest = _cdf_table()
+    phi, widest = _cdf_table()
     z = np.subtract(y[:, None], means)
     z /= stds
     # clipped in floating point before the cast: z is infinite when a stddev is tiny
     cell = np.clip(z, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END, out=z)
     cell *= _GRID_CELLS_PER_UNIT
     j = np.floor(cell, out=cell).astype(np.intp)
-    j += int(_GRID_END * _GRID_CELLS_PER_UNIT) + 1
-    lo = np.minimum(lower[j] @ w, 1.0)
+    j += _GRID_HALF + 1
+    lo = np.minimum(phi[j] @ w, 1.0)
     cuts = np.append(cuts, np.inf)      # so that every row has a least cut >= lo
     first = cuts[np.searchsorted(cuts, lo - _CUT_MARGIN)]
     rows = np.flatnonzero(first <= lo + widest + _CUT_MARGIN)
-    rows = rows[first[rows] <= upper[j[rows]] @ w + _CUT_MARGIN]
+    rows = rows[first[rows] <= phi[j[rows] + 1] @ w + _CUT_MARGIN]
     if rows.size:
         lo[rows] = pit_from_gaussians(means[rows], stds[rows], w, y[rows])
     return lo

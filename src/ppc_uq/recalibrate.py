@@ -18,10 +18,6 @@ FIT_MAX_ITERS = 500
 FIT_TOL = 1e-8
 
 
-class UnsupportedInputError(ValueError):
-    """Raised when temperature fitting is requested without logits."""
-
-
 @dataclass(frozen=True)
 class TemperatureVector:
     values: tuple
@@ -121,14 +117,11 @@ def fit_temperatures(logits: np.ndarray, labels) -> TemperatureVector:
     short of the optimum: the cap is part of the fitted result, and an
     optimiser that converges further returns other temperatures.
     """
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 3:
-        raise UnsupportedInputError(
-            "temperature fitting needs raw logits [N, M, C]")
-    labels = st.validate_labels(st.EnsemblePredictions.from_logits(logits), labels)
+    preds = st.EnsemblePredictions.from_logits(logits)
+    labels = st.validate_labels(preds, labels)
 
-    objective = _fit_objective(logits, labels)
-    log_tau = np.zeros(logits.shape[1])
+    objective = _fit_objective(preds.logits, labels)
+    log_tau = np.zeros(preds.num_models)
     obj, grad = objective(log_tau)
     for _ in range(FIT_MAX_ITERS):
         step = 1.0

@@ -22,7 +22,7 @@ class EmptyInputError(ValueError):
     """Raised when a statistic is asked to evaluate zero rows."""
 
 
-class KindMismatchError(TypeError):
+class KindMismatchError(InvalidParameterError, TypeError):
     """Raised when a statistic is applied to the wrong prediction kind."""
 
 
@@ -162,8 +162,10 @@ class QuantileSet:
 
     @staticmethod
     def default_levels(num: int) -> tuple:
-        num = check_integer(num, 1, f"quantile count must be >= 1, got {num}")
-        return tuple((j / (num + 1)) for j in range(1, num + 1))
+        # below 2**53, num + 1 is a double exactly, so level j is j / (num + 1)
+        if check_integer(num, 1, f"quantile count must be >= 1, got {num}") >= 2 ** 53:
+            raise InvalidParameterError(f"quantile count must be at most 2**53 - 1, got {num}")
+        return tuple((np.arange(1, num + 1) / (num + 1)).tolist())
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.levels, dtype=float)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ppc_uq import analytic, cli, io, ppc
+from ppc_uq import analytic, cli, io, oracle, ppc, predictive, recalibrate
 from ppc_uq import statistics as st
 
 
@@ -334,9 +334,17 @@ class TestCheckCommand:
          "argument --picp-low: invalid number value: 'nan'"),
         (["--statistic", "calibration", "--quantiles", "0"],
          "quantile count must be >= 1, got 0"),
+        # num + 1 is not a double exactly: refused before any level is made
+        (["--statistic", "calibration", "--quantiles", str(2 ** 53)],
+         f"quantile count must be at most 2**53 - 1, got {2 ** 53}"),
+        (["--statistic", "calibration", "--quantiles", str(2 ** 63)],
+         f"quantile count must be at most 2**53 - 1, got {2 ** 63}"),
+        (["--statistic", "calibration", "--quantiles", str(10 ** 17)],
+         f"quantile count must be at most 2**53 - 1, got {10 ** 17}"),
     ], ids=["picp-bounds", "one-replicate", "negative-seed", "replications-digit-group",
             "replications-arabic-indic", "seed-plus-sign", "bins-digit-group",
-            "bins-2**63", "bins-2**70", "picp-nan", "zero-quantiles"])
+            "bins-2**63", "bins-2**70", "picp-nan", "zero-quantiles", "quantiles-2**53",
+            "quantiles-2**63", "quantiles-10**17"])
     def test_bad_parameters_fail_before_any_work(self, tmp_path, capsys, context_builds,
                                                  flags, message):
         preds, y = self_generated_regression(0, n=5)
@@ -358,6 +366,42 @@ class TestCheckCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1
+
+    def test_memory_error_without_text_is_named(self, tmp_path, capsys, monkeypatch):
+        # Python's own MemoryError, as from growing a tuple, has an empty message
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_check", out_of_memory)
+        preds, y = self_generated_regression(0, n=5)
+        p, l = write_fixture(tmp_path, preds, y)
+        code = cli.main(["check", "--predictions", p, "--labels", l, "--mode", "bayesian",
+                         "--statistic", "calibration"])
+        assert (code, capsys.readouterr().err) == (1, "error: out of memory\n")
+
+    def test_every_package_error_is_a_value_error(self):
+        # so that `main` catches each of them without naming one
+        errors = {obj for module in (analytic, cli, io, oracle, ppc, predictive,
+                                     recalibrate, st) for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__.startswith("ppc_uq.")}
+        assert st.KindMismatchError in errors and io.FileFormatError in errors
+        assert all(issubclass(error, ValueError) for error in errors)
+        assert issubclass(st.KindMismatchError, TypeError)   # as it is to every caller
+
+    def test_defaults_are_the_librarys(self):
+        check = cli.build_parser().parse_args(
+            ["check", "--predictions", "P", "--labels", "L", "--statistic", "ece",
+             "--mode", "bayesian"])
+        assert check.bins == st.BinningConfig().num_bins
+        assert (check.picp_low, check.picp_high) == (ppc.PicpStatistic().lower,
+                                                     ppc.PicpStatistic().upper)
+        assert (st.QuantileSet.default_levels(check.quantiles)
+                == st.QuantileSet().levels)
+        orc = cli.build_parser().parse_args(
+            ["oracle", "--predictions", "P", "--labels", "L", "--statistic", "ece",
+             "--mode", "bayesian"])
+        assert orc.budget == oracle.EnumerationBudget().max_outcomes
 
     @pytest.mark.parametrize("flags,message", [
         (["--predictions", "PREDS", "--statistic", "calibration", "--replications", "abc"],
@@ -592,6 +636,17 @@ class TestRecalibrateCommand:
         assert len(set(out["logits"][0])) == 3     # three members, three temperatures
         np.testing.assert_allclose(out["probs"][1], out["logits"][1], rtol=0, atol=1e-12)
 
+    def test_gaussian_predictions_are_one_error_line(self, tmp_path, capsys):
+        preds, y = self_generated_regression(0, n=20)
+        p, l = write_fixture(tmp_path, preds, y)
+        code = cli.main(["recalibrate", "--predictions", p, "--labels", l,
+                         "--out-temps", str(tmp_path / "t.json"),
+                         "--out-predictions", str(tmp_path / "o.jsonl")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: recalibration needs classification predictions\n"
+        assert sorted(os.listdir(tmp_path)) == ["labels.csv", "preds.jsonl"]
+
 
 class TestSimulateCommand:
     def test_location_files(self, tmp_path):
@@ -637,6 +692,19 @@ class TestSimulateCommand:
         assert preds.num_models == 1
         assert preds.means[0, 0] == pytest.approx(0.0)
         assert preds.stds[0, 0] == pytest.approx(math.sqrt(1.5))
+
+    def test_conjugate_without_data_draws_its_observations(self, tmp_path):
+        out = tmp_path / "conj"
+        argv = ["simulate", "--scenario", "conjugate", "--seed", "3", "--n", "50",
+                "--models", "10", "--theta-true", "4", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        preds, _ = io.load_predictions(out / "predictions.jsonl")
+        # the posterior mean of 50 draws from N(4, 1) under the N(0, 1) prior
+        assert preds.means[0, 0] == pytest.approx(4.0 * 50 / 51, abs=0.5)
+        assert preds.stds[0, 0] == pytest.approx(math.sqrt(1.0 + 1.0 / 51))
+        first = (out / "ensemble_predictions.jsonl").read_bytes()
+        assert cli.main(argv) == 0
+        assert (out / "ensemble_predictions.jsonl").read_bytes() == first
 
 
     @pytest.mark.parametrize("flags,message", [

@@ -238,3 +238,42 @@ def test_carriage_returns_end_lines(tmp_path):
                       + '{"preds": [[0.25, 0.75]]}\r{"preds": [[0.5, 0.5]]}\r\n').encode())
     preds, _ = io.load_predictions(path)
     np.testing.assert_array_equal(preds.probs, [[[0.25, 0.75]], [[0.5, 0.5]]])
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_prediction_file_without_lines_has_no_header(tmp_path, text):
+    path = tmp_path / "p.jsonl"
+    path.write_text(text)
+    with pytest.raises(io.FileFormatError, match="^line 1: missing header$"):
+        io.load_predictions(path)
+
+
+def test_unknown_values_are_named(tmp_path):
+    path = write_lines(tmp_path, json.dumps(dict(HEADERS["probs"], values="scores")),
+                       '{"preds": [[0.25, 0.75]]}')
+    with pytest.raises(io.FileFormatError, match="^line 1: unknown values 'scores'$"):
+        io.load_predictions(path)
+
+
+@pytest.mark.parametrize("text", ["", "label\n", "\n"], ids=["empty", "header-only",
+                                                             "blank"])
+def test_label_file_without_values_is_refused(tmp_path, text):
+    path = tmp_path / "l.csv"
+    path.write_text(text)
+    preds = st.EnsemblePredictions.from_probs([[[0.5, 0.5]]])
+    with pytest.raises(io.FileFormatError, match="^line 1: label file has no values$"):
+        io.load_labels(path, preds)
+
+
+def test_failed_write_leaves_the_target_and_no_temporary_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"new, half"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        io.atomic_write(target, chunks())
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["report.json"]

@@ -2,6 +2,7 @@
 bool, a fraction where an integer is due or a value under the bound raises
 InvalidParameterError where the parameter is made, so no check runs on it."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError,
                                MixturePredictive, PosteriorWeights, gaussian_cdf,
                                mixture_sample)
-from ppc_uq.recalibrate import TemperatureVector
+from ppc_uq.recalibrate import (TemperatureVector, apply_temperatures,
+                                split_recalibration)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -56,7 +58,8 @@ POSITIVE_SITES = {
 }
 # integer sites with an upper bound too, and values above it
 INTEGER_SITES_BOUNDED_ABOVE = {
-    "BinningConfig.num_bins": INTEGER_SITES["BinningConfig.num_bins"]}
+    site: INTEGER_SITES[site] for site in ("BinningConfig.num_bins",
+                                           "QuantileSet.default_levels")}
 INTEGER_ABOVE_BOUND = {"2**53+1": 2 ** 53 + 1, "2**63": 2 ** 63, "2**70": 2 ** 70}
 INTEGER_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "2.5": 2.5,
                "0": 0, "-1": -1}
@@ -73,8 +76,33 @@ VECTOR_BAD = {
     "QuantileSet(nan, 0.5)": lambda: st.QuantileSet((NAN, 0.5)),
     "QuantileSet(inf)": lambda: st.QuantileSet((INF,)),
 }
-# data rules: each call must be refused with a message naming the input at fault
+GAUSSIANS = st.EnsemblePredictions.from_gaussians(np.zeros((5, 1)), np.ones((5, 1)))
+CLASS_PROBS = st.EnsemblePredictions.from_probs(np.full((5, 1, 2), 0.5))
+# data and argument rules: each call must be refused with its rule's message
 DATA_BAD = {
+    "posterior_predictive(tau2=-1)": (lambda: analytic.posterior_predictive(0.0, -1.0, 1.0),
+                                      "variances must be positive"),
+    "PosteriorWeights(())": (lambda: PosteriorWeights(()),
+                             "weights must be a nonempty vector"),
+    "check_mode(preds, 'bayesian')": (lambda: ppc.check_mode(GAUSSIANS, "bayesian"),
+                                      "unknown mode: 'bayesian'"),
+    "EnsemblePredictions(0 rows)": (
+        lambda: st.EnsemblePredictions.from_probs(np.empty((0, 1, 2))),
+        "need at least one row and one model"),
+    "EnsemblePredictions(0 models)": (
+        lambda: st.EnsemblePredictions.from_gaussians(np.empty((3, 0)), np.empty((3, 0))),
+        "need at least one row and one model"),
+    "split_recalibration(gaussians)": (
+        lambda: split_recalibration(GAUSSIANS, np.zeros(5)),
+        "recalibration needs classification predictions"),
+    "split_recalibration(fraction=1)": (
+        lambda: split_recalibration(CLASS_PROBS, [0] * 5, 1.0),
+        re.escape("fraction must be in (0, 1)")),
+    "TemperatureVector(())": (lambda: TemperatureVector(()),
+                              "need one temperature per model"),
+    "apply_temperatures(3 models, 2 temperatures)": (
+        lambda: apply_temperatures(np.zeros((5, 3, 2)), TemperatureVector((1.0, 2.0))),
+        re.escape("logits must be [N, M, C] with M temperatures")),
     "conjugate_posterior(data=[nan])": (lambda: analytic.conjugate_posterior(
         analytic.ConjugateNormalModel(), [NAN]), "observations must be finite"),
     "bayesian_linear_ensemble(2 inputs, 1 target)": (

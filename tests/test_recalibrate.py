@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,7 +247,8 @@ class TestFitTemperatures:
             rc.fit_temperatures(z, labels)
 
     def test_probabilities_without_logits_unsupported(self):
-        with pytest.raises(rc.UnsupportedInputError):
+        # refused by the ensemble constructor's shape rule, which the fit reads through
+        with pytest.raises(InvalidParameterError, match=re.escape("logits must be [N, M, C]")):
             rc.fit_temperatures(np.full((4, 2), 0.5), [0, 1, 0, 1])
 
     def test_eval_slice_nll_improves(self):

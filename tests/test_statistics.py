@@ -190,6 +190,12 @@ class TestCalibrationError:
             pit = rng.random(100)
             assert 0.0 <= st.calibration_error(pit, qs) <= bound
 
+    def test_default_levels_are_j_over_count_plus_one(self):
+        # one numpy division, bit for bit the levels j / (num + 1) of Python's division
+        for num in range(1, 10_001):
+            assert st.QuantileSet.default_levels(num) == tuple(
+                [j / (num + 1) for j in range(1, num + 1)]), num
+
 
 class TestPicp:
     def test_all_interior(self):
