@@ -158,8 +158,9 @@ class _ReadsHits:
 
 class _ReadsPit:
     """Reads labels only through their PIT values, `evaluate_pit(pit, ctx)`, and
-    reads each PIT value only by comparing it with the sorted `cuts`. So the
-    PIT of `_pit_near_cuts`, exact only near a cut, gives the value of exact PIT."""
+    reads each PIT value only by comparing it with the sorted `cuts`. So the PIT
+    of `_pit_near_cuts`, exact where a cut lies within its chord bound, gives the
+    value of exact PIT."""
 
     kind = st.REGRESSION
 
@@ -193,8 +194,8 @@ class CalibrationErrorStatistic(_ReadsPit):
     name = "calibration"
 
     @property
-    def cuts(self) -> tuple:
-        return self.quantiles.levels
+    def cuts(self) -> np.ndarray:
+        return self.quantiles.as_array()
 
     def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
         return st.calibration_error(pit, self.quantiles)

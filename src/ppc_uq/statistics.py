@@ -153,12 +153,15 @@ class QuantileSet:
     """Ordered quantile levels in (0, 1); default 100 equally spaced j/101."""
 
     levels: tuple = field(default_factory=lambda: QuantileSet.default_levels(100))
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
+        lv = np.array(self.levels, dtype=float)     # a copy: it is made read-only
         if not (lv.ndim == 1 and lv.size and np.all(np.diff(lv, prepend=0, append=1) > 0)):
             raise InvalidParameterError("quantile levels must be strictly increasing in (0,1)")
+        lv.flags.writeable = False
         object.__setattr__(self, "levels", tuple(lv.tolist()))
+        object.__setattr__(self, "_array", lv)
 
     @staticmethod
     def default_levels(num: int) -> tuple:
@@ -168,7 +171,7 @@ class QuantileSet:
         return tuple((np.arange(1, num + 1) / (num + 1)).tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)
+        return self._array      # read-only, built once
 
 
 def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:

@@ -9,6 +9,17 @@ def ks_uniform(values) -> float:
     return float(kstest(np.asarray(values), "uniform").statistic)
 
 
+# Gaussian predictions, stds and labels whose z = (label - mean) / std passes the
+# largest double on row 0: in the subtraction (label 1e308 beside the mean -1e308)
+# or in the division (label 1e300 beside the std 1e-10). Row 0's PIT is 1.0.
+OVERFLOWING_Z = {
+    "subtract": ([[-1e308, 0.0], [0.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]] * 3,
+                 [1e308, 0.2, -0.5]),
+    "divide": ([[0.0, 0.5], [0.0, 0.0], [0.0, 1.0]], [[1e-10, 1.0], [1.0, 1.0], [1.0, 1.0]],
+               [1e300, 0.2, -0.5]),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

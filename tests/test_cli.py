@@ -12,6 +12,8 @@ import pytest
 from ppc_uq import analytic, cli, io, oracle, ppc, predictive, recalibrate
 from ppc_uq import statistics as st
 
+from conftest import OVERFLOWING_Z
+
 
 def write_fixture(tmp_path, preds, labels):
     pred_path = tmp_path / "preds.jsonl"
@@ -225,6 +227,41 @@ class TestCheckCommand:
                          "--replications", "50", "--seed", "0"])
         assert code in (0, 2)
         assert capsys.readouterr().err == ""
+
+    def test_z_past_the_largest_double_is_a_verdict_under_warnings_as_errors(
+            self, tmp_path):
+        # an overflow in (label - mean) / std warned; under -W error that was a
+        # RuntimeWarning traceback and exit 1, not a verdict
+        runs = []
+        for case, (means, stds, labels) in OVERFLOWING_Z.items():
+            (tmp_path / case).mkdir()
+            p, l = write_fixture(tmp_path / case, st.EnsemblePredictions.from_gaussians(
+                means, stds), np.array(labels))
+            runs += [["check", "--predictions", p, "--labels", l, "--statistic", statistic,
+                      "--mode", mode, "--replications", "50", "--seed", "0"]
+                     for statistic in ("calibration", "picp")
+                     for mode in ("bayesian", "independent", "point:0")]
+        script = f"""
+import contextlib, io, json
+from ppc_uq import cli
+results = []
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                               env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                               capture_output=True, text=True)
+        assert (child.returncode, child.stderr) == (0, "")
+        results = json.loads(child.stdout)
+        assert len(results) == 12
+        for code, out in results:
+            assert code in (0, 2)
+            assert [line.split()[0] for line in out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))] == ["PASS" if code == 0 else "FAIL"]
 
     def test_corrupt_header(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as hst
 from scipy.stats import ks_2samp
 
-from ppc_uq import ppc, oracle
+from ppc_uq import analytic, ppc, oracle, predictive
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError,
                                MixturePredictive, PosteriorWeights, mixture_sample,
@@ -477,6 +477,23 @@ class TestEngineProperties:
         bracket = ppc.sample_statistic(preds, weights, statistic, mode,
                                        num_replicates=replicates, seed=seed_, threads=1)
         assert bracket.samples.tobytes() == exact.samples.tobytes()
+
+    def test_chord_bracket_leaves_few_rows_to_the_exact_kernel(self):
+        # the quadratic OOD ensemble of acceptance criterion 5: the cell bracket
+        # alone sent 40-49 rows per replicate to the exact kernel
+        xt, yt, xo, _ = analytic.generate_quadratic_dataset(
+            analytic.QuadraticDatasetConfig(n=20, seed=0), n_ood=2000)
+        preds = analytic.bayesian_linear_ensemble(analytic.BayesianLinearEnsembleConfig(
+            num_models=50, prior_precision=0.5, seed=0), xt, yt, xo)
+        exact_rows = []
+
+        def exact(means, stds, w, y):
+            exact_rows.append(y.size)
+            return pit_from_gaussians(means, stds, w, y)
+        with mock.patch.object(predictive, "pit_from_gaussians", exact):
+            ppc.sample_statistic(preds, None, ppc.CalibrationErrorStatistic(), ppc.BAYESIAN,
+                                 num_replicates=100, seed=0, threads=1)
+        assert sum(exact_rows) <= 20
 
     def test_picp_bound_at_each_rows_exact_pit(self):
         # every z on the bracket table's grid: a row's lower bound sums the

@@ -9,9 +9,10 @@ from scipy.special import ndtr
 
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError, MixturePredictive,
-                               PosteriorWeights, _ERFC_ZERO_FROM, _NDTR_CHUNK, _ndtr,
-                               gaussian_cdf, mixture_cdf, mixture_sample,
-                               pit_from_gaussians)
+                               PosteriorWeights, _CHORD_ERROR, _ERFC_ZERO_FROM,
+                               _GRID_CELLS_PER_UNIT, _GRID_END, _GRID_HALF, _NDTR_CHUNK,
+                               _cdf_table, _ndtr, gaussian_cdf, mixture_cdf,
+                               mixture_sample, pit_from_gaussians)
 
 from conftest import ks_uniform
 
@@ -154,6 +155,35 @@ class TestNdtrKernel:
         pit = pit_from_gaussians(np.zeros((3, 29)), np.ones((3, 29)), w,
                                  np.array([0.1, -0.3, 40.0]))
         assert pit[2] == 1.0
+
+
+class TestChordBound:
+    """`_pit_near_cuts` estimates a member's Phi(z) by its chord across z's grid
+    cell; _CHORD_ERROR must bound the chord's distance from the kernel's Phi."""
+
+    @staticmethod
+    def chord(z):
+        # the cell and the chord as `_pit_near_cuts` computes them
+        phi, _ = _cdf_table()
+        cell = np.clip(z, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END)
+        cell *= _GRID_CELLS_PER_UNIT
+        cell += _GRID_HALF + 1
+        j = cell.astype(np.intp)
+        return phi[j] + (phi[j + 1] - phi[j]) * (cell - j)
+
+    def test_chord_is_within_the_bound_and_the_bound_is_tight(self):
+        edges = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_CELLS_PER_UNIT
+        z = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            edges[:-1] + 0.5 / _GRID_CELLS_PER_UNIT,                # cell midpoints
+            np.random.default_rng(21).uniform(-9.0, 9.0, 10 ** 6),
+            np.linspace(-40.0, -_GRID_END, 1000, endpoint=False),  # the end cells
+            np.linspace(40.0, _GRID_END, 1000, endpoint=False),
+            [-_GRID_END - 1 / _GRID_CELLS_PER_UNIT, -1e300, 1e300, -np.inf, np.inf]])
+        gap = np.abs(_ndtr(z) - self.chord(z))
+        assert gap.max() <= _CHORD_ERROR
+        # h^2 phi(1) / 8 = 2.885e-8 is reached next to |z| = 1: the bound is not loose
+        assert gap.max() >= _CHORD_ERROR / 2
 
 
 class TestMixtureSample:

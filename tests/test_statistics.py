@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import ndtr
 
 from ppc_uq import statistics as st
 from ppc_uq.predictive import InvalidParameterError, PosteriorWeights
 
-from conftest import ks_uniform
+from conftest import OVERFLOWING_Z, ks_uniform
 
 
 def two_model_onehot(n=1):
@@ -150,6 +151,16 @@ class TestPitValues:
         with pytest.raises(st.KindMismatchError):
             st.pit_values(two_model_onehot(), labels=[0])
 
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_Z))
+    def test_z_past_the_largest_double_is_infinite_without_a_warning(self, case):
+        # warnings are errors here: an overflow in z raised RuntimeWarning
+        means, stds, labels = OVERFLOWING_Z[case]
+        got = st.pit_values(st.EnsemblePredictions.from_gaussians(means, stds),
+                            labels=labels)
+        assert got[0] == 1.0
+        np.testing.assert_allclose(got[1:], [ndtr(0.2), (ndtr(-0.5) + ndtr(-1.5)) / 2],
+                                   rtol=1e-14)
+
     def test_point_estimate_pit_uniform(self, rng):
         # M = 1 model scoring data sampled from itself
         n = 100_000
@@ -195,6 +206,19 @@ class TestCalibrationError:
         for num in range(1, 10_001):
             assert st.QuantileSet.default_levels(num) == tuple(
                 [j / (num + 1) for j in range(1, num + 1)]), num
+
+
+class TestQuantileSet:
+    def test_levels_array_is_built_once_and_read_only(self):
+        levels = np.array([0.25, 0.5])
+        q = st.QuantileSet(levels)
+        assert q.as_array() is q.as_array()
+        assert not q.as_array().flags.writeable
+        assert levels.flags.writeable       # the caller's array is copied, not frozen
+        assert q.levels == (0.25, 0.5) and isinstance(q.levels, tuple)
+        assert st.QuantileSet((0.5,)) == st.QuantileSet((0.5,))
+        assert hash(st.QuantileSet((0.5,))) == hash(st.QuantileSet((0.5,)))
+        assert st.QuantileSet((0.5,)) != st.QuantileSet((0.25,))
 
 
 class TestPicp:
