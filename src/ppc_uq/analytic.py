@@ -43,9 +43,10 @@ def conjugate_posterior(model: ConjugateNormalModel, data) -> tuple:
 
 
 def posterior_predictive(mu: float, tau2: float, sigma2: float) -> Gaussian:
-    """Predictive of a new observation: N(mu, sigma2 + tau2)."""
-    if tau2 < 0 or sigma2 <= 0:
-        raise InvalidParameterError("variances must be positive")
+    """Predictive of a new observation: N(mu, sigma2 + tau2), for finite sigma2 > 0
+    and tau2 >= 0 (-ulp(0) is the largest double below 0)."""
+    check_positive("variances must be positive", sigma2)
+    check_finite("variances must be positive", tau2, least=-math.ulp(0.0))
     return Gaussian(mean=mu, stddev=math.sqrt(sigma2 + tau2))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__, analytic, io, oracle, ppc, recalibrate
 from . import statistics as st
+from .predictive import parse_number
 
 
 STATISTICS = {
@@ -34,11 +35,11 @@ class _Parser(argparse.ArgumentParser):
 
 # argparse types, named for argparse's messages
 def integer(text: str) -> int:
-    return io.parse_number(text, integer=True)
+    return parse_number(text, integer=True)
 
 
 def number(text: str) -> float:
-    return io.parse_number(text, finite=True)
+    return parse_number(text, finite=True)
 
 
 def numbers(text: str) -> list:
@@ -50,15 +51,13 @@ def numbers(text: str) -> list:
 
 
 def _load_run(args) -> tuple:
-    """Predictions, labels, statistic and mode of a `check` or `oracle` run.
-
-    Labels are checked against the predictions as they are read; whether the
-    statistic and the mode fit, by the library calls they go to, before any work.
-    """
+    """Statistic and mode from the flags, then predictions and labels, of a `check`
+    or `oracle` run. Labels are checked against the predictions as they are read;
+    whether the statistic and the mode fit, by the library calls they go to, before
+    any work."""
+    statistic, mode = STATISTICS[args.statistic](args), ppc.parse_mode(args.mode)
     preds, _ = io.load_predictions(args.predictions)
-    labels = io.load_labels(args.labels, preds)
-    return (preds, labels, STATISTICS[args.statistic](args),
-            ppc.parse_mode(args.mode))
+    return preds, io.load_labels(args.labels, preds), statistic, mode
 
 
 def cmd_check(args) -> int:
@@ -120,7 +119,7 @@ def _simulate_quadratic(args, out_dir: str) -> None:
                          "x\n" + "\n".join(repr(float(v)) for v in x_train) + "\n")
     io.save_labels(os.path.join(out_dir, "train_labels.csv"), y_train)
     ens_cfg = analytic.BayesianLinearEnsembleConfig(
-        num_models=args.models, noise_var=cfg.noise_std ** 2, seed=args.seed)
+        num_models=args.models, noise_var=cfg.noise_var, seed=args.seed)
     x_id, y_id, _, _ = analytic.generate_quadratic_dataset(
         dataclasses.replace(cfg, n=200, seed=args.seed + 1))
     for tag, xs, ys in (("id", x_id, y_id), ("ood", x_ood, y_ood)):

@@ -15,6 +15,7 @@ import stat
 import numpy as np
 
 from . import statistics as st
+from .predictive import parse_number
 
 # the prediction kind of each header `values`
 PREDICTION_VALUES = {"probs": st.CLASSIFICATION, "logits": st.CLASSIFICATION,
@@ -23,19 +24,6 @@ PREDICTION_VALUES = {"probs": st.CLASSIFICATION, "logits": st.CLASSIFICATION,
 
 class FileFormatError(ValueError):
     """Malformed prediction/label file; message names the offending line."""
-
-
-def parse_number(text: str, integer: bool = False, finite: bool = False):
-    """`text` as a float, or an int (optional '-', digits) if `integer`, in ASCII
-    with no `_`, finite if `finite`; else ValueError. The one spelling of numbers
-    in flags, label files and PPC_UQ_THREADS (`int` also reads '1_0', '\u0663')."""
-    if not text.isascii() or "_" in text or (
-            integer and not text.removeprefix("-").isdigit()):
-        raise ValueError(f"not a number: {text!r}")
-    value = int(text) if integer else float(text)
-    if finite and not np.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
 
 
 # orjson 3.8 recurses on the C stack with no depth limit: 54,000 nested objects
@@ -183,12 +171,9 @@ def load_labels(path, preds: st.EnsemblePredictions) -> np.ndarray:
 
 
 def save_labels(path, labels) -> None:
-    labels = np.asarray(labels)
-    lines = ["label"]
-    for v in labels:
-        lines.append(str(int(v)) if np.issubdtype(labels.dtype, np.integer)
-                     else repr(float(v)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    labels = np.asarray(labels)   # integer dtypes as ints, any other (bool too) as floats
+    fmt = str if np.issubdtype(labels.dtype, np.integer) else lambda v: repr(float(v))
+    atomic_write_text(path, "\n".join(["label", *map(fmt, labels.tolist())]) + "\n")
 
 
 def file_digest(path) -> str:

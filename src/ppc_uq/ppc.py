@@ -26,10 +26,9 @@ from typing import Union
 import numpy as np
 
 from . import statistics as st
-from .io import parse_number
 from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
                          check_integer, class_mass, cumulative, draw_component,
-                         draw_mixture)
+                         draw_mixture, parse_number)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 _BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
@@ -335,10 +334,14 @@ def _sample_values(samples) -> np.ndarray:
 
 
 def p_value(samples, observed: float) -> float:
-    """Fraction of replicated values strictly below the observed value."""
+    """Fraction of replicated values strictly below the observed value, all finite."""
     vals = _sample_values(samples)
     if vals.size == 0:
         raise st.EmptyInputError("p_value needs at least one sample")
+    if not (np.isfinite(observed) and np.isfinite(vals).all()):   # a verdict needs both
+        raise InvalidParameterError(
+            f"statistic values must be finite: observed {observed!r}, "
+            f"non-finite replicates {np.count_nonzero(~np.isfinite(vals))}")
     return float(np.mean(vals < observed))
 
 
@@ -363,8 +366,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
     p = p_value(ss, observed)
     pcts = dict(zip(("p5", "p25", "p50", "p75", "p95"),
                     np.quantile(ss.samples, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()))
-    # the sharpness is `sharpness(ss)` bit for bit, from the same quantile call
-    return PpcReport(p_value=p, sharpness=pcts["p95"] - pcts["p5"],
+    return PpcReport(p_value=p, sharpness=sharpness(ss),
                      passed=bool(0.0 < p < 1.0), percentiles=pcts, observed=observed,
                      num_replicates=ss.num_replicates, seed=ss.seed, mode=ss.mode,
                      statistic=ss.statistic)

@@ -40,6 +40,19 @@ def check_positive(message: str, *values) -> None:
     check_finite(message, *values, least=0)
 
 
+def parse_number(text: str, integer: bool = False, finite: bool = False):
+    """`text` as a float, or an int (optional '-', digits) if `integer`, in ASCII
+    with no `_`, finite if `finite`; else ValueError. The one spelling of numbers
+    in flags, label files and PPC_UQ_THREADS (`int` also reads '1_0', '\u0663')."""
+    if not text.isascii() or "_" in text or (
+            integer and not text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a number: {text!r}")
+    value = int(text) if integer else float(text)
+    if finite and not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Gaussian:
     mean: float
@@ -255,11 +268,8 @@ def _pit_near_cuts(means: np.ndarray, stds: np.ndarray, w: np.ndarray, y: np.nda
 
 
 def gaussian_cdf(mean: float, stddev: float, y: float) -> float:
-    """CDF of N(mean, stddev^2) at y."""
-    component = Gaussian(mean, stddev)
-    if not math.isfinite(y):
-        raise InvalidParameterError("gaussian_cdf inputs must be finite")
-    return mixture_cdf(MixturePredictive((component,)), y)
+    """CDF of N(mean, stddev^2) at y: that of a one-component mixture."""
+    return mixture_cdf(MixturePredictive((Gaussian(mean, stddev),)), y)
 
 
 def _mixture_arrays(mixture: MixturePredictive) -> tuple:
@@ -271,9 +281,11 @@ def _mixture_arrays(mixture: MixturePredictive) -> tuple:
 def mixture_cdf(mixture: MixturePredictive, y) -> float:
     """Posterior-integrated CDF: sum of weighted per-component Gaussian CDFs.
 
-    Accepts a scalar or array y; vectorized over y.
+    Accepts a scalar or array y, every value finite; vectorized over y.
     """
     y_arr = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y_arr)):
+        raise InvalidParameterError("CDF argument y must be finite")
     total = pit_from_gaussians(*_mixture_arrays(mixture), y_arr)
     return float(total) if y_arr.ndim == 0 else total
 

@@ -392,6 +392,21 @@ print(json.dumps(results))
         assert capsys.readouterr().err == f"error: {message}\n"
         assert context_builds == []
 
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--statistic", "calibration", "--mode", "bayesian", "--quantiles", "0"],
+         "quantile count must be >= 1, got 0"),
+        (["--statistic", "calibration", "--mode", "bogus"], "unknown mode: 'bogus'"),
+        (["--statistic", "picp", "--mode", "bayesian", "--picp-low", "0.9",
+          "--picp-high", "0.1"], "need 0 <= lower < upper <= 1"),
+    ], ids=["zero-quantiles", "unknown-mode", "picp-bounds"])
+    def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                    flags, message):
+        missing = str(tmp_path / "missing")
+        code = cli.main([command, "--predictions", missing, "--labels", missing] + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_replicate_count_past_memory_is_one_error_line(self, tmp_path, capsys):
         # 10**17 replicates ask numpy for 8e17 bytes, past any 57-bit address
         # space, so the allocation is refused at once and touches no memory
@@ -718,6 +733,23 @@ class TestSimulateCommand:
         id_preds, _ = io.load_predictions(out / "id_predictions.jsonl")
         np.testing.assert_array_equal(
             io.load_labels(out / "id_labels.csv", id_preds), y_id)
+
+    def test_quadratic_ensemble_reads_the_configs_noise_variance(self, tmp_path):
+        out = tmp_path / "quad"
+        assert cli.main(["simulate", "--scenario", "quadratic", "--seed", "2", "--n", "50",
+                         "--models", "10", "--out-dir", str(out)]) == 0
+        cfg = analytic.QuadraticDatasetConfig(n=50, seed=2)
+        x_train, y_train, x_ood, _ = analytic.generate_quadratic_dataset(cfg)
+        x_id, _, _, _ = analytic.generate_quadratic_dataset(
+            analytic.QuadraticDatasetConfig(n=200, seed=3))
+        ens_cfg = analytic.BayesianLinearEnsembleConfig(num_models=10,
+                                                        noise_var=cfg.noise_var, seed=2)
+        for tag, xs in (("id", x_id), ("ood", x_ood)):
+            written, _ = io.load_predictions(out / f"{tag}_predictions.jsonl")
+            expected = analytic.bayesian_linear_ensemble(ens_cfg, x_train, y_train, xs)
+            # orjson writes shortest round-trip floats, so equal means equal bits
+            assert written.means.tobytes() == expected.means.tobytes()
+            assert written.stds.tobytes() == expected.stds.tobytes()
 
     def test_conjugate_single_zero_observation(self, tmp_path):
         out = tmp_path / "conj"

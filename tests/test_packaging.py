@@ -11,7 +11,8 @@ from ppc_uq import cli
 
 tomllib = pytest.importorskip("tomllib")   # Python 3.11+
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
+SRC = os.path.dirname(PACKAGE)
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 
 
@@ -46,3 +47,43 @@ def test_every_third_party_import_is_a_declared_dependency():
 def test_package_and_project_versions_agree():
     with open(PYPROJECT, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == ppc_uq.__version__
+
+
+def parsed_modules():
+    """{module name: AST} for every module of the package."""
+    out = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                out[name.removesuffix(".py")] = ast.parse(fh.read())
+    return out
+
+
+def test_every_private_module_name_is_used():
+    """A module-level `_name` that nothing in the package reads is dead code."""
+    modules = parsed_modules()
+    defined = set()
+    for tree in modules.values():
+        for node in tree.body:
+            targets = ([node] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       else node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", None))
+                if name and name.startswith("_") and not name.startswith("__"):
+                    defined.add(name)
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    assert len(defined) > 30                # the scan sees the definitions
+    assert sorted(defined - read) == []
+
+
+def test_engine_does_not_import_the_file_formats():
+    """`ppc` reads numbers through `predictive`, not through `io`."""
+    imports = [node for node in ast.walk(parsed_modules()["ppc"])
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports                          # the scan sees the imports
+    assert all(node.module != "io" and "io" not in {a.name for a in node.names}
+               for node in imports)

@@ -40,6 +40,7 @@ INTEGER_SITES_FROM_0 = {
 FINITE_SITES = {
     "ConjugateNormalModel.prior_mean":
         (lambda v: analytic.ConjugateNormalModel(prior_mean=v), -0.5),
+    "posterior_predictive.tau2": (lambda v: analytic.posterior_predictive(0.0, v, 1.0), 0.0),
 }
 POSITIVE_SITES = {
     "Gaussian.stddev": (lambda v: Gaussian(0.0, v), 0.5),
@@ -55,6 +56,7 @@ POSITIVE_SITES = {
         (lambda v: analytic.BayesianLinearEnsembleConfig(noise_var=v), 0.5),
     "QuadraticDatasetConfig.noise_var":
         (lambda v: analytic.QuadraticDatasetConfig(noise_var=v), 0.5),
+    "posterior_predictive.sigma2": (lambda v: analytic.posterior_predictive(0.0, 0.0, v), 0.5),
 }
 # integer sites with an upper bound too, and values above it
 INTEGER_SITES_BOUNDED_ABOVE = {
@@ -82,6 +84,14 @@ CLASS_PROBS = st.EnsemblePredictions.from_probs(np.full((5, 1, 2), 0.5))
 DATA_BAD = {
     "posterior_predictive(tau2=-1)": (lambda: analytic.posterior_predictive(0.0, -1.0, 1.0),
                                       "variances must be positive"),
+    "posterior_predictive(tau2=nan)": (lambda: analytic.posterior_predictive(0.0, NAN, 1.0),
+                                       "variances must be positive"),
+    "posterior_predictive(sigma2=nan)": (
+        lambda: analytic.posterior_predictive(0.0, 0.0, NAN), "variances must be positive"),
+    "posterior_predictive(tau2=inf)": (lambda: analytic.posterior_predictive(0.0, INF, 1.0),
+                                       "variances must be positive"),
+    "posterior_predictive(sigma2=inf)": (
+        lambda: analytic.posterior_predictive(0.0, 0.0, INF), "variances must be positive"),
     "PosteriorWeights(())": (lambda: PosteriorWeights(()),
                              "weights must be a nonempty vector"),
     "check_mode(preds, 'bayesian')": (lambda: ppc.check_mode(GAUSSIANS, "bayesian"),

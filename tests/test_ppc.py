@@ -780,6 +780,14 @@ class TestPValue:
         with pytest.raises(st.EmptyInputError):
             ppc.p_value(np.array([]), 0.0)
 
+    @pytest.mark.parametrize("samples,observed", [
+        ([0.1, float("nan")], 0.5), ([0.1], float("nan")), ([0.1, float("inf")], 0.5),
+        ([0.1], -float("inf"))], ids=["nan-replicate", "nan-observed", "inf-replicate",
+                                      "inf-observed"])
+    def test_non_finite_value_is_refused(self, samples, observed):
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            ppc.p_value(np.array(samples), observed)
+
 
 class TestSharpness:
     def test_constant(self):
@@ -796,7 +804,32 @@ class TestSharpness:
             ppc.sharpness(np.array([1.0]))
 
 
+@dataclass(frozen=True)
+class NanWhere:
+    """A custom regression statistic: NaN where `is_nan(labels)`, else the label mean."""
+
+    is_nan: object
+
+    kind = st.REGRESSION
+    name = "nan-where"
+
+    def evaluate(self, labels, ctx):
+        return float("nan") if self.is_nan(labels) else float(np.mean(labels))
+
+
 class TestRunPpc:
+    @pytest.mark.parametrize("is_nan,observed_labels", [
+        (lambda y: np.all(y == 0.0), np.zeros(5)),
+        (lambda y: not np.all(y == 0.0), np.zeros(5)),
+        (lambda y: y[0] > 0, np.full(5, -1.0)),
+    ], ids=["observed-only", "every-replicate", "some-replicates"])
+    def test_non_finite_statistic_value_is_an_error_not_a_verdict(self, is_nan,
+                                                                  observed_labels):
+        preds = st.EnsemblePredictions.from_gaussians(np.zeros((5, 1)), np.ones((5, 1)))
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            ppc.run_ppc(preds, None, observed_labels, NanWhere(is_nan), ppc.BAYESIAN,
+                        num_replicates=200, seed=0)
+
     def test_self_consistency_point_estimate(self):
         # data generated by the model itself should pass
         for seed in range(10):

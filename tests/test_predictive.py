@@ -45,6 +45,14 @@ class TestGaussianCdf:
 
 
 class TestMixtureCdf:
+    @pytest.mark.parametrize("y", [float("nan"), [0.0, float("nan")], float("inf"),
+                                   [-float("inf"), 0.0]],
+                             ids=["nan", "array-with-nan", "inf", "array-with-minus-inf"])
+    def test_non_finite_y_is_refused(self, y):
+        mix = MixturePredictive(components=(Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)))
+        with pytest.raises(InvalidParameterError, match="CDF argument y must be finite"):
+            mixture_cdf(mix, y)
+
     def test_single_component_reduces_to_gaussian(self):
         mix = MixturePredictive(components=(Gaussian(0.0, 1.0),))
         for y in (-2.0, 0.0, 0.7, 3.1):
