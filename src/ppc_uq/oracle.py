@@ -117,7 +117,7 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
             values[i] = statistic.evaluate(y, ctx)
             masses[i] = float(row_mass[:, rows, y].prod(axis=1) @ member_weights)
 
-    values, masses = _merge(values, masses)
+    values, masses = _merge(ppc_mod.finite_values(values), masses)
     if abs(masses.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("enumerated masses failed to sum to 1")
     return StatisticPmf(values, masses, context=ctx)

@@ -6,11 +6,12 @@ Replicated labels are drawn under one of three uncertainty modes:
 * ConditionallyIndependent — a fresh model index per row;
 * PointEstimate — a fixed model index for all rows.
 
-A mode's `members` draws the model index of each row, and its `law(weights,
-per_member)` mixes a per-member array x [M, ...] into the mode's components,
-(w [K], x_k [K, ...]): over the label draw's class masses (`class_mass`) the
-exact law of one replicate's labels, over `hit_mass` that of its hits. Under
-`uniform_pit` a replicate's PIT values are i.i.d. U(0, 1) whatever the model.
+A mode's `members` draws the model index of each row, or one index that every
+row shares, and its `law(weights, per_member)` mixes a per-member array
+x [M, ...] into the mode's components, (w [K], x_k [K, ...]): over the label
+draw's class masses (`class_mass`) the exact law of one replicate's labels,
+over `hit_mass` that of its hits. Under `uniform_pit` a replicate's PIT values
+are i.i.d. U(0, 1) whatever the model.
 
 The test statistic is always evaluated against the full posterior-integrated
 predictive, never against the sampled model.
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import statistics as st
 from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
-                         check_integer, class_mass, cumulative, draw_component,
-                         draw_mixture, parse_number)
+                         _pit_plan, check_integer, class_mass, cumulative,
+                         draw_component, draw_mixture, parse_number)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 _BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
@@ -41,8 +42,8 @@ class Bayesian:
     def describe(self) -> str:
         return "bayesian"
 
-    def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
-        return np.broadcast_to(draw_component(rng, weights, 1), (num_rows,))
+    def members(self, rng, weights: np.ndarray, num_rows: int):
+        return draw_component(rng, weights, 1)[0]
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
         return weights, per_member
@@ -75,8 +76,8 @@ class PointEstimate:
     def describe(self) -> str:
         return f"point:{self.index}"
 
-    def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
-        return np.broadcast_to(self.index, (num_rows,))
+    def members(self, rng, weights: np.ndarray, num_rows: int):
+        return self.index
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
         return np.ones(1), per_member[[self.index]]
@@ -126,6 +127,7 @@ class PredictiveContext:
     confidence: np.ndarray = None        # classification: max prob
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
     hit_mass: np.ndarray = None          # classification: [M, N], see below
+    pit_plans: dict = field(default_factory=dict, repr=False, compare=False)  # by cuts
 
 
 def build_context(preds: st.EnsemblePredictions,
@@ -164,8 +166,16 @@ class _ReadsPit:
     kind = st.REGRESSION
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return self.evaluate_pit(_pit_near_cuts(
-            ctx.preds.means, ctx.preds.stds, ctx.weights, labels, self.cuts), ctx)
+        return self.evaluate_pit(_pit_near_cuts(self.pit_plan(ctx), labels), ctx)
+
+    def pit_plan(self, ctx: PredictiveContext):
+        """The check's `_pit_plan` for these cuts, built on the context's first use
+        (where two threads race, each builds the same plan)."""
+        cuts = tuple(np.asarray(self.cuts, dtype=float).tolist())
+        if cuts not in ctx.pit_plans:
+            ctx.pit_plans[cuts] = _pit_plan(ctx.preds.means, ctx.preds.stds,
+                                            ctx.weights, cuts)
+        return ctx.pit_plans[cuts]
 
 
 @dataclass(frozen=True)
@@ -280,9 +290,18 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
             k = draw_component(rng, member_weights, size)[:count]
             return evaluate(rng.random((size, num_rows))[:count] < q[k])
         return block
-    if hasattr(statistic, "evaluate_pit") and mode.uniform_pit:
-        return lambda rng, count: [statistic.evaluate_pit(pit, ctx)
-                                   for pit in rng.random((size, num_rows))[:count]]
+    if hasattr(statistic, "evaluate_pit"):
+        if mode.uniform_pit:
+            return lambda rng, count: [statistic.evaluate_pit(pit, ctx)
+                                       for pit in rng.random((size, num_rows))[:count]]
+        plan = statistic.pit_plan(ctx)
+
+        def block(rng, count):
+            scratch = plan.scratch()        # the block's, reused by its replicates
+            return [statistic.evaluate_pit(_pit_near_cuts(
+                plan, _replicate_labels_ctx(ctx, mode, rng), scratch), ctx)
+                for _ in range(count)]
+        return block
     return lambda rng, count: [statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
                                for _ in range(count)]
 
@@ -329,25 +348,28 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                             mode=mode.describe(), statistic=statistic.name, context=ctx)
 
 
-def _sample_values(samples) -> np.ndarray:
-    return np.asarray(getattr(samples, "samples", samples), dtype=float)
+def finite_values(samples, observed: float = None) -> np.ndarray:
+    """The values of `samples` (a StatisticSamples or an array) as floats, under
+    the one finite-values rule: InvalidParameterError unless each value, and
+    `observed` if given, is finite. A verdict, a width and a PMF need them all."""
+    vals = np.asarray(getattr(samples, "samples", samples), dtype=float)
+    if not (np.isfinite(vals).all() and (observed is None or np.isfinite(observed))):
+        raise InvalidParameterError(
+            f"statistic values must be finite: {np.count_nonzero(~np.isfinite(vals))} "
+            f"of {vals.size} are not" + ("" if observed is None else f", observed {observed!r}"))
+    return vals
 
 
 def p_value(samples, observed: float) -> float:
     """Fraction of replicated values strictly below the observed value, all finite."""
-    vals = _sample_values(samples)
-    if vals.size == 0:
+    if np.size(getattr(samples, "samples", samples)) == 0:
         raise st.EmptyInputError("p_value needs at least one sample")
-    if not (np.isfinite(observed) and np.isfinite(vals).all()):   # a verdict needs both
-        raise InvalidParameterError(
-            f"statistic values must be finite: observed {observed!r}, "
-            f"non-finite replicates {np.count_nonzero(~np.isfinite(vals))}")
-    return float(np.mean(vals < observed))
+    return float(np.mean(finite_values(samples, observed) < observed))
 
 
 def sharpness(samples) -> float:
-    """Width of the replicated-statistic distribution: q95 minus q5."""
-    vals = _sample_values(samples)
+    """Width of the replicated-statistic distribution: q95 minus q5, all finite."""
+    vals = finite_values(samples)
     if vals.size < 2:
         raise st.EmptyInputError("sharpness needs at least two samples")
     q5, q95 = np.quantile(vals, [0.05, 0.95])

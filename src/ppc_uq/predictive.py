@@ -217,6 +217,8 @@ _GRID_CELLS_PER_UNIT = 1024
 _GRID_HALF = int(_GRID_END * _GRID_CELLS_PER_UNIT)     # cells on each side of 0
 _CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pit_near_cuts`
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
+_TINY_STD = 2.0 ** -1012    # the least std whose std / 1024 is a normal double
+_CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
 
 
 @functools.cache
@@ -229,10 +231,69 @@ def _cdf_table() -> tuple:
     return phi, float(np.max(np.diff(phi)))
 
 
-def _pit_near_cuts(means: np.ndarray, stds: np.ndarray, w: np.ndarray, y: np.ndarray,
-                   cuts: tuple) -> np.ndarray:
-    """PIT values [N] that compare with each of the sorted `cuts` as the exact
-    ones (`pit_from_gaussians`) do, by two brackets from the grid table.
+def _grid_cell(y, means, divisor, out: np.ndarray = None) -> np.ndarray:
+    """Each member's position clip((y - mean) / divisor + 8705, 0, 17409) on the grid
+    of `phi`, for divisor = std / 1024: z lies in cell j = floor(position), at frac =
+    position - j. Overflow (z = ±inf is right), x / 0 and 0 / 0 give no warning."""
+    with np.errstate(all="ignore"):
+        out = np.subtract(y, means, out=out)
+        np.divide(out, divisor, out=out)
+    out += _GRID_HALF + 1
+    return np.clip(out, 0, 2 * _GRID_HALF + 1, out=out)
+
+
+def _chord(cell: np.ndarray) -> np.ndarray:
+    """Each member's chord of Phi across its cell at `_grid_cell`'s position,
+    phi[j] + (phi[j + 1] - phi[j]) * frac; `cell` is overwritten with frac."""
+    phi, _ = _cdf_table()
+    j = cell.astype(np.intp)
+    lower = phi.take(j)
+    chord = phi[1:].take(j)
+    chord -= lower
+    cell -= j
+    chord *= cell
+    chord += lower
+    return chord
+
+
+@dataclass(frozen=True, eq=False)
+class _PitPlan:
+    """What `_pit_near_cuts` reads of one check: the members [N, M], the weights,
+    the divisor std / 1024, the rows with a std below _TINY_STD, the sorted cuts
+    with +inf appended, next_cut[i], the least cut >= i / _CUT_GRID, and
+    `_cdf_table()`, built here so that block workers do not race to build it."""
+
+    means: np.ndarray
+    stds: np.ndarray
+    w: np.ndarray
+    divisor: np.ndarray
+    tiny: np.ndarray
+    cuts: np.ndarray
+    next_cut: np.ndarray
+    table: tuple
+
+    def scratch(self) -> tuple:
+        """The [N, M] gather, position and cell arrays that `_pit_near_cuts` writes,
+        as views of one allocation, which glibc hands whole to the next block
+        (three separate ones took about 13 new pages per replicate, glibc 2.36)."""
+        gathered, cell, j = np.empty((3,) + self.means.shape)
+        return gathered, cell, j.view(np.intp)
+
+
+def _pit_plan(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts) -> _PitPlan:
+    """The plan of `_pit_near_cuts` for a check's members and its sorted cuts in [0, 1]."""
+    cuts = np.append(np.asarray(cuts, dtype=float), np.inf)
+    with np.errstate(under="ignore"):   # below _TINY_STD, which the plan marks
+        divisor = stds / _GRID_CELLS_PER_UNIT
+    return _PitPlan(means, stds, w, divisor, np.flatnonzero((stds < _TINY_STD).any(axis=1)),
+                    cuts, cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)],
+                    _cdf_table())
+
+
+def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.ndarray:
+    """PIT values [N] that compare with each of the plan's cuts as the exact ones
+    (`pit_from_gaussians`) do, by two brackets from the grid table. `scratch`
+    (`plan.scratch()`, else new arrays) is overwritten.
 
     Each member's Phi(z) lies in its cell [phi[j], phi[j + 1]], so a row's PIT lies
     in [lo, lo + widest] for lo = phi[j] @ w (the weights sum to 1 within 1e-9).
@@ -242,28 +303,40 @@ def _pit_near_cuts(means: np.ndarray, stds: np.ndarray, w: np.ndarray, y: np.nda
     Phi, and |Phi''(z)| = |z| phi(z) <= phi(1) < 0.242, so within 2.885e-8 for
     h = 1/1024; on an end cell both lie in [0, Phi(-8.5)] or [Phi(8.5), 1]. With
     the roundings (each below 1e-15) that is _CHORD_ERROR; the rows with a cut
-    within _CHORD_ERROR + _CUT_MARGIN of their chord sum get exact PIT."""
-    phi, widest = _cdf_table()
-    with np.errstate(over="ignore"):    # past the largest double, z = ±inf is right
-        z = np.subtract(y[:, None], means)
-        z /= stds
-    # clipped in floating point before the cast: z is infinite when a stddev is tiny;
-    # cell >= 0 then, so the cast floors it
-    cell = np.clip(z, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END, out=z)
-    cell *= _GRID_CELLS_PER_UNIT
-    cell += _GRID_HALF + 1
-    j = cell.astype(np.intp)
-    pit = np.minimum(phi.take(j) @ w, 1.0)
-    cuts = np.append(cuts, np.inf)      # so that every row has a least cut >= its bound
+    within _CHORD_ERROR + _CUT_MARGIN of their chord sum get exact PIT.
+
+    The position (`_grid_cell`) equals clip(z, -8.5 - 1/1024, 8.5) * 1024 + 8705 bit
+    for bit when std >= _TINY_STD: std / 1024 is then exact and scaling by a power
+    of two commutes with correct rounding, so the quotient is 1024 z (for a
+    subnormal z both sums round to 8705); as rounding is monotone, adding 8705 then
+    clipping equals clipping then adding. Below _TINY_STD a position may be wrong
+    or NaN: such a row's cells are set to 0 before the cast, so no NaN is cast or
+    gathered, and the row gets exact PIT whatever the brackets gave it.
+
+    A row is near a cut when the least cut >= a = lo - _CUT_MARGIN is <= lo + widest
+    + _CUT_MARGIN. The plan's grid screens first: next_cut[floor(a G)] is a cut >=
+    floor(a G) / G, so no larger than the least cut >= a (a G is exact, G being a
+    power of two; a < 0 takes cell 0, and no cut is below 0). So every near row
+    passes the screen, and the exact search runs on those that pass."""
+    phi, widest = plan.table
+    gathered, cell, j = scratch or plan.scratch()
+    _grid_cell(y[:, None], plan.means, plan.divisor, out=cell)
+    cell[plan.tiny] = 0.0
+    np.copyto(j, cell, casting="unsafe")
+    pit = np.minimum(phi.take(j, mode="clip", out=gathered) @ plan.w, 1.0)
 
     def near_cut(low, width):
-        return cuts[np.searchsorted(cuts, low - _CUT_MARGIN)] <= low + width + _CUT_MARGIN
-    rows = np.flatnonzero(near_cut(pit, widest))
-    j, frac = j[rows], cell[rows] - j[rows]
-    pit[rows] = np.minimum((phi[j] + (phi[j + 1] - phi[j]) * frac) @ w, 1.0)
+        low, high = low - _CUT_MARGIN, low + width + _CUT_MARGIN
+        rows = np.flatnonzero(plan.next_cut.take((low * _CUT_GRID).astype(np.intp),
+                                                 mode="clip") <= high)
+        return rows[plan.cuts[np.searchsorted(plan.cuts, low[rows])] <= high[rows]]
+    rows = near_cut(pit, widest)
+    pit[rows] = np.minimum(_chord(cell[rows]) @ plan.w, 1.0)
     rows = rows[near_cut(pit[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
+    if plan.tiny.size:
+        rows = np.union1d(rows, plan.tiny)
     if rows.size:
-        pit[rows] = pit_from_gaussians(means[rows], stds[rows], w, y[rows])
+        pit[rows] = pit_from_gaussians(plan.means[rows], plan.stds[rows], plan.w, y[rows])
     return pit
 
 
@@ -322,16 +395,19 @@ def draw_component(rng: np.random.Generator, weights: np.ndarray,
 def draw_mixture(rng: np.random.Generator, idx: np.ndarray, means=None, stds=None,
                  class_cums=None) -> np.ndarray:
     """One draw per row from per-row mixtures, given each row's component
-    index (`idx`, [N], from `draw_component` or a mode's `members`).
+    index (`idx`, [N], from `draw_component` or a mode's `members`), or one
+    index for every row, whose column is then read by basic slicing.
 
     The components are Gaussian (means, stds: [N, M]) or categorical
     (class_cums: [N, M, C], see `cumulative`). RNG consumption: one value
     draw per row, in row order.
     """
-    rows = np.arange(idx.size)
+    rows = slice(None) if np.ndim(idx) == 0 else np.arange(np.size(idx))
     if class_cums is None:
-        return means[rows, idx] + stds[rows, idx] * rng.standard_normal(idx.size)
-    return (rng.random(idx.size)[:, None] > class_cums[rows, idx]).sum(axis=1)
+        mean = means[rows, idx]
+        return mean + stds[rows, idx] * rng.standard_normal(mean.size)
+    cums = class_cums[rows, idx]
+    return (rng.random(len(cums))[:, None] > cums).sum(axis=1)
 
 
 def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=None):

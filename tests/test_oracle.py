@@ -25,6 +25,17 @@ class FractionClassZero:
         return float(np.mean(np.asarray(labels) == 0))
 
 
+@dataclass(frozen=True)
+class NanWhenFirstIsOne:
+    """The label mean, or NaN where the first label is class 1."""
+
+    kind = st.CLASSIFICATION
+    name = "nan-when-first-is-one"
+
+    def evaluate(self, labels, ctx):
+        return float("nan") if labels[0] == 1 else float(np.mean(labels))
+
+
 def two_model_onehot(n=2):
     probs = np.zeros((n, 2, 2))
     probs[:, 0, 0] = 1.0
@@ -68,6 +79,13 @@ class TestExactDistribution:
             oracle.exact_statistic_distribution(
                 preds, None, ppc.EceStatistic(), ppc.BAYESIAN,
                 budget=oracle.EnumerationBudget(max_outcomes=10))
+
+    def test_non_finite_statistic_value_is_refused(self):
+        # one NaN atom per outcome would stay unmerged, as NaN != NaN
+        preds = st.EnsemblePredictions.from_probs(np.full((3, 2, 2), 0.5))
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            oracle.exact_statistic_distribution(preds, None, NanWhenFirstIsOne(),
+                                                ppc.BAYESIAN)
 
     def test_regression_statistic_is_kind_mismatch(self):
         with pytest.raises(st.KindMismatchError):

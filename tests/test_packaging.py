@@ -87,3 +87,24 @@ def test_engine_does_not_import_the_file_formats():
     assert imports                          # the scan sees the imports
     assert all(node.module != "io" and "io" not in {a.name for a in node.names}
                for node in imports)
+
+
+def test_no_cache_outside_the_check_and_no_thread_state():
+    """The bracket's plan lives in a check's context and its scratch in a block:
+    no module imports `threading`, and the one `functools` cache is `_cdf_table`'s,
+    a constant of the grid."""
+    cached, threading = [], []
+    for module, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                threading += [a.name for a in node.names if a.name.split(".")[0] == "threading"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                threading += [node.module] if node.module.split(".")[0] == "threading" else []
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in {"cache", "lru_cache", "cached_property"}:
+                        cached.append(f"{module}.{node.name}")
+    assert threading == []
+    assert cached == ["predictive._cdf_table"]

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import re
 from dataclasses import dataclass
 from unittest import mock
@@ -17,6 +18,14 @@ from ppc_uq.predictive import (Gaussian, InvalidParameterError,
                                pit_from_gaussians)
 
 from conftest import edge_probs, ks_uniform
+
+
+def criterion_5_ensemble():
+    """The quadratic OOD ensemble of acceptance criterion 5: N = 2,000, M = 50."""
+    xt, yt, xo, _ = analytic.generate_quadratic_dataset(
+        analytic.QuadraticDatasetConfig(n=20, seed=0), n_ood=2000)
+    return analytic.bayesian_linear_ensemble(analytic.BayesianLinearEnsembleConfig(
+        num_models=50, prior_precision=0.5, seed=0), xt, yt, xo)
 
 
 def two_model_onehot(n=2):
@@ -470,8 +479,8 @@ class TestEngineProperties:
         assert (statistic.evaluate(labels, ctx).hex()
                 == statistic.evaluate_pit(pit, ctx).hex())
         with mock.patch.object(ppc, "_pit_near_cuts",
-                               lambda means, stds, w, y, cuts:
-                               pit_from_gaussians(means, stds, w, y)):
+                               lambda plan, y, scratch=None:
+                               pit_from_gaussians(plan.means, plan.stds, plan.w, y)):
             exact = ppc.sample_statistic(preds, weights, statistic, mode,
                                          num_replicates=replicates, seed=seed_, threads=1)
         bracket = ppc.sample_statistic(preds, weights, statistic, mode,
@@ -479,12 +488,9 @@ class TestEngineProperties:
         assert bracket.samples.tobytes() == exact.samples.tobytes()
 
     def test_chord_bracket_leaves_few_rows_to_the_exact_kernel(self):
-        # the quadratic OOD ensemble of acceptance criterion 5: the cell bracket
-        # alone sent 40-49 rows per replicate to the exact kernel
-        xt, yt, xo, _ = analytic.generate_quadratic_dataset(
-            analytic.QuadraticDatasetConfig(n=20, seed=0), n_ood=2000)
-        preds = analytic.bayesian_linear_ensemble(analytic.BayesianLinearEnsembleConfig(
-            num_models=50, prior_precision=0.5, seed=0), xt, yt, xo)
+        # on criterion 5's ensemble the cell bracket alone sent 40-49 rows per
+        # replicate to the exact kernel
+        preds = criterion_5_ensemble()
         exact_rows = []
 
         def exact(means, stds, w, y):
@@ -494,6 +500,64 @@ class TestEngineProperties:
             ppc.sample_statistic(preds, None, ppc.CalibrationErrorStatistic(), ppc.BAYESIAN,
                                  num_replicates=100, seed=0, threads=1)
         assert sum(exact_rows) <= 20
+
+    @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.PointEstimate(0)],
+                             ids=lambda m: m.describe())
+    def test_bracket_agrees_with_the_exact_kernel_on_extreme_members(self, statistic, mode):
+        # stds whose std / 1024 is subnormal or 0 (those rows go to the exact
+        # kernel), stds at the bound 2^-1012 and an ulp either side of it, labels
+        # exactly at a member's mean (0 / 0 where std / 1024 is 0), |mean| ~ 1e15;
+        # member 0, which point:0 draws from, holds the tiny stds
+        tiny = 2.0 ** -1012
+        stds = np.array([[5e-324, 1.0, 2.0], [1e-310, 0.5, 1.0], [tiny, 1.0, 0.3],
+                         [np.nextafter(tiny, 0.0), 1.0, 1.0],
+                         [np.nextafter(tiny, 1.0), 2.0, 1.0], [1.0, 1.0, 1.0],
+                         [1.0, 0.7, 1.0], [0.5, 1.0, 1.0]])
+        means = np.array([[0.3, 0.0, 1.0], [-2.0, 0.1, 0.0], [0.0, 0.5, -0.5],
+                          [1.5, 0.0, 0.0], [0.25, 0.0, 1.0], [1e15, -1e15, 1e15 + 3],
+                          [-1e15, -1e15 - 1.0, -1e15 + 2.0], [0.0, 0.2, -0.1]])
+        preds = st.EnsemblePredictions.from_gaussians(means, stds)
+        labels = np.array([0.3, -2.0, 0.1, 1.5, 0.25, 1e15, -1e15 + 0.5, 0.0])
+        ctx = ppc.build_context(preds)
+        plan = statistic.pit_plan(ctx)
+        assert plan.tiny.tolist() == [0, 1, 3]      # the rows with a std below 2^-1012
+        cuts = np.asarray(statistic.cuts)
+        draws = np.random.default_rng(22)
+        for y in [labels] + [ppc.replicate_labels(preds, None, mode, draws) for _ in range(50)]:
+            pit = predictive._pit_near_cuts(plan, y)
+            exact = pit_from_gaussians(preds.means, preds.stds, ctx.weights, y)
+            for side in (np.less, np.less_equal):
+                assert (side(pit[:, None], cuts) == side(exact[:, None], cuts)).all()
+        assert (statistic.evaluate(labels, ctx).hex()
+                == statistic.evaluate_pit(pit_from_gaussians(
+                    preds.means, preds.stds, ctx.weights, labels), ctx).hex())
+        with mock.patch.object(ppc, "_pit_near_cuts",
+                               lambda plan, y, scratch=None:
+                               pit_from_gaussians(plan.means, plan.stds, plan.w, y)):
+            exact = ppc.sample_statistic(preds, None, statistic, mode,
+                                         num_replicates=300, seed=4, threads=1)
+        bracket = ppc.sample_statistic(preds, None, statistic, mode,
+                                       num_replicates=300, seed=4, threads=1)
+        assert bracket.samples.tobytes() == exact.samples.tobytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's allocator; "
+                               "another allocator reuses memory by other rules")
+    def test_label_path_replicates_take_few_page_faults(self):
+        # each block owns the bracket's [N, M] arrays and its replicates reuse
+        # them; three fresh ones per replicate took about 550 faults each
+        resource = pytest.importorskip("resource")
+        preds = criterion_5_ensemble()
+
+        def faults(num_replicates):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            ppc.sample_statistic(preds, None, ppc.CalibrationErrorStatistic(), ppc.BAYESIAN,
+                                 num_replicates=num_replicates, seed=0, threads=1)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        faults(50)                          # first use: the CDF table
+        assert (faults(500) - faults(50)) / 450 <= 20
 
     def test_picp_bound_at_each_rows_exact_pit(self):
         # every z on the bracket table's grid: a row's lower bound sums the
@@ -802,6 +866,11 @@ class TestSharpness:
     def test_needs_two(self):
         with pytest.raises(st.EmptyInputError):
             ppc.sharpness(np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_is_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            ppc.sharpness(np.array([0.0, value, 1.0]))
 
 
 @dataclass(frozen=True)

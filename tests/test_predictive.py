@@ -11,7 +11,7 @@ from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError, MixturePredictive,
                                PosteriorWeights, _CHORD_ERROR, _ERFC_ZERO_FROM,
                                _GRID_CELLS_PER_UNIT, _GRID_END, _GRID_HALF, _NDTR_CHUNK,
-                               _cdf_table, _ndtr, gaussian_cdf, mixture_cdf,
+                               _chord, _grid_cell, _ndtr, gaussian_cdf, mixture_cdf,
                                mixture_sample, pit_from_gaussians)
 
 from conftest import ks_uniform
@@ -169,29 +169,38 @@ class TestChordBound:
     """`_pit_near_cuts` estimates a member's Phi(z) by its chord across z's grid
     cell; _CHORD_ERROR must bound the chord's distance from the kernel's Phi."""
 
+    EDGES = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_CELLS_PER_UNIT
+    Z = np.concatenate([
+        EDGES, np.nextafter(EDGES, -np.inf), np.nextafter(EDGES, np.inf),
+        EDGES[:-1] + 0.5 / _GRID_CELLS_PER_UNIT,                # cell midpoints
+        np.random.default_rng(21).uniform(-9.0, 9.0, 10 ** 6),
+        np.linspace(-40.0, -_GRID_END, 1000, endpoint=False),  # the end cells
+        np.linspace(40.0, _GRID_END, 1000, endpoint=False),
+        [-_GRID_END - 1 / _GRID_CELLS_PER_UNIT, -1e300, 1e300, -np.inf, np.inf]])
+
     @staticmethod
     def chord(z):
-        # the cell and the chord as `_pit_near_cuts` computes them
-        phi, _ = _cdf_table()
-        cell = np.clip(z, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END)
-        cell *= _GRID_CELLS_PER_UNIT
-        cell += _GRID_HALF + 1
-        j = cell.astype(np.intp)
-        return phi[j] + (phi[j + 1] - phi[j]) * (cell - j)
+        # the cell and the chord as `_pit_near_cuts` computes them, at std 1
+        return _chord(_grid_cell(z, 0.0, 1.0 / _GRID_CELLS_PER_UNIT))
 
     def test_chord_is_within_the_bound_and_the_bound_is_tight(self):
-        edges = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_CELLS_PER_UNIT
-        z = np.concatenate([
-            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-            edges[:-1] + 0.5 / _GRID_CELLS_PER_UNIT,                # cell midpoints
-            np.random.default_rng(21).uniform(-9.0, 9.0, 10 ** 6),
-            np.linspace(-40.0, -_GRID_END, 1000, endpoint=False),  # the end cells
-            np.linspace(40.0, _GRID_END, 1000, endpoint=False),
-            [-_GRID_END - 1 / _GRID_CELLS_PER_UNIT, -1e300, 1e300, -np.inf, np.inf]])
-        gap = np.abs(_ndtr(z) - self.chord(z))
+        gap = np.abs(_ndtr(self.Z) - self.chord(self.Z))
         assert gap.max() <= _CHORD_ERROR
         # h^2 phi(1) / 8 = 2.885e-8 is reached next to |z| = 1: the bound is not loose
         assert gap.max() >= _CHORD_ERROR / 2
+
+    @pytest.mark.parametrize("std", [1.0, 3.7, 2.0 ** -1012, 1e300])
+    def test_cell_is_the_clipped_z_scaled_and_shifted(self, std):
+        # the kernel divides by std / 1024 and clips last; the cell must still be
+        # clip(z, -8.5 - 1/1024, 8.5) * 1024 + 8705 for z = (y - mean) / std
+        with np.errstate(over="ignore"):
+            y = self.Z * std
+            z = y / std
+        cell = np.clip(z, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END)
+        cell *= _GRID_CELLS_PER_UNIT
+        cell += _GRID_HALF + 1
+        kernel = _grid_cell(y, 0.0, std / _GRID_CELLS_PER_UNIT)
+        assert kernel.tobytes() == cell.tobytes()
 
 
 class TestMixtureSample:
