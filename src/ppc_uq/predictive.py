@@ -117,83 +117,20 @@ class MixturePredictive:
                            PosteriorWeights.for_models(self.weights, len(comps)))
 
 
-# Cephes ndtr (Moshier), as scipy.special.ndtr evaluates it. With x = a / sqrt 2,
-# Phi(a) = 1/2 + erf(x) / 2 for |x| < 1, else erfc(|x|) / 2 or 1 minus that;
-# erf(x) = x T(x^2) / U(x^2), erfc(z) = exp(-z^2) P(z) / Q(z) for z < 8 and
-# exp(-z^2) R(z) / S(z) above, and erfc(z) = 0 once -z^2 < -MAXLOG (Cephes'
-# log of the largest double), that is from _ERFC_ZERO_FROM on.
-_SQRT1_2 = 7.07106781186547524401e-1
-_ERFC_ZERO_FROM = 26.64174755704633     # the least double whose square exceeds MAXLOG
-# The case of x, 0..6: x <= -1 by erfc = 0, R/S or P/Q; |x| < 1 by erf (case 3);
-# x >= 1 by P/Q, R/S or erfc = 0. A negative edge is the next double above -bound,
-# so that x = -bound falls below it.
-_NDTR_EDGES = np.array([np.nextafter(-bound, 0.0) for bound in (_ERFC_ZERO_FROM, 8.0, 1.0)]
-                       + [1.0, 8.0, _ERFC_ZERO_FROM])
-_NDTR_HEAD = 3
-_NDTR_CHUNK = 4096      # elements per pass, which bounds the coefficient gather
-
-
-def _padded(coefs: tuple) -> tuple:
-    return (0.0,) * (9 - len(coefs)) + coefs
-
-
-def _ndtr_table() -> np.ndarray:
-    """[20, 7], a column per case: rows 2k and 2k + 1 hold the coefficient of
-    Horner step k (highest power first) of the numerator and the denominator. A
-    leading 0.0 pads a lower degree and a leading 1.0 is Cephes' p1evl: both
-    keep the roundings of Cephes' own loops. Rows 18 and 19 give Phi = row 18 +
-    row 19 * y, for y the erf or erfc value: y/2, 1/2 + y/2 or 1 - y/2."""
-    tu, pq, rs = ([_padded(num), _padded(den)] for num, den in (
-        ((9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4),
-         (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
-          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)),
-        ((2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
-         (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
-          3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
-          2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)),
-        ((5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-          6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0),
-         (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
-          1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
-          3.36907645100081516050e0))))
-    zero = [_padded(()), _padded((1.0,))]
-    steps = np.array([zero, rs, pq, tu, pq, rs, zero]).transpose(2, 1, 0).reshape(18, 7)
-    return np.vstack([steps, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0],
-                      [0.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5]])
-
-
-_NDTR_TABLE = _ndtr_table()
+_NDTR_CHUNK = 4096      # elements per pass, which bounds the memory of the list
 
 
 def _ndtr(a: np.ndarray) -> np.ndarray:
-    """Phi(a) elementwise, each element by the same operations whatever the
-    array around it. exp is libm's, through `math.exp`, as in scipy's C, so
-    the value equals scipy.special.ndtr's; ±inf give 1 and 0, NaN gives NaN."""
+    """Phi(a) = erfc(-a / sqrt 2) / 2 elementwise, by libm's erfc through
+    `math.erfc`, so an element's value does not depend on the array around it;
+    ±inf give 1 and 0, NaN gives NaN."""
     flat = np.asarray(a, dtype=float).reshape(-1)
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _NDTR_CHUNK):
-        x = flat[start:start + _NDTR_CHUNK] * _SQRT1_2
-        case = np.searchsorted(_NDTR_EDGES, x, side="right")   # NaN: 6, and stays NaN
-        tail = case != _NDTR_HEAD
-        zc = np.minimum(np.abs(x), 27.0)    # erfc = 0 from 27 on: no power overflows
-        sq = zc * zc
-        v = np.where(tail, zc, sq)
-        coefs = _NDTR_TABLE.take(case, axis=1)
-        steps = coefs[:18].reshape(9, 2, -1)
-        ratio = v * steps[0]
-        for step in steps[1:-1]:
-            ratio += step
-            ratio *= v
-        ratio += steps[-1]
-        y = x.copy()                        # erf's factor x, erfc's exp(-z^2)
-        y[tail] = np.fromiter(map(math.exp, (-sq[tail]).tolist()), float)
-        y *= ratio[0]
-        y /= ratio[1]
-        y *= coefs[19]
-        out[start:start + _NDTR_CHUNK] = y + coefs[18]
+        part = flat[start:start + _NDTR_CHUNK] * -math.sqrt(0.5)
+        out[start:start + part.size] = np.fromiter(map(math.erfc, part.tolist()),
+                                                   float, part.size)
+    out *= 0.5
     return out.reshape(np.shape(a))
 
 

@@ -63,6 +63,8 @@ class EnsemblePredictions:
                 _require_rows(self.probs >= -1e-12, "probs must be >= 0")
                 _require_rows(np.abs(self.probs.sum(axis=2) - 1.0) <= 1e-6,
                               "per-model probability rows must sum to 1")
+                if self.logits is not None and self.logits.shape != self.probs.shape:
+                    raise InvalidParameterError("probs and logits must have the same shape")
         elif self.kind == REGRESSION:
             if self.means is None or self.stds is None:
                 raise InvalidParameterError("regression needs means and stds")

@@ -14,6 +14,7 @@ tomllib = pytest.importorskip("tomllib")   # Python 3.11+
 PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
 SRC = os.path.dirname(PACKAGE)
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def imported_top_level_modules(root):
@@ -33,15 +34,28 @@ def imported_top_level_modules(root):
     return names
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def declared(*groups):
+    """The distribution names of pyproject's `dependencies`, then of each named
+    optional-dependencies group."""
     with open(PYPROJECT, "rb") as fh:
         project = tomllib.load(fh)["project"]
-    declared = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower()
-                for req in project["dependencies"]}
+    requirements = project["dependencies"] + [
+        req for group in groups for req in project["optional-dependencies"][group]]
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
     third_party = (imported_top_level_modules(SRC) - set(sys.stdlib_module_names)
                    - {"ppc_uq"})
     assert "numpy" in third_party           # the scan sees the imports
-    assert third_party <= declared
+    assert third_party <= declared()
+
+
+def test_every_test_import_is_a_declared_test_dependency():
+    third_party = (imported_top_level_modules(TESTS) - set(sys.stdlib_module_names)
+                   - {"ppc_uq", "conftest"})
+    assert {"mpmath", "scipy"} <= third_party   # the scan sees the imports
+    assert third_party <= declared("test")
 
 
 def test_package_and_project_versions_agree():

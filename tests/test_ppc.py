@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as hst
-from scipy.stats import ks_2samp
+from scipy.stats import chisquare, ks_2samp
 
 from ppc_uq import analytic, ppc, oracle, predictive
 from ppc_uq import statistics as st
@@ -233,6 +233,52 @@ class TestLabelDrawReference:
         got = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=reps,
                                    seed=8, threads=threads)
         assert ks_2samp(got.samples, expected).pvalue >= 0.001
+
+
+def rank_test_ensembles():
+    """The false-FAIL rank test's ensembles, N = 12 and M = 3, by kind."""
+    rng = np.random.default_rng(31)
+    return {st.REGRESSION: st.EnsemblePredictions.from_gaussians(
+                rng.normal(0.0, 1.0, (12, 3)), rng.uniform(0.3, 1.5, (12, 3))),
+            st.CLASSIFICATION: st.EnsemblePredictions.from_logits(
+                rng.normal(0.0, 3.0, (12, 3, 3)))}
+
+
+class TestFalseFailRate:
+    """Labels drawn by a mode's own process (a member, then labels) are
+    exchangeable with that mode's replicates, so the observed value's rank among
+    R of them, ties broken at random, is uniform on {0, ..., R} (Barnard 1963;
+    Besag & Clifford 1989). This joins the observed path (`evaluate` on the
+    labels, `p_value`'s strict inequality) to each replicate path. Each case is a
+    chi-square test of SEEDS ranks, pooled into BINS groups of equal size, at
+    level ALPHA, so the 12 cases raise a false alarm with probability below 1e-3."""
+
+    R, SEEDS, BINS = 19, 120, 5
+    ALPHA = 1e-3 / 12
+    ENSEMBLES = rank_test_ensembles()
+
+    @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic(), ppc.EceStatistic(),
+                                           ppc.AccuracyStatistic()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(1)],
+                             ids=lambda m: m.describe())
+    def test_observed_rank_among_replicates_is_uniform(self, statistic, mode):
+        preds = self.ENSEMBLES[statistic.kind]
+        tie_break = np.random.default_rng(32)
+        ranks = []
+        for check_seed in range(self.SEEDS):
+            labels = ppc.replicate_labels(preds, None, mode,
+                                          np.random.default_rng(10 ** 6 + check_seed))
+            ss = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=self.R,
+                                      seed=check_seed, threads=1)
+            observed = statistic.evaluate(labels, ss.context)
+            below = round(ppc.p_value(ss, observed) * self.R)
+            ties = np.count_nonzero(ss.samples == observed)
+            ranks.append(below + tie_break.integers(ties + 1))
+        ranks = np.array(ranks)
+        assert ranks.max() <= self.R
+        counts = np.bincount(ranks // ((self.R + 1) // self.BINS), minlength=self.BINS)
+        assert chisquare(counts).pvalue >= self.ALPHA
 
 
 def poisson_binomial_ks(pmf, samples) -> float:

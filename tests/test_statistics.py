@@ -367,6 +367,13 @@ class TestEnsembleConstructor:
             st.EnsemblePredictions(st.CLASSIFICATION, probs=[[[np.nan, 0.5]]],
                                    logits=[[[np.inf, 0.0]]])
 
+    def test_probs_and_logits_of_different_shapes_are_refused(self, rng):
+        probs = rng.dirichlet(np.ones(2), size=(3, 2))
+        with pytest.raises(InvalidParameterError,
+                           match="probs and logits must have the same shape"):
+            st.EnsemblePredictions(st.CLASSIFICATION, probs=probs,
+                                   logits=rng.normal(size=(5, 4, 3)))
+
     def test_take_rows_slices_every_array_that_is_set(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(4, 2))
         both = st.EnsemblePredictions(st.CLASSIFICATION, probs=probs,
