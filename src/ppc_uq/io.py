@@ -1,7 +1,9 @@
 """On-disk formats: JSON Lines predictions, CSV labels, JSON reports.
 
-Prediction lines are read and written with orjson, imported by the two
-prediction calls only; reports and the other JSON files use `json`.
+Prediction lines are read and written with orjson, imported by the two prediction calls
+only, so importing the package and `--version` never load it; other JSON uses `json`.
+`io` checks the layout (header fields, row count and shape, JSON numbers, label syntax);
+the library checks the values, and a row it rejects is named at its file line.
 """
 from __future__ import annotations
 
@@ -142,10 +144,10 @@ def save_predictions(path, preds: st.EnsemblePredictions) -> None:
         rows = ({"preds": [{"mean": mean, "std": std} for mean, std
                            in zip(preds.means[i].tolist(), preds.stds[i].tolist())]}
                 for i in range(preds.num_rows))
-    else:
-        data = getattr(preds, values)
-        rows = ({"preds": data[i].tolist()} for i in range(preds.num_rows))
-    atomic_write(path, (orjson.dumps(obj) + b"\n"
+    else:   # orjson writes a C-contiguous array as its `tolist()`, and refuses others
+        data = np.ascontiguousarray(getattr(preds, values))
+        rows = ({"preds": data[i]} for i in range(preds.num_rows))
+    atomic_write(path, (orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
                         for obj in itertools.chain([header], rows)))
 
 

@@ -90,9 +90,9 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
     """Exact PMF of the replicated statistic under the mode's `law` over the
-    engine's class masses: accuracy's mixes K Poisson-binomials of the hit
-    masses q [K, N]; any other statistic weighs each joint label outcome by
-    its mass, C^N * K outcomes within the budget."""
+    engine's class masses: accuracy's mixes K Poisson-binomials of the hit masses
+    q [K, N], at any size; any other statistic weighs each joint label outcome by its
+    mass, C^N * K outcomes within the budget, from the full [N, M, C] masses."""
     ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")

@@ -42,8 +42,8 @@ class Bayesian:
     def describe(self) -> str:
         return "bayesian"
 
-    def members(self, rng, weights: np.ndarray, num_rows: int):
-        return draw_component(rng, weights, 1)[0]
+    def members(self, rng, cums: np.ndarray, num_rows: int):
+        return draw_component(rng, cums, 1)[0]
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
         return weights, per_member
@@ -56,8 +56,8 @@ class ConditionallyIndependent:
     def describe(self) -> str:
         return "independent"
 
-    def members(self, rng, weights: np.ndarray, num_rows: int) -> np.ndarray:
-        return draw_component(rng, weights, num_rows)
+    def members(self, rng, cums: np.ndarray, num_rows: int) -> np.ndarray:
+        return draw_component(rng, cums, num_rows)
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
         return np.ones(1), np.tensordot(weights, per_member, axes=1)[None]
@@ -76,7 +76,7 @@ class PointEstimate:
     def describe(self) -> str:
         return f"point:{self.index}"
 
-    def members(self, rng, weights: np.ndarray, num_rows: int):
+    def members(self, rng, cums: np.ndarray, num_rows: int):
         return self.index
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
@@ -123,6 +123,7 @@ class PredictiveContext:
 
     preds: st.EnsemblePredictions
     weights: np.ndarray                  # [M]
+    weight_cums: np.ndarray              # [M], `cumulative(weights)`, for `members`
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
@@ -136,7 +137,7 @@ def build_context(preds: st.EnsemblePredictions,
     probability that the label draw under member m gives row n its predicted
     class, its `class_mass`."""
     w = PosteriorWeights.for_models(weights, preds.num_models).as_array()
-    ctx = PredictiveContext(preds=preds, weights=w)
+    ctx = PredictiveContext(preds=preds, weights=w, weight_cums=cumulative(w))
     if preds.kind == st.CLASSIFICATION:
         probs = preds.class_probs()
         ctx.class_cums = cumulative(probs)
@@ -272,7 +273,7 @@ def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
 def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
                           rng: np.random.Generator) -> np.ndarray:
     """One draw under a mode that `check_mode` has accepted."""
-    return draw_mixture(rng, mode.members(rng, ctx.weights, ctx.preds.num_rows),
+    return draw_mixture(rng, mode.members(rng, ctx.weight_cums, ctx.preds.num_rows),
                         means=ctx.preds.means, stds=ctx.preds.stds,
                         class_cums=ctx.class_cums)
 
@@ -284,10 +285,10 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
     num_rows = ctx.preds.num_rows
     if hasattr(statistic, "prepare_hits"):
         member_weights, q = mode.law(ctx.weights, ctx.hit_mass)
-        evaluate = statistic.prepare_hits(ctx)
+        member_cums, evaluate = cumulative(member_weights), statistic.prepare_hits(ctx)
 
         def block(rng, count):
-            k = draw_component(rng, member_weights, size)[:count]
+            k = draw_component(rng, member_cums, size)[:count]
             return evaluate(rng.random((size, num_rows))[:count] < q[k])
         return block
     if hasattr(statistic, "evaluate_pit"):
@@ -306,13 +307,19 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
                                for _ in range(count)]
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, else (no affinity mask) `os.cpu_count()`, or None."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+
+
 def _num_threads(threads) -> int:
-    """The worker count asked for: `threads`, else PPC_UQ_THREADS, else all CPUs."""
+    """The worker count asked for: `threads`, else PPC_UQ_THREADS, else all usable CPUs."""
     name, count = "threads", threads
     if threads is None:
         name, threads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR)
         if not threads:
-            return os.cpu_count() or 1
+            return _usable_cpus() or 1
         with contextlib.suppress(ValueError):   # else count stays None: rejected
             count = parse_number(threads, integer=True)
     return check_integer(count, 1, f"{name} must be a positive integer, got {threads!r}")
@@ -325,14 +332,15 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
 
     Replicate k is slot k % B of block k // B, and block b draws from the
     substream (seed, b) (see `_block_statistic`). B depends on N only, so the
-    output is bit-identical for every prefix length and thread count: the
-    min(threads, num_replicates, CPUs) pool workers take whole blocks.
+    output is bit-identical for every prefix length and thread count: the min(threads,
+    num_replicates, usable CPUs) pool workers, one too, take whole blocks, each writing
+    its own slice of the output; a block's error reaches the caller.
     """
     num_replicates = check_integer(num_replicates, 1, "need at least one replicate")
     seed = check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     check_compatible(preds, statistic)
     check_mode(preds, mode)
-    workers = min(_num_threads(threads), num_replicates, os.cpu_count() or 1)
+    workers = min(_num_threads(threads), num_replicates, _usable_cpus() or 1)
     ctx = build_context(preds, weights)
     size = max(1, _BLOCK_ELEMENTS // preds.num_rows)
     out = np.empty(num_replicates, dtype=float)
@@ -351,7 +359,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
 def finite_values(samples, observed: float = None) -> np.ndarray:
     """The values of `samples` (a StatisticSamples or an array) as floats, under
     the one finite-values rule: InvalidParameterError unless each value, and
-    `observed` if given, is finite. A verdict, a width and a PMF need them all."""
+    `observed` if given, is finite. A verdict, a width and a PMF need them all: `p_value`,
+    `sharpness` and the oracle apply it, so a check raises before any verdict."""
     vals = np.asarray(getattr(samples, "samples", samples), dtype=float)
     if not (np.isfinite(vals).all() and (observed is None or np.isfinite(observed))):
         raise InvalidParameterError(
@@ -367,13 +376,25 @@ def p_value(samples, observed: float) -> float:
     return float(np.mean(finite_values(samples, observed) < observed))
 
 
+def _quantiles(values: np.ndarray, levels: tuple) -> list:
+    """`np.quantile(values, levels).tolist()` of finite values, bit for bit, without its
+    `np.unique`, which imports `numpy.ma`: numpy's lerp of the sorted a = s[j] and
+    b = s[j + 1] at (n - 1) q = j + t, a + (b - a) t for t < 0.5, else b - (b - a)(1 - t)."""
+    s, last, out = np.sort(values).tolist(), len(values) - 1, []
+    for v in (last * q for q in levels):
+        j = int(v)
+        a, b, t = s[j], s[min(j + 1, last)], v - j
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
+
+
 def sharpness(samples) -> float:
     """Width of the replicated-statistic distribution: q95 minus q5, all finite."""
     vals = finite_values(samples)
     if vals.size < 2:
         raise st.EmptyInputError("sharpness needs at least two samples")
-    q5, q95 = np.quantile(vals, [0.05, 0.95])
-    return float(q95 - q5)
+    q5, q95 = _quantiles(vals, (0.05, 0.95))
+    return q95 - q5
 
 
 def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
@@ -387,7 +408,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
     observed = float(statistic.evaluate(labels, ss.context))
     p = p_value(ss, observed)
     pcts = dict(zip(("p5", "p25", "p50", "p75", "p95"),
-                    np.quantile(ss.samples, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()))
+                    _quantiles(ss.samples, (0.05, 0.25, 0.5, 0.75, 0.95))))
     return PpcReport(p_value=p, sharpness=sharpness(ss),
                      passed=bool(0.0 < p < 1.0), percentiles=pcts, observed=observed,
                      num_replicates=ss.num_replicates, seed=ss.seed, mode=ss.mode,

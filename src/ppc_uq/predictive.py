@@ -1,8 +1,12 @@
 """Univariate predictive distributions and posterior-integrated mixtures.
 
-A predictive with model uncertainty is a finite mixture: one component per
-posterior sample (ensemble member), weighted by posterior mass. The mixture
-CDF integrates the per-model CDFs over those weights.
+A predictive with model uncertainty is a finite mixture: one component per posterior
+sample (ensemble member), weighted by posterior mass; the mixture CDF integrates the
+per-model CDFs over those weights. A scalar component is Gaussian; a categorical one is
+a row of `statistics.EnsemblePredictions` [N, M, C] (n draws of a table [M, C] are
+`ppc.replicate_labels` of it tiled n times under INDEPENDENT). Parameter objects are
+checked where made: counts by `check_integer`, scales by `check_positive`, weights and
+levels by rules stated positively, so that NaN fails each of them.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import numpy as np
 
 
 class InvalidParameterError(ValueError):
-    """Raised when a distribution parameter is out of its valid range."""
+    """The base of the package's parameter errors: a parameter out of its range."""
 
 
 def check_integer(value, least, message: str) -> int:
@@ -42,8 +46,9 @@ def check_positive(message: str, *values) -> None:
 
 def parse_number(text: str, integer: bool = False, finite: bool = False):
     """`text` as a float, or an int (optional '-', digits) if `integer`, in ASCII
-    with no `_`, finite if `finite`; else ValueError. The one spelling of numbers
-    in flags, label files and PPC_UQ_THREADS (`int` also reads '1_0', '\u0663')."""
+    with no `_`, finite if `finite`; else ValueError. The one spelling of numbers in
+    flags, label files, PPC_UQ_THREADS and a point index (`int` also reads '1_0',
+    '\u0663'); it is here so that the engine imports nothing from the file layer."""
     if not text.isascii() or "_" in text or (
             integer and not text.removeprefix("-").isdigit()):
         raise ValueError(f"not a number: {text!r}")
@@ -101,7 +106,7 @@ class PosteriorWeights:
 
 @dataclass(frozen=True)
 class MixturePredictive:
-    """Posterior-integrated predictive: a weighted mixture of Gaussians."""
+    """Posterior-integrated predictive: a weighted mixture of Gaussians, of nothing else."""
 
     components: tuple
     weights: PosteriorWeights = None
@@ -136,8 +141,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
                        y: np.ndarray) -> np.ndarray:
-    """Gaussian-mixture CDF at y: sum_m w_m Phi((y - mean_m) / std_m), over the
-    last (model) axis of means and stds, which broadcast against y[..., None].
+    """The one Gaussian-mixture CDF kernel: sum_m w_m Phi((y - mean_m) / std_m), over
+    the last (model) axis of means and stds, which broadcast against y[..., None].
     The sum is `einsum`'s, whose value for a row does not depend on the rows
     around it (a BLAS matvec's does), and is capped at 1: weights that sum to 1
     can round to more."""
@@ -291,7 +296,7 @@ def _mixture_arrays(mixture: MixturePredictive) -> tuple:
 def mixture_cdf(mixture: MixturePredictive, y) -> float:
     """Posterior-integrated CDF: sum of weighted per-component Gaussian CDFs.
 
-    Accepts a scalar or array y, every value finite; vectorized over y.
+    Vectorized over a scalar or array y; a NaN or infinite y is InvalidParameterError.
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
@@ -310,23 +315,24 @@ def cumulative(p: np.ndarray) -> np.ndarray:
 
 
 def class_mass(cums: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The probability that the categorical draw of `draw_mixture` gives
-    class c under the CDF `cums` (see `cumulative`): the length of the band
-    (cums[c - 1], cums[c]], cums[-1] = 0, with each CDF value clipped to
-    [0, 1] as the uniform is. `classes` indexes the last axis of `cums` as
-    in `np.take_along_axis`, broadcast against its other axes."""
+    """The only statement of the categorical draw's law (`draw_mixture`): class c
+    has the band (cums[c - 1], cums[c]] of the CDF `cums` (see `cumulative`), cums[-1]
+    = 0, each value clipped to [0, 1] as the uniform is, so rows that sum to 1 +- 1e-6
+    or hold entries down to -1e-12 still give masses that sum to 1. `classes` indexes
+    the last axis of `cums` as in `np.take_along_axis`, broadcast against its others."""
     hi = np.clip(np.take_along_axis(cums, classes, axis=-1), 0.0, 1.0)
     lo = np.take_along_axis(cums, np.maximum(classes - 1, 0), axis=-1)
     return hi - np.where(classes > 0, np.clip(lo, 0.0, 1.0), 0.0)
 
 
-def draw_component(rng: np.random.Generator, weights: np.ndarray,
+def draw_component(rng: np.random.Generator, cums: np.ndarray,
                    num_rows: int) -> np.ndarray:
-    """Mixture component index per row, [num_rows]: the first step of every
-    mixture draw. Uniforms consumed: one per row, none when M = 1."""
-    if weights.size == 1:
+    """Mixture component index per row, [num_rows], from the weights' `cumulative`
+    (a check builds it once): the first step of every mixture draw, which knows no
+    mode. Uniforms consumed: one per row, none when M = 1."""
+    if cums.size == 1:
         return np.broadcast_to(0, (num_rows,))
-    return np.searchsorted(cumulative(weights), rng.random(num_rows), side="right")
+    return np.searchsorted(cums, rng.random(num_rows), side="right")
 
 
 def draw_mixture(rng: np.random.Generator, idx: np.ndarray, means=None, stds=None,
@@ -356,7 +362,7 @@ def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=No
     n = 1 if size is None else check_integer(
         size, 0, f"size must be None or an integer >= 0, got {size!r}")
     means, stds, w = _mixture_arrays(mixture)
-    out = draw_mixture(rng, draw_component(rng, w, n),
+    out = draw_mixture(rng, draw_component(rng, cumulative(w), n),
                        means=np.broadcast_to(means, (n, w.size)),
                        stds=np.broadcast_to(stds, (n, w.size)))
     return out[0] if size is None else out

@@ -38,7 +38,7 @@ class InvalidRowError(InvalidParameterError):
 class EnsemblePredictions:
     """Per-row, per-model predictive distributions.
 
-    Classification rows carry an [N, M, C] probability (or logit) tensor;
+    Classification rows carry [N, M, C] probabilities or logits (one shape if both);
     regression rows carry [N, M] Gaussian (mean, stddev) pairs.
     """
 
@@ -152,7 +152,8 @@ class BinningConfig:
 
 @dataclass(frozen=True)
 class QuantileSet:
-    """Ordered quantile levels in (0, 1); default 100 equally spaced j/101."""
+    """Ordered quantile levels in (0, 1); default 100 equally spaced j/101. Equality
+    and hashing read the tuple `levels`; replicates read the array of `as_array()`."""
 
     levels: tuple = field(default_factory=lambda: QuantileSet.default_levels(100))
     _array: np.ndarray = field(init=False, repr=False, compare=False)
@@ -167,7 +168,7 @@ class QuantileSet:
 
     @staticmethod
     def default_levels(num: int) -> tuple:
-        # below 2**53, num + 1 is a double exactly, so level j is j / (num + 1)
+        # below 2**53, num + 1 is a double exactly: one division gives Python's j / (num + 1)
         if check_integer(num, 1, f"quantile count must be >= 1, got {num}") >= 2 ** 53:
             raise InvalidParameterError(f"quantile count must be at most 2**53 - 1, got {num}")
         return tuple((np.arange(1, num + 1) / (num + 1)).tolist())

@@ -318,7 +318,7 @@ print(json.dumps(results))
         assert reports["point:0"] == reports["bayesian"]
 
     def test_reports_byte_identical_across_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli.ppc.os, "cpu_count", lambda: 4)   # 4 real workers
+        monkeypatch.setattr(cli.ppc, "_usable_cpus", lambda: 4)   # 4 real workers
         preds, y = self_generated_regression(2, n=40)
         p, l = write_fixture(tmp_path, preds, y)
         payloads = []
@@ -517,6 +517,28 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
         assert result["version_loaded"] == [False, False]
         assert result["loaded"] == [False, False]
         assert all(code in (0, 2) for code in result["codes"])
+
+    @pytest.mark.parametrize("statistic", list(cli.STATISTICS))
+    def test_check_does_not_load_numpy_ma(self, tmp_path, statistic):
+        # each statistic in a fresh interpreter; `np.quantile` would load it
+        if statistic in ("ece", "accuracy"):
+            preds, y = preds_of(st.CLASSIFICATION, 20), np.arange(20) % 3
+        else:
+            preds, y = self_generated_regression(0, n=20)
+        p, l = write_fixture(tmp_path, preds, y)
+        script = f"""
+import contextlib, io, sys
+from ppc_uq import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check", "--predictions", {p!r}, "--labels", {l!r}, "--statistic",
+                     {statistic!r}, "--mode", "bayesian", "--replications", "20"])
+print(code, "numpy.ma" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split()[1] == "False" and out.split()[0] in ("0", "2")
 
 
 class TestCheckAndOracleAgree:

@@ -79,6 +79,24 @@ def test_rows_are_streamed_to_the_file(tmp_path, monkeypatch):
     assert b"".join(chunks) == path.read_bytes()
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_numpy_rows_are_written_as_their_lists(tmp_path, layout):
+    """The rows orjson encodes from numpy are the bytes of their `tolist()`,
+    also for an array that is not C-contiguous."""
+    import orjson
+    rng = np.random.default_rng(23)
+    logits = rng.uniform(-1, 1, (400, 5, 5)) * 10.0 ** rng.uniform(-20, 20, (400, 5, 5))
+    logits[0, 0] = [0.0, -0.0, TINY, BIG, -BIG]
+    if layout == "transposed":
+        logits = logits.transpose(0, 2, 1)
+        assert not logits.flags.c_contiguous
+    preds = st.EnsemblePredictions.from_logits(logits)
+    path = tmp_path / "p.jsonl"
+    io.save_predictions(path, preds)
+    rows = path.read_bytes().splitlines()[1:]
+    assert rows == [orjson.dumps({"preds": r.tolist()}) for r in preds.logits]
+
+
 HEADERS = {
     "probs": {"kind": "classification", "rows": 1, "models": 1, "classes": 2,
               "values": "probs"},

@@ -354,7 +354,7 @@ class TestSampleStatistic:
                                  ppc.CalibrationErrorStatistic(), ppc.BAYESIAN)
 
     def test_determinism_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(ppc.os, "cpu_count", lambda: 8)   # 8 real workers
+        monkeypatch.setattr(ppc, "_usable_cpus", lambda: 8)   # 8 real workers
         preds = two_model_onehot(4)
         runs = [ppc.sample_statistic(preds, None, ppc.EceStatistic(), ppc.BAYESIAN,
                                      num_replicates=500, seed=9, threads=t).samples
@@ -479,7 +479,7 @@ class TestEngineProperties:
     def test_replicates_are_thread_invariant(self, kind, data):
         preds, _, statistic, mode = data.draw(engine_cases(kind))
         seed = data.draw(hst.integers(0, 2 ** 31 - 1))
-        with mock.patch.object(ppc.os, "cpu_count", return_value=3):  # 3 real workers
+        with mock.patch.object(ppc, "_usable_cpus", return_value=3):  # 3 real workers
             runs = [ppc.sample_statistic(preds, None, statistic, mode, num_replicates=40,
                                          seed=seed, threads=t).samples.tobytes()
                     for t in (1, 2, 3)]
@@ -660,21 +660,13 @@ class TestWorkerPool:
             ppc.sample_statistic(two_model_onehot(), None, Failing(), ppc.BAYESIAN,
                                  num_replicates=4, threads=threads)
 
-    @pytest.mark.parametrize("cpus,threads,env,replicates,workers", [
-        (3, 100_000, None, 50, 3),
-        (3, None, "100000", 50, 3),
-        (3, None, None, 50, 3),
-        (3, 2, None, 50, 2),
-        (8, 100_000, None, 5, 5),
-        (None, 4, None, 50, 1),
-    ], ids=["threads", "env", "default", "under-cap", "replicates", "no-cpu-count"])
-    def test_workers_are_capped_at_cpus_and_replicates(self, monkeypatch, cpus, threads,
-                                                        env, replicates, workers):
+    @staticmethod
+    def inline_pool(monkeypatch) -> list:
+        """Replace the pool by one that runs the blocks on the calling thread;
+        the returned list records each `max_workers` asked for."""
         asked = []
 
         class InlineExecutor:
-            """Records `max_workers` and runs the blocks on the calling thread."""
-
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
@@ -687,12 +679,25 @@ class TestWorkerPool:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(ppc.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(ppc, "ThreadPoolExecutor", InlineExecutor)
+        return asked
+
+    @pytest.mark.parametrize("cpus,threads,env,replicates,workers", [
+        (3, 100_000, None, 50, 3),
+        (3, None, "100000", 50, 3),
+        (3, None, None, 50, 3),
+        (3, 2, None, 50, 2),
+        (8, 100_000, None, 5, 5),
+        (None, 4, None, 50, 1),
+    ], ids=["threads", "env", "default", "under-cap", "replicates", "no-cpu-count"])
+    def test_workers_are_capped_at_cpus_and_replicates(self, monkeypatch, cpus, threads,
+                                                        env, replicates, workers):
+        monkeypatch.setattr(ppc, "_usable_cpus", lambda: cpus)
         if env is None:
             monkeypatch.delenv(ppc.THREADS_ENV_VAR, raising=False)
         else:
             monkeypatch.setenv(ppc.THREADS_ENV_VAR, env)
-        monkeypatch.setattr(ppc, "ThreadPoolExecutor", InlineExecutor)
+        asked = self.inline_pool(monkeypatch)
         args = (two_model_onehot(4), None, ppc.EceStatistic(), ppc.BAYESIAN)
         got = ppc.sample_statistic(*args, num_replicates=replicates, seed=5,
                                    threads=threads)
@@ -700,6 +705,18 @@ class TestWorkerPool:
         monkeypatch.undo()
         want = ppc.sample_statistic(*args, num_replicates=replicates, seed=5, threads=1)
         assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
+        """Under an affinity mask of one CPU on an 8-CPU machine, one worker."""
+        if not hasattr(ppc.os, "sched_getaffinity"):
+            pytest.skip("the platform has no affinity mask")
+        monkeypatch.setattr(ppc.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(ppc.os, "cpu_count", lambda: 8)
+        monkeypatch.delenv(ppc.THREADS_ENV_VAR, raising=False)
+        asked = self.inline_pool(monkeypatch)
+        ppc.sample_statistic(two_model_onehot(4), None, ppc.EceStatistic(), ppc.BAYESIAN,
+                             num_replicates=50, seed=5)
+        assert asked == [1]
 
 
 @dataclass(frozen=True)
@@ -785,7 +802,7 @@ class TestBlocks:
                                         threads=threads).samples
 
         with mock.patch.object(ppc, "_BLOCK_ELEMENTS", size * n), \
-                mock.patch.object(ppc.os, "cpu_count", return_value=3):  # 3 real workers
+                mock.patch.object(ppc, "_usable_cpus", return_value=3):  # 3 real workers
             first = run(short, 1)
             runs = [run(long, threads) for threads in (1, 2, 3)]
             with mock.patch.object(ppc, "ThreadPoolExecutor", ShuffledInlineExecutor(order)):
@@ -917,6 +934,20 @@ class TestSharpness:
     def test_non_finite_value_is_refused(self, value):
         with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
             ppc.sharpness(np.array([0.0, value, 1.0]))
+
+    @given(data=hst.data())
+    @settings(max_examples=200, deadline=None)
+    def test_quantiles_are_numpys_bit_for_bit(self, data):
+        """`_quantiles` against `np.quantile`, the reference: ties, magnitudes up to
+        1e300 and subnormals (-0.0 aside, whose order beside 0.0 no sort fixes)."""
+        pool = data.draw(hst.lists(hst.floats(-1e300, 1e300).map(lambda v: v + 0.0),
+                                   min_size=1, max_size=64))
+        values = np.array(data.draw(hst.lists(hst.sampled_from(pool), min_size=2,
+                                              max_size=1000)))
+        levels = (0.05, 0.25, 0.5, 0.75, 0.95) + tuple(data.draw(
+            hst.lists(hst.floats(0, 1), max_size=4)))
+        want = np.quantile(values, levels).tolist()
+        assert np.array(ppc._quantiles(values, levels)).tobytes() == np.array(want).tobytes()
 
 
 @dataclass(frozen=True)
