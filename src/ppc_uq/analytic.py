@@ -79,8 +79,8 @@ class QuadraticDatasetConfig:
         check_integer(self.n, 1, f"n must be an integer >= 1, got {self.n!r}")
         check_positive("noise_var must be finite and > 0", self.noise_var)
         lo, hi = self.holdout
-        outside = (math.erfc(-lo / math.sqrt(2)) + math.erfc(hi / math.sqrt(2))) / 2
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and outside >= 0.01):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                and gaussian_cdf(0.0, 1.0, lo) + gaussian_cdf(0.0, 1.0, -hi) >= 0.01):
             raise InvalidParameterError(f"holdout must be finite, ordered and leave 1% of "
                                         f"the N(0, 1) mass outside it, got {self.holdout}")
 

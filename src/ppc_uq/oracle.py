@@ -100,16 +100,16 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
     ctx = ppc_mod.build_context(preds, weights)
     n, c = preds.num_rows, preds.num_classes
     rows = np.arange(n)
-    member_weights, q = mode.law(ctx.weights, ctx.hit_mass)          # [K], [K, N]
     if isinstance(statistic, ppc_mod.AccuracyStatistic):
+        member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))  # [K], [K, N]
         values = np.arange(n + 1) / n
         masses = member_weights @ _hit_count_pmf(q)
     else:
+        mass = class_mass(ctx.class_cums, np.arange(c)[None, None])    # [N, M, C]
+        member_weights, row_mass = mode.law(ctx.weights, mass.transpose(1, 0, 2))  # [K, N, C]
         required = c ** n * member_weights.size
         if required > budget.max_outcomes:
             raise BudgetExceededError(required, budget.max_outcomes)
-        mass = class_mass(ctx.class_cums, np.arange(c)[None, None])    # [N, M, C]
-        row_mass = mode.law(ctx.weights, mass.transpose(1, 0, 2))[1]  # [K, N, C]
         values = np.empty(c ** n)
         masses = np.empty(c ** n)
         for i, labels in enumerate(itertools.product(range(c), repeat=n)):

@@ -10,8 +10,8 @@ A mode's `members` draws the model index of each row, or one index that every
 row shares, and its `law(weights, per_member)` mixes a per-member array
 x [M, ...] into the mode's components, (w [K], x_k [K, ...]): over the label
 draw's class masses (`class_mass`) the exact law of one replicate's labels,
-over `hit_mass` that of its hits. Under `uniform_pit` a replicate's PIT values
-are i.i.d. U(0, 1) whatever the model.
+over a hit statistic's `hit_mass(ctx)` that of its hits. Under `uniform_pit` a
+replicate's PIT values are i.i.d. U(0, 1) whatever the model.
 
 The test statistic is always evaluated against the full posterior-integrated
 predictive, never against the sampled model.
@@ -117,9 +117,9 @@ def check_compatible(preds: st.EnsemblePredictions, statistic) -> None:
             f"got {preds.kind}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PredictiveContext:
-    """Quantities of the integrated predictive reused across replicates."""
+    """The integrated predictive of one check, which its block workers only read."""
 
     preds: st.EnsemblePredictions
     weights: np.ndarray                  # [M]
@@ -127,26 +127,18 @@ class PredictiveContext:
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
     class_cums: np.ndarray = None        # classification: per-row-per-model CDF
-    hit_mass: np.ndarray = None          # classification: [M, N], see below
-    pit_plans: dict = field(default_factory=dict, repr=False, compare=False)  # by cuts
 
 
 def build_context(preds: st.EnsemblePredictions,
                   weights: PosteriorWeights = None) -> PredictiveContext:
-    """The context of one check. For classification, hit_mass[m, n] is the
-    probability that the label draw under member m gives row n its predicted
-    class, its `class_mass`."""
+    """The context of one check."""
     w = PosteriorWeights.for_models(weights, preds.num_models).as_array()
-    ctx = PredictiveContext(preds=preds, weights=w, weight_cums=cumulative(w))
-    if preds.kind == st.CLASSIFICATION:
-        probs = preds.class_probs()
-        ctx.class_cums = cumulative(probs)
-        integrated = np.einsum("nmc,m->nc", probs, w)
-        ctx.predicted = integrated.argmax(axis=1)
-        ctx.confidence = integrated.max(axis=1)
-        ctx.hit_mass = class_mass(ctx.class_cums.transpose(1, 0, 2),
-                                  ctx.predicted[None, :, None])[..., 0]
-    return ctx
+    if preds.kind != st.CLASSIFICATION:
+        return PredictiveContext(preds, w, cumulative(w))
+    probs = preds.class_probs()
+    integrated = np.einsum("nmc,m->nc", probs, w)
+    return PredictiveContext(preds, w, cumulative(w), integrated.argmax(axis=1),
+                             integrated.max(axis=1), cumulative(probs))
 
 
 class _ReadsHits:
@@ -156,6 +148,11 @@ class _ReadsHits:
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
         return self.prepare_hits(ctx)(ctx.predicted == labels)
+
+    def hit_mass(self, ctx: PredictiveContext) -> np.ndarray:
+        """[M, N]: the `class_mass` of row n's predicted class under member m."""
+        return class_mass(ctx.class_cums.transpose(1, 0, 2),
+                          ctx.predicted[None, :, None])[..., 0]
 
 
 class _ReadsPit:
@@ -170,13 +167,8 @@ class _ReadsPit:
         return self.evaluate_pit(_pit_near_cuts(self.pit_plan(ctx), labels), ctx)
 
     def pit_plan(self, ctx: PredictiveContext):
-        """The check's `_pit_plan` for these cuts, built on the context's first use
-        (where two threads race, each builds the same plan)."""
-        cuts = tuple(np.asarray(self.cuts, dtype=float).tolist())
-        if cuts not in ctx.pit_plans:
-            ctx.pit_plans[cuts] = _pit_plan(ctx.preds.means, ctx.preds.stds,
-                                            ctx.weights, cuts)
-        return ctx.pit_plans[cuts]
+        """The `_pit_plan` of the context's members for these cuts, built anew."""
+        return _pit_plan(ctx.preds.means, ctx.preds.stds, ctx.weights, self.cuts)
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ class AccuracyStatistic(_ReadsHits):
     name = "accuracy"
 
     def prepare_hits(self, ctx: PredictiveContext):
-        return lambda hits: np.count_nonzero(hits, axis=-1) / hits.shape[-1]
+        return st.hit_fraction
 
 
 @dataclass(frozen=True)
@@ -280,11 +272,11 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
 
 def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, size: int):
     """`(rng, count) ->` the first count values of a block of size replicates, drawn
-    only through what the statistic reads: hits (k [size] from `law` over `hit_mass`,
+    only through what the statistic reads: hits (k [size] from `law` over its `hit_mass`,
     then u [size, N] < q[k]) or U(0, 1) PIT [size, N], both drawn whole, or labels."""
     num_rows = ctx.preds.num_rows
     if hasattr(statistic, "prepare_hits"):
-        member_weights, q = mode.law(ctx.weights, ctx.hit_mass)
+        member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))
         member_cums, evaluate = cumulative(member_weights), statistic.prepare_hits(ctx)
 
         def block(rng, count):

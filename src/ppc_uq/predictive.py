@@ -275,8 +275,8 @@ def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.n
     rows = near_cut(pit, widest)
     pit[rows] = np.minimum(_chord(cell[rows]) @ plan.w, 1.0)
     rows = rows[near_cut(pit[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
-    if plan.tiny.size:
-        rows = np.union1d(rows, plan.tiny)
+    # a row listed twice is set twice to one value (`np.union1d` would load numpy.ma)
+    rows = np.concatenate((rows, plan.tiny))
     if rows.size:
         pit[rows] = pit_from_gaussians(plan.means[rows], plan.stds[rows], plan.w, y[rows])
     return pit

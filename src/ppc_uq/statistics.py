@@ -290,10 +290,15 @@ def picp(pit, lower: float = 0.025, upper: float = 0.975) -> float:
     """Fraction of PIT values inside the inclusive interval [lower, upper]."""
     pit = _checked_pit(pit, "picp")
     check_interval(lower, upper)
-    return float(np.mean((pit >= lower) & (pit <= upper)))
+    return float(hit_fraction((pit >= lower) & (pit <= upper)))
+
+
+def hit_fraction(hits: np.ndarray) -> np.ndarray:
+    """The one accuracy kernel: each hit vector's exact count over N, [..., N] -> [...]."""
+    return np.count_nonzero(hits, axis=-1) / hits.shape[-1]
 
 
 def accuracy(integrated_probs: np.ndarray, labels) -> float:
     """Fraction of rows whose argmax class (ties to lowest index) matches the label."""
     probs, labels = _checked_rows(integrated_probs, labels, "accuracy")
-    return float(np.mean(probs.argmax(axis=1) == labels))
+    return float(hit_fraction(probs.argmax(axis=1) == labels))

@@ -518,11 +518,17 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
         assert result["loaded"] == [False, False]
         assert all(code in (0, 2) for code in result["codes"])
 
-    @pytest.mark.parametrize("statistic", list(cli.STATISTICS))
+    @pytest.mark.parametrize("statistic", list(cli.STATISTICS) + ["calibration-tiny-std"])
     def test_check_does_not_load_numpy_ma(self, tmp_path, statistic):
-        # each statistic in a fresh interpreter; `np.quantile` would load it
+        # each statistic in a fresh interpreter; `np.quantile` would load it, and so
+        # would `np.union1d` of the bracket's rows with those of a std of 1e-310
         if statistic in ("ece", "accuracy"):
             preds, y = preds_of(st.CLASSIFICATION, 20), np.arange(20) % 3
+        elif statistic == "calibration-tiny-std":
+            stds = np.ones((20, 2))
+            stds[3, 1] = 1e-310
+            statistic, y = "calibration", np.linspace(-1.0, 1.0, 20)
+            preds = st.EnsemblePredictions.from_gaussians(np.stack([y, -y], axis=1), stds)
         else:
             preds, y = self_generated_regression(0, n=20)
         p, l = write_fixture(tmp_path, preds, y)

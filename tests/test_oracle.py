@@ -243,7 +243,7 @@ class TestPoissonBinomial:
         n = preds.num_rows
         for mode in (ppc.BAYESIAN, ppc.INDEPENDENT,
                      ppc.PointEstimate(data.draw(hst.integers(0, probs.shape[1] - 1)))):
-            weights, q = mode.law(ctx.weights, ctx.hit_mass)
+            weights, q = mode.law(ctx.weights, ppc.AccuracyStatistic().hit_mass(ctx))
             want = np.zeros(n + 1)
             for w_k, q_k in zip(weights, q):
                 pmf_k = np.ones(1)

@@ -1,5 +1,6 @@
 """The package declares what it imports."""
 import ast
+import dataclasses
 import os
 import re
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import ppc_uq
-from ppc_uq import cli
+from ppc_uq import cli, ppc
 
 tomllib = pytest.importorskip("tomllib")   # Python 3.11+
 
@@ -104,9 +105,10 @@ def test_engine_does_not_import_the_file_formats():
 
 
 def test_no_cache_outside_the_check_and_no_thread_state():
-    """The bracket's plan lives in a check's context and its scratch in a block:
-    no module imports `threading`, and the one `functools` cache is `_cdf_table`'s,
-    a constant of the grid."""
+    """A check's context is frozen data with six fields; the bracket's plan is built
+    by the statistic that reads it and its scratch lives in a block: no module
+    imports `threading`, and the one `functools` cache is `_cdf_table`'s, a
+    constant of the grid."""
     cached, threading = [], []
     for module, tree in parsed_modules().items():
         for node in ast.walk(tree):
@@ -122,3 +124,6 @@ def test_no_cache_outside_the_check_and_no_thread_state():
                         cached.append(f"{module}.{node.name}")
     assert threading == []
     assert cached == ["predictive._cdf_table"]
+    assert ppc.PredictiveContext.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(ppc.PredictiveContext)] == [
+        "preds", "weights", "weight_cums", "predicted", "confidence", "class_cums"]

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import platform
 import re
 from dataclasses import dataclass
@@ -184,7 +186,7 @@ class TestHitDraw:
             masses[member] = hi - lo
         mode = data.draw(hst.sampled_from([ppc.BAYESIAN, ppc.INDEPENDENT,
                                            ppc.PointEstimate(m - 1)]))
-        weights, q = mode.law(ctx.weights, ctx.hit_mass)
+        weights, q = mode.law(ctx.weights, ppc.AccuracyStatistic().hit_mass(ctx))
         want_weights, want_q = expected_hit_law(mode, ctx.weights, masses)
         assert weights.tobytes() == want_weights.tobytes()
         assert q.shape == want_q.shape and q.flags.c_contiguous
@@ -208,9 +210,10 @@ class TestHitDraw:
         row6 = np.cumsum([-1e-12, 0.5])[1]
         want = np.array([[0.5] * 7, [0.625] * 6 + [row6]])
         assert want[1, 6] != 0.5
+        hit_mass = ppc.AccuracyStatistic().hit_mass(ctx)
         for mode, q in ((ppc.BAYESIAN, want), (ppc.PointEstimate(1), want[[1]]),
                         (ppc.INDEPENDENT, [[0.5625] * 6 + [0.25 + row6 / 2]])):
-            np.testing.assert_array_equal(mode.law(ctx.weights, ctx.hit_mass)[1], q)
+            np.testing.assert_array_equal(mode.law(ctx.weights, hit_mass)[1], q)
 
 
 class TestLabelDrawReference:
@@ -825,6 +828,46 @@ class TestBlocks:
         hits = rng.random((size, n)) < rng.random((size, 1))
         kernel = statistic.prepare_hits(ctx)
         assert kernel(hits).tolist() == [float(kernel(h)) for h in hits]
+
+
+class TestContext:
+    """A check's context is built once and only read: its block workers, at 1, 2
+    and 4 real workers, and the observed value leave each field the same object
+    with the same bytes."""
+
+    @pytest.mark.parametrize("reader", list(BLOCK_READERS))
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_a_check_leaves_its_context_as_built(self, monkeypatch, reader, threads):
+        kind, statistic, mode = BLOCK_READERS[reader]
+        rng = np.random.default_rng(5)
+        if kind == st.CLASSIFICATION:
+            preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (30, 3, 4)))
+            labels = rng.integers(0, 4, 30)
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(
+                rng.normal(0, 1, (30, 3)), rng.uniform(0.2, 2, (30, 3)))
+            labels = rng.normal(0, 1, 30)
+        built, build = [], ppc.build_context
+
+        def fields(ctx):
+            return {f.name: (getattr(ctx, f.name), pickle.dumps(getattr(ctx, f.name)))
+                    for f in dataclasses.fields(ctx)}
+
+        def recording_build(*args):
+            ctx = build(*args)
+            built.append(fields(ctx))
+            return ctx
+        monkeypatch.setattr(ppc, "build_context", recording_build)
+        monkeypatch.setattr(ppc, "_usable_cpus", lambda: 4)     # 4 real workers
+        monkeypatch.setattr(ppc, "_BLOCK_ELEMENTS", 4 * 30)     # 5 blocks of 4
+        ss = ppc.sample_statistic(preds, None, statistic, mode or ppc.BAYESIAN,
+                                  num_replicates=20, seed=3, threads=threads)
+        statistic.evaluate(labels, ss.context)
+        [as_built] = built
+        now = fields(ss.context)
+        assert now.keys() == as_built.keys()
+        for name, (value, data) in as_built.items():
+            assert now[name][0] is value and now[name][1] == data, name
 
 
 class TestModeAndThreadParameters:
