@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as st
-from .predictive import (Gaussian, InvalidParameterError, MixturePredictive,
-                         check_finite, check_integer, check_positive, gaussian_cdf,
-                         mixture_cdf)
+from .predictive import (Gaussian, InvalidParameterError, check_finite, check_integer,
+                         check_positive, gaussian_cdf, real_array)
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class ConjugateNormalModel:
 
 def conjugate_posterior(model: ConjugateNormalModel, data) -> tuple:
     """Posterior (mean, variance) over the location given i.i.d. observations."""
-    y = np.asarray(data, dtype=float)
+    y = real_array(data, "observations must be finite")
     if y.size == 0:
         raise InvalidParameterError("conjugate update needs at least one observation")
     if not np.all(np.isfinite(y)):
@@ -60,12 +59,9 @@ def location_example_demo(theta_true: float = 0.5, n: int = 10_000,
     under model uncertainty.
     """
     check_integer(n, 1, f"n must be an integer >= 1, got {n!r}")
-    rng = np.random.default_rng(seed)
-    y = theta_true + rng.standard_normal(n)
-    marginal = MixturePredictive(components=(Gaussian(0.0, math.sqrt(2.0)),))
-    empirical = float(np.mean(mixture_cdf(marginal, y) < 0.5))
-    analytic = gaussian_cdf(0.0, 1.0, -theta_true)
-    return empirical, analytic
+    y = theta_true + np.random.default_rng(seed).standard_normal(n)
+    empirical = float(np.mean(gaussian_cdf(0.0, math.sqrt(2.0), y) < 0.5))
+    return empirical, gaussian_cdf(0.0, 1.0, -theta_true)
 
 
 @dataclass(frozen=True)
@@ -78,11 +74,12 @@ class QuadraticDatasetConfig:
     def __post_init__(self):
         check_integer(self.n, 1, f"n must be an integer >= 1, got {self.n!r}")
         check_positive("noise_var must be finite and > 0", self.noise_var)
+        rule = (f"holdout must be finite, ordered and leave 1% of the N(0, 1) mass "
+                f"outside it, got {self.holdout}")
         lo, hi = self.holdout
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi
-                and gaussian_cdf(0.0, 1.0, lo) + gaussian_cdf(0.0, 1.0, -hi) >= 0.01):
-            raise InvalidParameterError(f"holdout must be finite, ordered and leave 1% of "
-                                        f"the N(0, 1) mass outside it, got {self.holdout}")
+        check_finite(rule, lo, hi)
+        if not (lo < hi and gaussian_cdf(0.0, 1.0, lo) + gaussian_cdf(0.0, 1.0, -hi) >= 0.01):
+            raise InvalidParameterError(rule)
 
     @property
     def noise_std(self) -> float:
@@ -90,7 +87,7 @@ class QuadraticDatasetConfig:
 
 
 def quadratic_mean(x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - 1.0) ** 2
+    return (real_array(x, "x must hold integers or floats") - 1.0) ** 2
 
 
 def generate_quadratic_dataset(cfg: QuadraticDatasetConfig, n_ood: int = 200):
@@ -132,9 +129,10 @@ class BayesianLinearEnsembleConfig:
 
 
 def _design(x: np.ndarray, degree: int, name: str) -> np.ndarray:
-    phi = np.vander(np.asarray(x, dtype=float), degree + 1, increasing=True)
+    rule = f"{name} and its powers up to {degree} must be finite"
+    phi = np.vander(real_array(x, rule), degree + 1, increasing=True)
     if not np.all(np.isfinite(phi)):
-        raise InvalidParameterError(f"{name} and its powers up to {degree} must be finite")
+        raise InvalidParameterError(rule)
     return phi
 
 
@@ -148,10 +146,10 @@ def bayesian_linear_ensemble(cfg: BayesianLinearEnsembleConfig, x_train, y_train
     """
     phi = _design(x_train, cfg.degree, "x_train")
     phi_q = _design(x_query, cfg.degree, "x_query")
-    y = np.asarray(y_train, dtype=float)
+    rule = f"y_train must be {phi.shape[0]} finite targets, one per input"
+    y = real_array(y_train, rule)
     if y.shape != phi.shape[:1] or not np.all(np.isfinite(y)):
-        raise InvalidParameterError(
-            f"y_train must be {phi.shape[0]} finite targets, one per input")
+        raise InvalidParameterError(rule)
     d = phi.shape[1]
     s_inv = cfg.prior_precision * np.eye(d) + phi.T @ phi / cfg.noise_var
     cov = np.linalg.inv(s_inv)

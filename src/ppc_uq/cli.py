@@ -131,10 +131,7 @@ def _simulate_quadratic(args, out_dir: str) -> None:
 def _simulate_conjugate(args, out_dir: str) -> None:
     model = analytic.ConjugateNormalModel()
     rng = np.random.default_rng(args.seed)
-    if args.data is not None:
-        observed = np.asarray(args.data)
-    else:
-        observed = args.theta_true + rng.standard_normal(args.n)
+    observed = args.theta_true + rng.standard_normal(args.n) if args.data is None else args.data
     mu, tau2 = analytic.conjugate_posterior(model, observed)
     predictive = analytic.posterior_predictive(mu, tau2, model.noise_var)
     labels = args.theta_true + math.sqrt(model.noise_var) * rng.standard_normal(args.n)

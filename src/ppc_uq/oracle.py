@@ -12,7 +12,7 @@ import numpy as np
 from . import ppc as ppc_mod
 from . import statistics as st
 from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
-                         class_mass)
+                         class_mass, real_array)
 
 
 class BudgetExceededError(ValueError):
@@ -45,7 +45,7 @@ class StatisticPmf:
 
     def tv_distance(self, samples) -> float:
         """Total variation against the empirical distribution of samples."""
-        samples = np.asarray(samples, dtype=float)
+        samples = real_array(samples, "samples must hold integers or floats")
         freq = np.zeros_like(self.masses)
         matched = np.zeros(samples.size, dtype=bool)
         for i, v in enumerate(self.values):

@@ -29,7 +29,7 @@ import numpy as np
 from . import statistics as st
 from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
                          _pit_plan, check_integer, class_mass, cumulative,
-                         draw_component, draw_mixture, parse_number)
+                         draw_component, draw_mixture, parse_number, real_array)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 _BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
@@ -353,7 +353,7 @@ def finite_values(samples, observed: float = None) -> np.ndarray:
     the one finite-values rule: InvalidParameterError unless each value, and
     `observed` if given, is finite. A verdict, a width and a PMF need them all: `p_value`,
     `sharpness` and the oracle apply it, so a check raises before any verdict."""
-    vals = np.asarray(getattr(samples, "samples", samples), dtype=float)
+    vals = real_array(getattr(samples, "samples", samples), "statistic values must be finite")
     if not (np.isfinite(vals).all() and (observed is None or np.isfinite(observed))):
         raise InvalidParameterError(
             f"statistic values must be finite: {np.count_nonzero(~np.isfinite(vals))} "

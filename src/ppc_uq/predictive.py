@@ -6,10 +6,13 @@ per-model CDFs over those weights. A scalar component is Gaussian; a categorical
 a row of `statistics.EnsemblePredictions` [N, M, C] (n draws of a table [M, C] are
 `ppc.replicate_labels` of it tiled n times under INDEPENDENT). Parameter objects are
 checked where made: counts by `check_integer`, scales by `check_positive`, weights and
-levels by rules stated positively, so that NaN fails each of them.
+levels by rules stated positively, so that NaN fails each of them. The number rules
+are here and, for file lines, in `io` only: text by `parse_number`, a scalar by the
+`check_*` family, an array the library is handed by `real_array`; no bool is a number.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -37,6 +40,17 @@ def check_finite(message: str, *values, least=-math.inf) -> None:
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                and least < v < math.inf for v in values):
         raise InvalidParameterError(message)
+
+
+def real_array(values, message: str) -> np.ndarray:
+    """`values` as floats (a float64 ndarray itself) if numpy reads them as integers or
+    floats and, unless an ndarray, they hold no bool; else InvalidParameterError(message)."""
+    with contextlib.suppress(ValueError):   # numpy's error for a ragged nesting
+        arr = np.asarray(values)
+        flat = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+        if arr.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(map(type, flat)):
+            return arr.astype(float, copy=False)
+    raise InvalidParameterError(message)
 
 
 def check_positive(message: str, *values) -> None:
@@ -75,10 +89,10 @@ class PosteriorWeights:
     values: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", tuple(w.tolist()))
+        w = real_array(self.values, "weights must be a nonempty vector")
         if w.ndim != 1 or w.size < 1:
             raise InvalidParameterError("weights must be a nonempty vector")
+        object.__setattr__(self, "values", tuple(w.tolist()))
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise InvalidParameterError("weights must be nonnegative and sum to 1")
 
@@ -165,8 +179,8 @@ _CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
 
 @functools.cache
 def _cdf_table() -> tuple:
-    """(phi [17411], the widest cell's phi[j + 1] - phi[j]), built with `_ndtr`
-    on first use; read-only, as every caller shares it."""
+    """(phi [17411], the widest cell's phi[j + 1] - phi[j]), built with `_ndtr` on
+    first use (twice if two threads race to it: one value); read-only, as it is shared."""
     phi = np.concatenate(([0.0], _ndtr(np.arange(-_GRID_HALF, _GRID_HALF + 1)
                                        / _GRID_CELLS_PER_UNIT), [1.0]))
     phi.flags.writeable = False
@@ -202,8 +216,7 @@ def _chord(cell: np.ndarray) -> np.ndarray:
 class _PitPlan:
     """What `_pit_near_cuts` reads of one check: the members [N, M], the weights,
     the divisor std / 1024, the rows with a std below _TINY_STD, the sorted cuts
-    with +inf appended, next_cut[i], the least cut >= i / _CUT_GRID, and
-    `_cdf_table()`, built here so that block workers do not race to build it."""
+    with +inf appended and next_cut[i], the least cut >= i / _CUT_GRID."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -212,7 +225,6 @@ class _PitPlan:
     tiny: np.ndarray
     cuts: np.ndarray
     next_cut: np.ndarray
-    table: tuple
 
     def scratch(self) -> tuple:
         """The [N, M] gather, position and cell arrays that `_pit_near_cuts` writes,
@@ -228,8 +240,7 @@ def _pit_plan(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts) -> _PitP
     with np.errstate(under="ignore"):   # below _TINY_STD, which the plan marks
         divisor = stds / _GRID_CELLS_PER_UNIT
     return _PitPlan(means, stds, w, divisor, np.flatnonzero((stds < _TINY_STD).any(axis=1)),
-                    cuts, cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)],
-                    _cdf_table())
+                    cuts, cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)])
 
 
 def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.ndarray:
@@ -260,7 +271,7 @@ def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.n
     floor(a G) / G, so no larger than the least cut >= a (a G is exact, G being a
     power of two; a < 0 takes cell 0, and no cut is below 0). So every near row
     passes the screen, and the exact search runs on those that pass."""
-    phi, widest = plan.table
+    phi, widest = _cdf_table()
     gathered, cell, j = scratch or plan.scratch()
     _grid_cell(y[:, None], plan.means, plan.divisor, out=cell)
     cell[plan.tiny] = 0.0
@@ -298,7 +309,7 @@ def mixture_cdf(mixture: MixturePredictive, y) -> float:
 
     Vectorized over a scalar or array y; a NaN or infinite y is InvalidParameterError.
     """
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = real_array(y, "CDF argument y must be finite")
     if not np.all(np.isfinite(y_arr)):
         raise InvalidParameterError("CDF argument y must be finite")
     total = pit_from_gaussians(*_mixture_arrays(mixture), y_arr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as st
-from .predictive import InvalidParameterError, check_positive
+from .predictive import InvalidParameterError, check_positive, real_array
 
 # the fit's iteration cap and least gain, both part of its result (see fit_temperatures)
 FIT_MAX_ITERS = 500
@@ -23,7 +23,7 @@ class TemperatureVector:
     values: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = real_array(self.values, "temperatures must be finite and positive")
         if v.ndim != 1 or v.size < 1:
             raise InvalidParameterError("need one temperature per model")
         check_positive("temperatures must be finite and positive", *self.values)
@@ -38,8 +38,8 @@ def split_recalibration(preds: st.EnsemblePredictions, labels,
     """Deterministic split: first floor(N * fraction) rows recalibrate, rest evaluate."""
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("recalibration needs classification predictions")
-    if not (0 < fraction < 1):
-        raise InvalidParameterError("fraction must be in (0, 1)")
+    check_positive("fraction must be in (0, 1)", fraction)      # a real number > 0,
+    check_positive("fraction must be in (0, 1)", 1 - fraction)  # and below 1
     labels = st.validate_labels(preds, labels)
     n = preds.num_rows
     n_recal = int(np.floor(n * fraction))
@@ -54,10 +54,10 @@ def split_recalibration(preds: st.EnsemblePredictions, labels,
 
 def apply_temperatures(logits: np.ndarray, temps: TemperatureVector) -> np.ndarray:
     """softmax(logits / tau_j) per row and model; preserves per-model argmax."""
-    logits = np.asarray(logits, dtype=float)
-    tau = temps.as_array()
+    rule = "logits must be [N, M, C] with M temperatures"
+    logits, tau = real_array(logits, rule), temps.as_array()
     if logits.ndim != 3 or logits.shape[1] != tau.size:
-        raise InvalidParameterError("logits must be [N, M, C] with M temperatures")
+        raise InvalidParameterError(rule)
     return st.softmax(logits / tau[None, :, None])
 
 

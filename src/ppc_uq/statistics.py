@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
-                         pit_from_gaussians)
+from .predictive import (InvalidParameterError, PosteriorWeights, check_finite,
+                         check_integer, pit_from_gaussians, real_array)
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -54,7 +54,7 @@ class EnsemblePredictions:
                 raise InvalidParameterError("classification needs probs or logits")
             for name in ("logits", "probs"):
                 if getattr(self, name) is not None:
-                    values = np.asarray(getattr(self, name), dtype=float)
+                    values = real_array(getattr(self, name), f"{name} must be [N, M, C]")
                     setattr(self, name, values)
                     if values.ndim != 3:
                         raise InvalidParameterError(f"{name} must be [N, M, C]")
@@ -68,10 +68,10 @@ class EnsemblePredictions:
         elif self.kind == REGRESSION:
             if self.means is None or self.stds is None:
                 raise InvalidParameterError("regression needs means and stds")
-            self.means = np.asarray(self.means, dtype=float)
-            self.stds = np.asarray(self.stds, dtype=float)
+            rule = "means/stds must both be [N, M]"
+            self.means, self.stds = real_array(self.means, rule), real_array(self.stds, rule)
             if self.means.shape != self.stds.shape or self.means.ndim != 2:
-                raise InvalidParameterError("means/stds must both be [N, M]")
+                raise InvalidParameterError(rule)
             _require_rows(np.isfinite(self.means), "means must be finite")
             _require_rows(np.isfinite(self.stds), "stds must be finite")
             _require_rows(self.stds > 0, "stds must be > 0")
@@ -159,9 +159,10 @@ class QuantileSet:
     _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lv = np.array(self.levels, dtype=float)     # a copy: it is made read-only
+        rule = "quantile levels must be strictly increasing in (0,1)"
+        lv = real_array(self.levels, rule).copy()   # a copy: it is made read-only
         if not (lv.ndim == 1 and lv.size and np.all(np.diff(lv, prepend=0, append=1) > 0)):
-            raise InvalidParameterError("quantile levels must be strictly increasing in (0,1)")
+            raise InvalidParameterError(rule)
         lv.flags.writeable = False
         object.__setattr__(self, "levels", tuple(lv.tolist()))
         object.__setattr__(self, "_array", lv)
@@ -178,7 +179,7 @@ class QuantileSet:
 
 
 def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=float)
+    labels = real_array(labels, f"labels must be a vector of length {preds.num_rows}")
     if labels.ndim != 1 or labels.shape[0] != preds.num_rows:
         raise InvalidParameterError(
             f"labels must be a vector of length {preds.num_rows}, got shape {labels.shape}")
@@ -204,7 +205,7 @@ def integrated_class_probs(preds: EnsemblePredictions,
 def _checked_rows(integrated_probs, labels, name: str) -> tuple:
     """[N, C] probabilities and their class labels, both checked by the rules
     of a one-member ensemble; EmptyInputError for N = 0."""
-    probs = np.asarray(integrated_probs, dtype=float)
+    probs = real_array(integrated_probs, f"{name} needs probs [N, C]")
     if probs.ndim != 2:
         raise InvalidParameterError(f"{name} needs probs [N, C], got shape {probs.shape}")
     if probs.shape[0] == 0:
@@ -260,7 +261,7 @@ def pit_values(preds: EnsemblePredictions, weights: PosteriorWeights = None,
 def _checked_pit(pit, name: str) -> np.ndarray:
     """PIT values as an array: EmptyInputError if there are none, and
     InvalidParameterError unless each lies in [0, 1] (NaN does not)."""
-    pit = np.asarray(pit, dtype=float)
+    pit = real_array(pit, "PIT values must lie in [0, 1]")
     if pit.size == 0:
         raise EmptyInputError(f"{name} needs at least one PIT value")
     if not (np.all(pit >= 0) and np.all(pit <= 1)):
@@ -281,7 +282,8 @@ def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:
 
 
 def check_interval(lower: float, upper: float) -> None:
-    """Reject a PICP interval that is not 0 <= lower < upper <= 1."""
+    """Reject a PICP interval that is not 0 <= lower < upper <= 1, of real numbers."""
+    check_finite("need 0 <= lower < upper <= 1", lower, upper)
     if not (0 <= lower < upper <= 1):
         raise InvalidParameterError("need 0 <= lower < upper <= 1")
 

@@ -127,3 +127,30 @@ def test_no_cache_outside_the_check_and_no_thread_state():
     assert ppc.PredictiveContext.__dataclass_params__.frozen
     assert [f.name for f in dataclasses.fields(ppc.PredictiveContext)] == [
         "preds", "weights", "weight_cums", "predicted", "confidence", "class_cums"]
+
+
+def float_casts(node, scope=()):
+    """The qualified name of the function around each `np.asarray(..., dtype=float)`
+    or `np.array(..., dtype=float)` under `node` (dtype given by keyword or place)."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in {"asarray", "array"}
+                and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"):
+            dtype = next((k.value for k in child.keywords if k.arg == "dtype"),
+                         child.args[1] if len(child.args) > 1 else None)
+            if dtype is not None and ast.unparse(dtype) in {
+                    "float", "np.float64", "np.double", "'float'", "'float64'"}:
+                yield ".".join(scope)
+        inner = (scope + (child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else scope)
+        yield from float_casts(child, inner)
+
+
+def test_an_array_the_library_is_handed_is_read_by_real_array():
+    """`predictive.real_array` is the one reader of arrays from outside: a silent cast
+    to floats, which reads a bool or a numeric string as a number, converts only the
+    package's own values, in these four functions."""
+    casts = [f"{module}.{name}" for module, tree in parsed_modules().items()
+             for name in float_casts(tree)]
+    assert sorted(casts) == ["predictive.PosteriorWeights.as_array", "predictive._ndtr",
+                             "predictive._pit_plan", "recalibrate.TemperatureVector.as_array"]

@@ -1,6 +1,8 @@
 """Every parameter rule, at every site that states one: a NaN, an infinity, a
 bool, a fraction where an integer is due or a value under the bound raises
-InvalidParameterError where the parameter is made, so no check runs on it."""
+InvalidParameterError where the parameter is made, so no check runs on it. An
+array the library is handed holds integers or floats: a bool or a string in it
+raises InvalidParameterError at the site that reads it."""
 import math
 import re
 
@@ -11,7 +13,7 @@ from ppc_uq import analytic, oracle, ppc
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError,
                                MixturePredictive, PosteriorWeights, gaussian_cdf,
-                               mixture_sample)
+                               mixture_cdf, mixture_sample, real_array)
 from ppc_uq.recalibrate import (TemperatureVector, apply_temperatures,
                                 split_recalibration)
 
@@ -41,6 +43,17 @@ FINITE_SITES = {
     "ConjugateNormalModel.prior_mean":
         (lambda v: analytic.ConjugateNormalModel(prior_mean=v), -0.5),
     "posterior_predictive.tau2": (lambda v: analytic.posterior_predictive(0.0, v, 1.0), 0.0),
+    # bounds compared in place, which a bool or a string would pass or break
+    "PicpStatistic.lower": (lambda v: ppc.PicpStatistic(v, 0.9), 0.1),
+    "PicpStatistic.upper": (lambda v: ppc.PicpStatistic(0.1, v), 0.9),
+    "picp.lower": (lambda v: st.picp([0.5], v, 0.9), 0.1),
+    "picp.upper": (lambda v: st.picp([0.5], 0.1, v), 0.9),
+    "split_recalibration.fraction":
+        (lambda v: split_recalibration(CLASS_PROBS, [0] * 5, v), 0.5),
+    "QuadraticDatasetConfig.holdout.lo":
+        (lambda v: analytic.QuadraticDatasetConfig(holdout=(v, 0.0)), -1.5),
+    "QuadraticDatasetConfig.holdout.hi":
+        (lambda v: analytic.QuadraticDatasetConfig(holdout=(-1.5, v)), 0.0),
 }
 POSITIVE_SITES = {
     "Gaussian.stddev": (lambda v: Gaussian(0.0, v), 0.5),
@@ -67,7 +80,7 @@ INTEGER_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "2.5": 2.5,
                "0": 0, "-1": -1}
 POSITIVE_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "0": 0.0,
                 "-1": -1.0}
-FINITE_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True}
+FINITE_BAD = {"nan": NAN, "inf": INF, "-inf": -INF, "True": True, "'0.5'": "0.5"}
 # the probability-vector and quantile-level rules
 VECTOR_BAD = {
     "PosteriorWeights(nan x3)": lambda: PosteriorWeights((NAN,) * 3),
@@ -80,6 +93,42 @@ VECTOR_BAD = {
 }
 GAUSSIANS = st.EnsemblePredictions.from_gaussians(np.zeros((5, 1)), np.ones((5, 1)))
 CLASS_PROBS = st.EnsemblePredictions.from_probs(np.full((5, 1, 2), 0.5))
+TWO_CLASS_ROWS = st.EnsemblePredictions.from_probs(np.full((2, 1, 2), 0.5))
+LINEAR = analytic.BayesianLinearEnsembleConfig(num_models=2)
+# site -> (make(values), nested lists of values it accepts, whether a scalar is
+# refused there); the leaves are 0 or 1 where the site allows it, so that only the
+# number rule refuses their bools
+ARRAY_SITES = {
+    "EnsemblePredictions.probs": (st.EnsemblePredictions.from_probs, [[[1.0, 0.0]]], True),
+    "EnsemblePredictions.logits": (st.EnsemblePredictions.from_logits, [[[1.0, 0.0]]], True),
+    "EnsemblePredictions.means":
+        (lambda v: st.EnsemblePredictions.from_gaussians(v, [[1.0]]), [[1.0]], True),
+    "EnsemblePredictions.stds":
+        (lambda v: st.EnsemblePredictions.from_gaussians([[0.0]], v), [[1.0]], True),
+    "QuantileSet": (st.QuantileSet, [0.25, 0.5], True),
+    "validate_labels": (lambda v: st.validate_labels(TWO_CLASS_ROWS, v), [1.0, 0.0], True),
+    "_checked_rows": (lambda v: st.accuracy(v, [0]), [[1.0, 0.0]], True),
+    "_checked_pit": (st.calibration_error, [1.0, 0.0], False),
+    "PosteriorWeights": (PosteriorWeights, [1.0, 0.0], True),
+    "mixture_cdf": (lambda v: mixture_cdf(MixturePredictive((Gaussian(0.0, 1.0),)), v),
+                    [1.0, 0.0], False),
+    "finite_values": (lambda v: ppc.p_value(v, 0.5), [1.0, 0.0], False),
+    "TemperatureVector": (TemperatureVector, [1.0, 1.0], True),
+    "apply_temperatures": (lambda v: apply_temperatures(v, TemperatureVector((1.0,))),
+                           [[[1.0, 0.0]]], True),
+    "conjugate_posterior":
+        (lambda v: analytic.conjugate_posterior(analytic.ConjugateNormalModel(), v),
+         [1.0, 0.0], False),
+    "quadratic_mean": (analytic.quadratic_mean, [1.0, 0.0], False),
+    # a scalar input is refused by `np.vander`, with its own ValueError
+    "_design": (lambda v: analytic.bayesian_linear_ensemble(LINEAR, v, [1.0, 0.0], [0.5]),
+                [1.0, 0.0], False),
+    "bayesian_linear_ensemble.y_train":
+        (lambda v: analytic.bayesian_linear_ensemble(LINEAR, [1.0, 0.0], v, [0.5]),
+         [1.0, 0.0], True),
+    "StatisticPmf.tv_distance":
+        (lambda v: oracle.StatisticPmf(np.ones(1), np.ones(1)).tv_distance(v), [1.0, 0.0], False),
+}
 # data and argument rules: each call must be refused with its rule's message
 DATA_BAD = {
     "posterior_predictive(tau2=-1)": (lambda: analytic.posterior_predictive(0.0, -1.0, 1.0),
@@ -133,6 +182,28 @@ DATA_BAD = {
 }
 
 
+def leaves(values, f):
+    """The nested lists `values` with f applied to each leaf."""
+    return [leaves(v, f) for v in values] if isinstance(values, list) else f(values)
+
+
+def with_first_leaf(values, f):
+    """The nested lists `values` with f applied to the first leaf only."""
+    if not isinstance(values, list):
+        return f(values)
+    return [with_first_leaf(values[0], f)] + values[1:]
+
+
+def array_probes(good, vector: bool) -> dict:
+    """Values that hold something other than integers and floats, built from `good`."""
+    probes = {"bools": leaves(good, bool), "numeric strings": leaves(good, str),
+              "object array": np.array(good, dtype=object),
+              "bool array": np.array(leaves(good, bool)),
+              "one bool among floats": with_first_leaf(good, bool),
+              "one numpy bool among floats": with_first_leaf(good, np.bool_)}
+    return {**probes, "scalar": 1.0} if vector else probes
+
+
 def cases(sites, bad):
     return [pytest.param(make, value, id=f"{site}-{name}")
             for site, (make, _) in sites.items() for name, value in bad.items()]
@@ -147,6 +218,33 @@ def cases(sites, bad):
 def test_bad_value_is_refused_where_it_is_made(make, value):
     with pytest.raises(InvalidParameterError):
         make(value)
+
+
+@pytest.mark.parametrize("make,values", [
+    pytest.param(make, probe, id=f"{site}-{name}")
+    for site, (make, good, vector) in ARRAY_SITES.items()
+    for name, probe in array_probes(good, vector).items()])
+def test_an_array_of_other_than_numbers_is_refused(make, values):
+    with pytest.raises(InvalidParameterError):
+        make(values)
+
+
+@pytest.mark.parametrize("make,good", [pytest.param(make, good, id=site)
+                                       for site, (make, good, _) in ARRAY_SITES.items()])
+def test_an_array_of_numbers_is_accepted(make, good):
+    make(good)
+    make(np.array(good))
+
+
+def test_real_array_reads_a_float64_array_in_place():
+    """No copy: `peak_rss_mb` would see one of every prediction array."""
+    a = np.full((4, 2, 3), 1.0 / 3.0)
+    assert real_array(a, "unused") is a
+    assert real_array(a[:, 0], "unused").base is a
+    assert np.shares_memory(st.EnsemblePredictions.from_probs(a).probs, a)
+    assert real_array([1, 2], "unused").dtype == np.float64
+    with pytest.raises(InvalidParameterError, match="ragged"):
+        real_array([[1.0], [1.0, 2.0]], "ragged")
 
 
 @pytest.mark.parametrize("make", list(VECTOR_BAD.values()), ids=list(VECTOR_BAD))
@@ -180,3 +278,19 @@ def test_no_verdict_from_a_nan_level_or_nan_weights():
                     ppc.CalibrationErrorStatistic(), ppc.BAYESIAN, num_replicates=10)
     assert math.isfinite(ppc.run_ppc(preds, None, y, ppc.CalibrationErrorStatistic(),
                                      ppc.BAYESIAN, num_replicates=10).p_value)
+
+
+def test_no_verdict_from_bool_weights_or_a_bool_bound(monkeypatch):
+    """Each is refused before any replicate is drawn; at first (True, False) was
+    read as weights (1, 0) and gave a PASS, and PICP's [0, True] as [0, 1] a FAIL."""
+    def no_replicates(seed, k):
+        raise AssertionError("a replicate was drawn")
+    monkeypatch.setattr(ppc, "replicate_rng", no_replicates)
+    preds = st.EnsemblePredictions.from_gaussians(np.zeros((20, 2)), np.ones((20, 2)))
+    y = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(InvalidParameterError):
+        ppc.run_ppc(preds, (True, False), y, ppc.CalibrationErrorStatistic(),
+                    ppc.BAYESIAN, num_replicates=10)
+    with pytest.raises(InvalidParameterError):
+        ppc.run_ppc(preds, None, y, ppc.PicpStatistic(0, True), ppc.BAYESIAN,
+                    num_replicates=10)
