@@ -59,6 +59,7 @@ def location_example_demo(theta_true: float = 0.5, n: int = 10_000,
     under model uncertainty.
     """
     check_integer(n, 1, f"n must be an integer >= 1, got {n!r}")
+    check_finite(f"theta_true must be finite, got {theta_true!r}", theta_true)
     y = theta_true + np.random.default_rng(seed).standard_normal(n)
     empirical = float(np.mean(gaussian_cdf(0.0, math.sqrt(2.0), y) < 0.5))
     return empirical, gaussian_cdf(0.0, 1.0, -theta_true)
@@ -76,7 +77,8 @@ class QuadraticDatasetConfig:
         check_positive("noise_var must be finite and > 0", self.noise_var)
         rule = (f"holdout must be finite, ordered and leave 1% of the N(0, 1) mass "
                 f"outside it, got {self.holdout}")
-        lo, hi = self.holdout
+        holdout = real_array(self.holdout, rule)
+        lo, hi = holdout if holdout.shape == (2,) else (math.nan, math.nan)  # else refused
         check_finite(rule, lo, hi)
         if not (lo < hi and gaussian_cdf(0.0, 1.0, lo) + gaussian_cdf(0.0, 1.0, -hi) >= 0.01):
             raise InvalidParameterError(rule)
@@ -130,7 +132,9 @@ class BayesianLinearEnsembleConfig:
 
 def _design(x: np.ndarray, degree: int, name: str) -> np.ndarray:
     rule = f"{name} and its powers up to {degree} must be finite"
-    phi = np.vander(real_array(x, rule), degree + 1, increasing=True)
+    if (x := real_array(x, rule)).ndim != 1:
+        raise InvalidParameterError(f"{name} must be a vector, got shape {x.shape}")
+    phi = np.vander(x, degree + 1, increasing=True)
     if not np.all(np.isfinite(phi)):
         raise InvalidParameterError(rule)
     return phi

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import ppc as ppc_mod
 from . import statistics as st
-from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
-                         class_mass, real_array)
+from .predictive import InvalidParameterError, PosteriorWeights, check_integer, class_mass
 
 
 class BudgetExceededError(ValueError):
@@ -45,15 +44,13 @@ class StatisticPmf:
 
     def tv_distance(self, samples) -> float:
         """Total variation against the empirical distribution of samples."""
-        samples = real_array(samples, "samples must hold integers or floats")
-        freq = np.zeros_like(self.masses)
+        samples, freq = ppc_mod.finite_values(samples), np.zeros_like(self.masses)
         matched = np.zeros(samples.size, dtype=bool)
         for i, v in enumerate(self.values):
             hit = np.abs(samples - v) <= 1e-9
             freq[i] = np.mean(hit)
             matched |= hit
-        unmatched = np.mean(~matched)
-        return float(0.5 * (np.sum(np.abs(self.masses - freq)) + unmatched))
+        return float(0.5 * (np.sum(np.abs(self.masses - freq)) + np.mean(~matched)))
 
 
 def _merge(values: np.ndarray, masses: np.ndarray, atol: float = 1e-12) -> tuple:

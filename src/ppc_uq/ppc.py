@@ -28,7 +28,7 @@ import numpy as np
 
 from . import statistics as st
 from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
-                         _pit_plan, check_integer, class_mass, cumulative,
+                         _pit_plan, check_finite, check_integer, class_mass, cumulative,
                          draw_component, draw_mixture, parse_number, real_array)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
@@ -348,24 +348,27 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                             mode=mode.describe(), statistic=statistic.name, context=ctx)
 
 
-def finite_values(samples, observed: float = None) -> np.ndarray:
-    """The values of `samples` (a StatisticSamples or an array) as floats, under
-    the one finite-values rule: InvalidParameterError unless each value, and
-    `observed` if given, is finite. A verdict, a width and a PMF need them all: `p_value`,
-    `sharpness` and the oracle apply it, so a check raises before any verdict."""
+def finite_values(samples, *observed) -> np.ndarray:
+    """`samples` (StatisticSamples or a vector) as a vector of finite floats, by `real_array`,
+    and the observed value, if given, a finite number, by `check_finite`; else
+    InvalidParameterError. Its readers: `p_value`, `sharpness`, the oracle's values and
+    `StatisticPmf.tv_distance`, each before it sizes the values."""
     vals = real_array(getattr(samples, "samples", samples), "statistic values must be finite")
-    if not (np.isfinite(vals).all() and (observed is None or np.isfinite(observed))):
-        raise InvalidParameterError(
-            f"statistic values must be finite: {np.count_nonzero(~np.isfinite(vals))} "
-            f"of {vals.size} are not" + ("" if observed is None else f", observed {observed!r}"))
+    if vals.ndim != 1:
+        raise InvalidParameterError(f"statistic values must be a vector, not {vals.shape}")
+    message = (f"statistic values must be finite: {np.count_nonzero(~np.isfinite(vals))} "
+               f"of {vals.size} are not" + "".join(f", observed {v!r}" for v in observed))
+    check_finite(message, *observed)
+    if not np.isfinite(vals).all():
+        raise InvalidParameterError(message)
     return vals
 
 
 def p_value(samples, observed: float) -> float:
     """Fraction of replicated values strictly below the observed value, all finite."""
-    if np.size(getattr(samples, "samples", samples)) == 0:
+    if (vals := finite_values(samples, observed)).size == 0:
         raise st.EmptyInputError("p_value needs at least one sample")
-    return float(np.mean(finite_values(samples, observed) < observed))
+    return float(np.mean(vals < observed))
 
 
 def _quantiles(values: np.ndarray, levels: tuple) -> list:
@@ -382,8 +385,7 @@ def _quantiles(values: np.ndarray, levels: tuple) -> list:
 
 def sharpness(samples) -> float:
     """Width of the replicated-statistic distribution: q95 minus q5, all finite."""
-    vals = finite_values(samples)
-    if vals.size < 2:
+    if (vals := finite_values(samples)).size < 2:
         raise st.EmptyInputError("sharpness needs at least two samples")
     q5, q95 = _quantiles(vals, (0.05, 0.95))
     return q95 - q5
@@ -401,7 +403,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
     p = p_value(ss, observed)
     pcts = dict(zip(("p5", "p25", "p50", "p75", "p95"),
                     _quantiles(ss.samples, (0.05, 0.25, 0.5, 0.75, 0.95))))
-    return PpcReport(p_value=p, sharpness=sharpness(ss),
+    return PpcReport(p_value=p, sharpness=pcts["p95"] - pcts["p5"],  # = sharpness(ss)
                      passed=bool(0.0 < p < 1.0), percentiles=pcts, observed=observed,
                      num_replicates=ss.num_replicates, seed=ss.seed, mode=ss.mode,
                      statistic=ss.statistic)

@@ -44,11 +44,14 @@ def check_finite(message: str, *values, least=-math.inf) -> None:
 
 def real_array(values, message: str) -> np.ndarray:
     """`values` as floats (a float64 ndarray itself) if numpy reads them as integers or
-    floats and, unless an ndarray, they hold no bool; else InvalidParameterError(message)."""
+    floats and, unless an ndarray, hold no bool of any rank; else InvalidParameterError."""
     with contextlib.suppress(ValueError):   # numpy's error for a ragged nesting
         arr = np.asarray(values)
-        flat = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
-        if arr.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(map(type, flat)):
+        flat = () if isinstance(values, np.ndarray) else np.array(values, dtype=object).ravel()
+        kinds = set(map(type, flat))
+        if np.ndarray in kinds:     # a 0-d array in a container: the type of what it holds
+            kinds.update(v.dtype.type for v in flat if isinstance(v, np.ndarray))
+        if arr.dtype.kind in "iuf" and {bool, np.bool_}.isdisjoint(kinds):
             return arr.astype(float, copy=False)
     raise InvalidParameterError(message)
 

@@ -2,7 +2,8 @@
 bool, a fraction where an integer is due or a value under the bound raises
 InvalidParameterError where the parameter is made, so no check runs on it. An
 array the library is handed holds integers or floats: a bool or a string in it
-raises InvalidParameterError at the site that reads it."""
+raises InvalidParameterError at the site that reads it. A public entry point reads
+each input through its reader before it sizes or compares it."""
 import math
 import re
 
@@ -54,6 +55,10 @@ FINITE_SITES = {
         (lambda v: analytic.QuadraticDatasetConfig(holdout=(v, 0.0)), -1.5),
     "QuadraticDatasetConfig.holdout.hi":
         (lambda v: analytic.QuadraticDatasetConfig(holdout=(-1.5, v)), 0.0),
+    # an observed value and a location, compared or added in place
+    "p_value.observed": (lambda v: ppc.p_value([0.1, 0.9], v), 0.5),
+    "location_example_demo.theta_true":
+        (lambda v: analytic.location_example_demo(v, n=10), 0.5),
 }
 POSITIVE_SITES = {
     "Gaussian.stddev": (lambda v: Gaussian(0.0, v), 0.5),
@@ -112,7 +117,7 @@ ARRAY_SITES = {
     "PosteriorWeights": (PosteriorWeights, [1.0, 0.0], True),
     "mixture_cdf": (lambda v: mixture_cdf(MixturePredictive((Gaussian(0.0, 1.0),)), v),
                     [1.0, 0.0], False),
-    "finite_values": (lambda v: ppc.p_value(v, 0.5), [1.0, 0.0], False),
+    "finite_values": (lambda v: ppc.p_value(v, 0.5), [1.0, 0.0], True),
     "TemperatureVector": (TemperatureVector, [1.0, 1.0], True),
     "apply_temperatures": (lambda v: apply_temperatures(v, TemperatureVector((1.0,))),
                            [[[1.0, 0.0]]], True),
@@ -120,14 +125,13 @@ ARRAY_SITES = {
         (lambda v: analytic.conjugate_posterior(analytic.ConjugateNormalModel(), v),
          [1.0, 0.0], False),
     "quadratic_mean": (analytic.quadratic_mean, [1.0, 0.0], False),
-    # a scalar input is refused by `np.vander`, with its own ValueError
     "_design": (lambda v: analytic.bayesian_linear_ensemble(LINEAR, v, [1.0, 0.0], [0.5]),
-                [1.0, 0.0], False),
+                [1.0, 0.0], True),
     "bayesian_linear_ensemble.y_train":
         (lambda v: analytic.bayesian_linear_ensemble(LINEAR, [1.0, 0.0], v, [0.5]),
          [1.0, 0.0], True),
     "StatisticPmf.tv_distance":
-        (lambda v: oracle.StatisticPmf(np.ones(1), np.ones(1)).tv_distance(v), [1.0, 0.0], False),
+        (lambda v: oracle.StatisticPmf(np.ones(1), np.ones(1)).tv_distance(v), [1.0, 0.0], True),
 }
 # data and argument rules: each call must be refused with its rule's message
 DATA_BAD = {
@@ -181,6 +185,29 @@ DATA_BAD = {
         "x_train"),
 }
 
+PMF = oracle.StatisticPmf(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+# inputs that a public entry point once sized, compared or computed with before
+# its reader had accepted them; each must be refused by that reader
+UNREAD_INPUTS = {
+    "p_value(observed numpy bool)": lambda: ppc.p_value([0.1, 0.9], np.bool_(True)),
+    "p_value(observed None)": lambda: ppc.p_value([0.1, 0.9], None),
+    "p_value(ragged samples)": lambda: ppc.p_value([[0.1], [0.2, 0.3]], 0.5),
+    "p_value(matrix samples)": lambda: ppc.p_value([[0.1, 0.2], [0.2, 0.3]], 0.15),
+    "sharpness(matrix samples)": lambda: ppc.sharpness([[0.1, 0.2], [0.2, 0.3]]),
+    "tv_distance(column samples)": lambda: PMF.tv_distance([[0.0], [1.0]]),
+    "real_array(0-d bool array in a list)": lambda: real_array([np.array(True), 1.0], "m"),
+    "bayesian_linear_ensemble(scalar x_train)":
+        lambda: analytic.bayesian_linear_ensemble(LINEAR, 1.0, [1.0], [0.0]),
+    "bayesian_linear_ensemble(matrix x_train)":
+        lambda: analytic.bayesian_linear_ensemble(LINEAR, [[1.0]], [1.0], [0.0]),
+    "bayesian_linear_ensemble(matrix x_query)":
+        lambda: analytic.bayesian_linear_ensemble(LINEAR, [1.0], [1.0], [[0.0]]),
+    "QuadraticDatasetConfig(three holdout bounds)":
+        lambda: analytic.QuadraticDatasetConfig(holdout=(0.0, 1.0, 2.0)),
+    "QuadraticDatasetConfig(one holdout bound)":
+        lambda: analytic.QuadraticDatasetConfig(holdout=0.0),
+}
+
 
 def leaves(values, f):
     """The nested lists `values` with f applied to each leaf."""
@@ -200,7 +227,9 @@ def array_probes(good, vector: bool) -> dict:
               "object array": np.array(good, dtype=object),
               "bool array": np.array(leaves(good, bool)),
               "one bool among floats": with_first_leaf(good, bool),
-              "one numpy bool among floats": with_first_leaf(good, np.bool_)}
+              "one numpy bool among floats": with_first_leaf(good, np.bool_),
+              "one 0-d bool array among floats":
+                  with_first_leaf(good, lambda v: np.array(bool(v)))}
     return {**probes, "scalar": 1.0} if vector else probes
 
 
@@ -245,6 +274,12 @@ def test_real_array_reads_a_float64_array_in_place():
     assert real_array([1, 2], "unused").dtype == np.float64
     with pytest.raises(InvalidParameterError, match="ragged"):
         real_array([[1.0], [1.0, 2.0]], "ragged")
+
+
+@pytest.mark.parametrize("make", list(UNREAD_INPUTS.values()), ids=list(UNREAD_INPUTS))
+def test_an_input_is_read_before_it_is_sized(make):
+    with pytest.raises(InvalidParameterError):
+        make()
 
 
 @pytest.mark.parametrize("make", list(VECTOR_BAD.values()), ids=list(VECTOR_BAD))

@@ -829,6 +829,23 @@ class TestBlocks:
         kernel = statistic.prepare_hits(ctx)
         assert kernel(hits).tolist() == [float(kernel(h)) for h in hits]
 
+    @pytest.mark.parametrize("reader", ["hits-accuracy", "pit-calibration",
+                                        "labels-bayesian-calibration", "labels-custom"])
+    def test_two_blocks_draw_different_samples(self, reader):
+        """Block b draws from substream (seed, b): slots [0, B) and [B, 2B) of one
+        call differ. N is large enough that B is 4, so both blocks are cheap."""
+        kind, statistic, mode = BLOCK_READERS[reader]
+        n, rng = 2 ** 14, np.random.default_rng(8)
+        size = ppc._BLOCK_ELEMENTS // n
+        if kind == st.CLASSIFICATION:
+            preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, 2, 3)))
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(rng.normal(0, 1, (n, 2)),
+                                                          rng.uniform(0.2, 2, (n, 2)))
+        samples = ppc.sample_statistic(preds, None, statistic, mode or ppc.BAYESIAN,
+                                       num_replicates=2 * size, seed=3).samples
+        assert size == 4 and not np.array_equal(samples[:size], samples[size:])
+
 
 class TestContext:
     """A check's context is built once and only read: its block workers, at 1, 2
@@ -1071,6 +1088,32 @@ class TestRunPpc:
         assert pct["p5"] <= pct["p25"] <= pct["p50"] <= pct["p75"] <= pct["p95"]
         assert rep.passed == (rep.p_value not in (0.0, 1.0))
         assert rep.sharpness >= 0.0
+
+
+class TestPitOnACut:
+    """A label at the mean of a one-member Gaussian ensemble has PIT 0.5 exactly, so
+    a check's observed value reads the boundary rules of `calibration_error` (a PIT
+    on a level is not below it) and of `picp` (the interval is closed)."""
+
+    PREDS = st.EnsemblePredictions.from_gaussians(np.array([[0.0], [0.0], [2.0], [2.0]]),
+                                                  np.ones((4, 1)))
+    AT_MEANS = np.array([0.0, 0.0, 2.0, 2.0])
+
+    def observed(self, labels, statistic) -> float:
+        return ppc.run_ppc(self.PREDS, None, labels, statistic, ppc.INDEPENDENT,
+                           num_replicates=2).observed
+
+    def test_pit_at_the_mean_is_one_half(self):
+        assert st.pit_values(self.PREDS, labels=self.AT_MEANS).tolist() == [0.5] * 4
+
+    def test_calibration_counts_a_pit_on_the_level_as_not_below(self):
+        # two rows on the level 0.5 and two far above it: 0.0 if they counted as below
+        labels = self.AT_MEANS + [0.0, 10.0, 0.0, 10.0]
+        statistic = ppc.CalibrationErrorStatistic(st.QuantileSet((0.5,)))
+        assert self.observed(labels, statistic) == 0.25
+
+    def test_picp_counts_a_pit_on_the_upper_bound_as_inside(self):
+        assert self.observed(self.AT_MEANS, ppc.PicpStatistic(0.1, 0.5)) == 1.0
 
 
 class TestCorrelationWidensDistribution:

@@ -187,6 +187,10 @@ class TestCalibrationError:
         with pytest.raises(st.EmptyInputError):
             st.calibration_error([])
 
+    def test_a_pit_on_a_level_is_not_below_it(self):
+        # 0.0 if PIT <= level counted as below
+        assert st.calibration_error([0.5, 0.9], st.QuantileSet((0.5,))) == 0.25
+
     def test_uniform_pit_is_small(self):
         # perfect calibration in the no-model-uncertainty case
         for seed in range(20):
@@ -230,6 +234,9 @@ class TestPicp:
 
     def test_boundary_inclusive(self):
         assert st.picp([0.025]) == 1.0
+
+    def test_upper_boundary_inclusive(self):
+        assert st.picp([0.975], 0.025, 0.975) == 1.0    # 0.0 if the top were open
 
     def test_errors(self):
         with pytest.raises(st.EmptyInputError):
