@@ -30,7 +30,8 @@ class ConjugateNormalModel:
 
 def conjugate_posterior(model: ConjugateNormalModel, data) -> tuple:
     """Posterior (mean, variance) over the location given i.i.d. observations."""
-    y = real_array(data, "observations must be finite")
+    if (y := real_array(data, "observations must be finite")).ndim != 1:
+        raise InvalidParameterError(f"observations must be a vector, got shape {y.shape}")
     if y.size == 0:
         raise InvalidParameterError("conjugate update needs at least one observation")
     if not np.all(np.isfinite(y)):
@@ -60,6 +61,7 @@ def location_example_demo(theta_true: float = 0.5, n: int = 10_000,
     """
     check_integer(n, 1, f"n must be an integer >= 1, got {n!r}")
     check_finite(f"theta_true must be finite, got {theta_true!r}", theta_true)
+    check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     y = theta_true + np.random.default_rng(seed).standard_normal(n)
     empirical = float(np.mean(gaussian_cdf(0.0, math.sqrt(2.0), y) < 0.5))
     return empirical, gaussian_cdf(0.0, 1.0, -theta_true)
@@ -74,6 +76,7 @@ class QuadraticDatasetConfig:
 
     def __post_init__(self):
         check_integer(self.n, 1, f"n must be an integer >= 1, got {self.n!r}")
+        check_integer(self.seed, 0, f"seed must be a non-negative integer, got {self.seed!r}")
         check_positive("noise_var must be finite and > 0", self.noise_var)
         rule = (f"holdout must be finite, ordered and leave 1% of the N(0, 1) mass "
                 f"outside it, got {self.holdout}")
@@ -89,7 +92,9 @@ class QuadraticDatasetConfig:
 
 
 def quadratic_mean(x: np.ndarray) -> np.ndarray:
-    return (real_array(x, "x must hold integers or floats") - 1.0) ** 2
+    if (x := real_array(x, "x must hold integers or floats")).ndim != 1:
+        raise InvalidParameterError(f"x must be a vector, got shape {x.shape}")
+    return (x - 1.0) ** 2
 
 
 def generate_quadratic_dataset(cfg: QuadraticDatasetConfig, n_ood: int = 200):
@@ -126,6 +131,7 @@ class BayesianLinearEnsembleConfig:
     def __post_init__(self):
         check_integer(self.degree, 0, f"degree must be an integer >= 0, got {self.degree!r}")
         check_integer(self.num_models, 1, "need at least one posterior draw")
+        check_integer(self.seed, 0, f"seed must be a non-negative integer, got {self.seed!r}")
         check_positive("precision and noise variance must be finite and positive",
                        self.prior_precision, self.noise_var)
 

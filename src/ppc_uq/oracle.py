@@ -11,7 +11,8 @@ import numpy as np
 
 from . import ppc as ppc_mod
 from . import statistics as st
-from .predictive import InvalidParameterError, PosteriorWeights, check_integer, class_mass
+from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
+                         class_mass, read_as)
 
 
 class BudgetExceededError(ValueError):
@@ -94,6 +95,7 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
     ppc_mod.check_mode(preds, mode)
+    budget = read_as(EnumerationBudget, budget)
     ctx = ppc_mod.build_context(preds, weights)
     n, c = preds.num_rows, preds.num_classes
     rows = np.arange(n)

@@ -29,7 +29,7 @@ import numpy as np
 from . import statistics as st
 from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
                          _pit_plan, check_finite, check_integer, class_mass, cumulative,
-                         draw_component, draw_mixture, parse_number, real_array)
+                         draw_component, draw_mixture, parse_number, read_as, real_array)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 _BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
@@ -110,7 +110,11 @@ def check_mode(preds: st.EnsemblePredictions, mode: UncertaintyMode) -> None:
 
 
 def check_compatible(preds: st.EnsemblePredictions, statistic) -> None:
-    """Reject a statistic made for the other prediction kind."""
+    """Reject what is not a statistic (`kind`, `name` and `evaluate`) or one made
+    for the other prediction kind."""
+    if not all(hasattr(statistic, a) for a in ("kind", "name", "evaluate")):
+        raise InvalidParameterError(
+            f"a statistic needs kind, name and evaluate, got {statistic!r}")
     if statistic.kind != preds.kind:
         raise st.KindMismatchError(
             f"statistic {statistic.name!r} needs {statistic.kind} predictions, "
@@ -142,12 +146,12 @@ def build_context(preds: st.EnsemblePredictions,
 
 
 class _ReadsHits:
-    """Reads labels only through the hits: `prepare_hits(ctx)(hits [..., N])` -> [...]."""
+    """Reads labels only through the hits: `kernel(ctx)(hits [..., N])` -> [...]."""
 
     kind = st.CLASSIFICATION
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return self.prepare_hits(ctx)(ctx.predicted == labels)
+        return self.kernel(ctx)(ctx.predicted == labels)
 
     def hit_mass(self, ctx: PredictiveContext) -> np.ndarray:
         """[M, N]: the `class_mass` of row n's predicted class under member m."""
@@ -156,15 +160,15 @@ class _ReadsHits:
 
 
 class _ReadsPit:
-    """Reads labels only through their PIT values, `evaluate_pit(pit, ctx)`, and
-    reads each PIT value only by comparing it with the sorted `cuts`. So the PIT
-    of `_pit_near_cuts`, exact where a cut lies within its chord bound, gives the
-    value of exact PIT."""
+    """Reads labels only through their PIT values, `kernel(ctx)(pit [..., N])` ->
+    [...], and reads each PIT value only by comparing it with the sorted `cuts`. So
+    the PIT of `_pit_near_cuts`, exact where a cut lies within its chord bound,
+    gives the value of exact PIT."""
 
     kind = st.REGRESSION
 
     def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
-        return self.evaluate_pit(_pit_near_cuts(self.pit_plan(ctx), labels), ctx)
+        return self.kernel(ctx)(_pit_near_cuts(self.pit_plan(ctx), labels))
 
     def pit_plan(self, ctx: PredictiveContext):
         """The `_pit_plan` of the context's members for these cuts, built anew."""
@@ -177,7 +181,10 @@ class EceStatistic(_ReadsHits):
 
     name = "ece"
 
-    def prepare_hits(self, ctx: PredictiveContext):
+    def __post_init__(self):
+        object.__setattr__(self, "bins", read_as(st.BinningConfig, self.bins))
+
+    def kernel(self, ctx: PredictiveContext):
         return st.ece_kernel(ctx.confidence, self.bins.num_bins)
 
 
@@ -185,7 +192,7 @@ class EceStatistic(_ReadsHits):
 class AccuracyStatistic(_ReadsHits):
     name = "accuracy"
 
-    def prepare_hits(self, ctx: PredictiveContext):
+    def kernel(self, ctx: PredictiveContext):
         return st.hit_fraction
 
 
@@ -195,12 +202,15 @@ class CalibrationErrorStatistic(_ReadsPit):
 
     name = "calibration"
 
+    def __post_init__(self):
+        object.__setattr__(self, "quantiles", read_as(st.QuantileSet, self.quantiles))
+
     @property
     def cuts(self) -> np.ndarray:
         return self.quantiles.as_array()
 
-    def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
-        return st.calibration_error(pit, self.quantiles)
+    def kernel(self, ctx: PredictiveContext):
+        return st.calibration_kernel(self.cuts)
 
 
 @dataclass(frozen=True)
@@ -217,8 +227,8 @@ class PicpStatistic(_ReadsPit):
     def cuts(self) -> tuple:
         return self.lower, self.upper
 
-    def evaluate_pit(self, pit: np.ndarray, ctx: PredictiveContext) -> float:
-        return st.picp(pit, self.lower, self.upper)
+    def kernel(self, ctx: PredictiveContext):
+        return st.picp_kernel(self.lower, self.upper)
 
 
 @dataclass
@@ -271,29 +281,30 @@ def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
 
 
 def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, size: int):
-    """`(rng, count) ->` the first count values of a block of size replicates, drawn
-    only through what the statistic reads: hits (k [size] from `law` over its `hit_mass`,
-    then u [size, N] < q[k]) or U(0, 1) PIT [size, N], both drawn whole, or labels."""
+    """`(rng, count) ->` the first count values of a block of size replicates, drawn only
+    through what the statistic reads, for one `kernel` call: hits (k [size] from `law` over
+    its `hit_mass`, then u [size, N] < q[k]) or U(0, 1) PIT [size, N], both drawn whole, or
+    PIT [count, N], one label draw per row; else labels, each for one `evaluate`."""
     num_rows = ctx.preds.num_rows
-    if hasattr(statistic, "prepare_hits"):
+    if isinstance(statistic, _ReadsHits):
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))
-        member_cums, evaluate = cumulative(member_weights), statistic.prepare_hits(ctx)
+        member_cums, kernel = cumulative(member_weights), statistic.kernel(ctx)
 
         def block(rng, count):
             k = draw_component(rng, member_cums, size)[:count]
-            return evaluate(rng.random((size, num_rows))[:count] < q[k])
+            return kernel(rng.random((size, num_rows))[:count] < q[k])
         return block
-    if hasattr(statistic, "evaluate_pit"):
+    if isinstance(statistic, _ReadsPit):
+        kernel = statistic.kernel(ctx)
         if mode.uniform_pit:
-            return lambda rng, count: [statistic.evaluate_pit(pit, ctx)
-                                       for pit in rng.random((size, num_rows))[:count]]
+            return lambda rng, count: kernel(rng.random((size, num_rows))[:count])
         plan = statistic.pit_plan(ctx)
 
         def block(rng, count):
-            scratch = plan.scratch()        # the block's, reused by its replicates
-            return [statistic.evaluate_pit(_pit_near_cuts(
-                plan, _replicate_labels_ctx(ctx, mode, rng), scratch), ctx)
-                for _ in range(count)]
+            scratch, pit = plan.scratch(), np.empty((count, num_rows))  # the block's
+            for row in pit:
+                row[:] = _pit_near_cuts(plan, _replicate_labels_ctx(ctx, mode, rng), scratch)
+            return kernel(pit)
         return block
     return lambda rng, count: [statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
                                for _ in range(count)]

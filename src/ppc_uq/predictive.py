@@ -56,6 +56,12 @@ def real_array(values, message: str) -> np.ndarray:
     raise InvalidParameterError(message)
 
 
+def read_as(cls, value):
+    """`value` if it is a `cls`, else `cls(value)`: a parameter slot reads a plain
+    value (a count, levels, a sequence) through its class, and so by its rules."""
+    return value if isinstance(value, cls) else cls(value)
+
+
 def check_positive(message: str, *values) -> None:
     """`check_finite` with values > 0."""
     check_finite(message, *values, least=0)
@@ -110,9 +116,7 @@ class PosteriorWeights:
         one weight per model. A plain sequence is read as `PosteriorWeights`."""
         if weights is None:
             return cls.uniform(num_models)
-        if not isinstance(weights, cls):
-            weights = cls(weights)
-        if len(weights.values) != num_models:
+        if len((weights := read_as(cls, weights)).values) != num_models:
             raise InvalidParameterError(f"need one weight per model: got "
                                         f"{len(weights.values)} for {num_models}")
         return weights

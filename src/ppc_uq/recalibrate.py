@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as st
-from .predictive import InvalidParameterError, check_positive, real_array
+from .predictive import InvalidParameterError, check_positive, read_as, real_array
 
 # the fit's iteration cap and least gain, both part of its result (see fit_temperatures)
 FIT_MAX_ITERS = 500
@@ -55,7 +55,7 @@ def split_recalibration(preds: st.EnsemblePredictions, labels,
 def apply_temperatures(logits: np.ndarray, temps: TemperatureVector) -> np.ndarray:
     """softmax(logits / tau_j) per row and model; preserves per-model argmax."""
     rule = "logits must be [N, M, C] with M temperatures"
-    logits, tau = real_array(logits, rule), temps.as_array()
+    logits, tau = real_array(logits, rule), read_as(TemperatureVector, temps).as_array()
     if logits.ndim != 3 or logits.shape[1] != tau.size:
         raise InvalidParameterError(rule)
     return st.softmax(logits / tau[None, :, None])

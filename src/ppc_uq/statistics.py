@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .predictive import (InvalidParameterError, PosteriorWeights, check_finite,
-                         check_integer, pit_from_gaussians, real_array)
+                         check_integer, pit_from_gaussians, read_as, real_array)
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -217,7 +217,7 @@ def ece(integrated_probs: np.ndarray, labels, bins: BinningConfig = BinningConfi
     """Expected calibration error with equal-width confidence bins on (0, 1]."""
     probs, labels = _checked_rows(integrated_probs, labels, "ece")
     return ece_from_confidence(probs.max(axis=1), probs.argmax(axis=1) == labels,
-                               bins.num_bins)
+                               read_as(BinningConfig, bins).num_bins)
 
 
 def ece_from_confidence(confidence: np.ndarray, hits: np.ndarray,
@@ -269,16 +269,28 @@ def _checked_pit(pit, name: str) -> np.ndarray:
     return pit
 
 
-def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:
-    """Sum over quantile levels of squared (level - empirical frequency) gaps.
+def _pit_vector(pit) -> np.ndarray:
+    """The PIT values [N] of one dataset, which the public metrics read."""
+    if (pit := real_array(pit, "PIT values must lie in [0, 1]")).ndim != 1:
+        raise InvalidParameterError(f"PIT values must be a vector, got shape {pit.shape}")
+    return pit
 
-    The empirical frequency at level p counts PIT values strictly below p.
-    """
-    pit = _checked_pit(pit, "calibration_error")
-    levels = quantiles.as_array()
-    pit_sorted = np.sort(pit)
-    below = np.searchsorted(pit_sorted, levels, side="left") / pit.size
-    return float(np.sum((levels - below) ** 2))
+
+def calibration_error(pit, quantiles: QuantileSet = QuantileSet()) -> float:
+    """Sum over quantile levels of squared (level - empirical frequency) gaps, where
+    the empirical frequency at level p counts PIT values strictly below p."""
+    levels = read_as(QuantileSet, quantiles).as_array()
+    return float(calibration_kernel(levels)(_pit_vector(pit)))
+
+
+def calibration_kernel(levels: np.ndarray):
+    """The one calibration-error kernel, at the sorted `levels`: pit [..., N] -> [...]."""
+    def evaluate(pit):
+        pit = np.sort(_checked_pit(pit, "calibration_error"), axis=-1)
+        below = np.array([np.searchsorted(row, levels, side="left")
+                          for row in pit.reshape(-1, pit.shape[-1])]) / pit.shape[-1]
+        return np.sum((levels - below.reshape(pit.shape[:-1] + levels.shape)) ** 2, axis=-1)
+    return evaluate
 
 
 def check_interval(lower: float, upper: float) -> None:
@@ -290,9 +302,14 @@ def check_interval(lower: float, upper: float) -> None:
 
 def picp(pit, lower: float = 0.025, upper: float = 0.975) -> float:
     """Fraction of PIT values inside the inclusive interval [lower, upper]."""
-    pit = _checked_pit(pit, "picp")
     check_interval(lower, upper)
-    return float(hit_fraction((pit >= lower) & (pit <= upper)))
+    return float(picp_kernel(lower, upper)(_pit_vector(pit)))
+
+
+def picp_kernel(lower: float, upper: float):
+    """The one PICP kernel, for bounds `check_interval` accepts: pit [..., N] -> [...]."""
+    return lambda pit: hit_fraction(((pit := _checked_pit(pit, "picp")) >= lower)
+                                    & (pit <= upper))
 
 
 def hit_fraction(hits: np.ndarray) -> np.ndarray:

@@ -6,8 +6,11 @@ copy of src/, must make its test node fail.
 Run from anywhere; with no IDs every entry runs. For each entry the runner copies
 src/ to a temporary directory, replaces the entry's `old` text, which must occur
 exactly once, in `src/ppc_uq/<module>.py` with `new`, and runs
-`python -m pytest -x -q -p no:cacheprovider NODE` in a subprocess from the
-repository root, with PYTHONPATH set to the copy. An entry is CAUGHT when pytest
+`python -m pytest -x -q -p no:cacheprovider NODE` in a subprocess, with
+PYTHONPATH set to the copy. The subprocess runs in the temporary directory, so
+each entry starts from an empty Hypothesis example database: examples saved
+by earlier runs in the checkout do not decide whether a property test draws
+the case that catches its mutant. An entry is CAUGHT when pytest
 reports a failure (exit status 1), SURVIVED when the node passes, and ERROR
 otherwise (say, a node that no longer exists). The exit status is 0 only if every
 entry that ran was caught. Standard library only; not part of the test suite.
@@ -49,8 +52,8 @@ def run(entry: dict) -> tuple:
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             entry["node"]], cwd=ROOT, env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True)
+             "--rootdir", ROOT, os.path.join(ROOT, entry["node"])], cwd=tmp,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
         seconds = time.perf_counter() - start
     lines = result.stdout.strip().splitlines()
     outcome = {0: "SURVIVED", 1: "CAUGHT"}.get(result.returncode, "ERROR")

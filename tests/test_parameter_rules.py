@@ -32,6 +32,11 @@ INTEGER_SITES = {
         (lambda v: analytic.BayesianLinearEnsembleConfig(num_models=v), 5),
     "generate_quadratic_dataset.n_ood": (lambda v: analytic.generate_quadratic_dataset(
         analytic.QuadraticDatasetConfig(n=10), n_ood=v), 5),
+    # parameter-object slots that read a plain count through the object's class
+    "EceStatistic.bins": (lambda v: ppc.EceStatistic(bins=v), 15),
+    "ece.bins": (lambda v: st.ece([[0.9, 0.1]], [0], bins=v), 15),
+    "exact_statistic_distribution.budget": (lambda v: oracle.exact_statistic_distribution(
+        TWO_CLASS_ROWS, None, ppc.EceStatistic(), ppc.BAYESIAN, budget=v), 10),
 }
 # integer sites whose bound is 0: every bad integer but 0
 INTEGER_SITES_FROM_0 = {
@@ -39,6 +44,11 @@ INTEGER_SITES_FROM_0 = {
         (lambda v: analytic.BayesianLinearEnsembleConfig(degree=v), 0),
     "mixture_sample.size": (lambda v: mixture_sample(
         MixturePredictive((Gaussian(0.0, 1.0),)), np.random.default_rng(0), size=v), 3),
+    "location_example_demo.seed":
+        (lambda v: analytic.location_example_demo(0.5, n=10, seed=v), 0),
+    "QuadraticDatasetConfig.seed": (lambda v: analytic.QuadraticDatasetConfig(seed=v), 0),
+    "BayesianLinearEnsembleConfig.seed":
+        (lambda v: analytic.BayesianLinearEnsembleConfig(seed=v), 0),
 }
 FINITE_SITES = {
     "ConjugateNormalModel.prior_mean":
@@ -111,20 +121,26 @@ ARRAY_SITES = {
     "EnsemblePredictions.stds":
         (lambda v: st.EnsemblePredictions.from_gaussians([[0.0]], v), [[1.0]], True),
     "QuantileSet": (st.QuantileSet, [0.25, 0.5], True),
+    "CalibrationErrorStatistic.quantiles": (ppc.CalibrationErrorStatistic, [0.25, 0.5], True),
+    "calibration_error.quantiles":
+        (lambda v: st.calibration_error([0.1, 0.9], v), [0.25, 0.5], True),
     "validate_labels": (lambda v: st.validate_labels(TWO_CLASS_ROWS, v), [1.0, 0.0], True),
     "_checked_rows": (lambda v: st.accuracy(v, [0]), [[1.0, 0.0]], True),
-    "_checked_pit": (st.calibration_error, [1.0, 0.0], False),
+    "_checked_pit": (st.calibration_error, [1.0, 0.0], True),
+    "picp.pit": (st.picp, [1.0, 0.0], True),
     "PosteriorWeights": (PosteriorWeights, [1.0, 0.0], True),
     "mixture_cdf": (lambda v: mixture_cdf(MixturePredictive((Gaussian(0.0, 1.0),)), v),
                     [1.0, 0.0], False),
     "finite_values": (lambda v: ppc.p_value(v, 0.5), [1.0, 0.0], True),
     "TemperatureVector": (TemperatureVector, [1.0, 1.0], True),
+    "apply_temperatures.temps":
+        (lambda v: apply_temperatures(np.zeros((1, 2, 2)), v), [1.0, 1.0], True),
     "apply_temperatures": (lambda v: apply_temperatures(v, TemperatureVector((1.0,))),
                            [[[1.0, 0.0]]], True),
     "conjugate_posterior":
         (lambda v: analytic.conjugate_posterior(analytic.ConjugateNormalModel(), v),
-         [1.0, 0.0], False),
-    "quadratic_mean": (analytic.quadratic_mean, [1.0, 0.0], False),
+         [1.0, 0.0], True),
+    "quadratic_mean": (analytic.quadratic_mean, [1.0, 0.0], True),
     "_design": (lambda v: analytic.bayesian_linear_ensemble(LINEAR, v, [1.0, 0.0], [0.5]),
                 [1.0, 0.0], True),
     "bayesian_linear_ensemble.y_train":
@@ -206,6 +222,45 @@ UNREAD_INPUTS = {
         lambda: analytic.QuadraticDatasetConfig(holdout=(0.0, 1.0, 2.0)),
     "QuadraticDatasetConfig(one holdout bound)":
         lambda: analytic.QuadraticDatasetConfig(holdout=0.0),
+    "conjugate_posterior(matrix observations)": lambda: analytic.conjugate_posterior(
+        analytic.ConjugateNormalModel(), [[1.0, 2.0], [3.0, 4.0]]),
+    "quadratic_mean(matrix x)": lambda: analytic.quadratic_mean([[1.0, 2.0]]),
+    "BayesianLinearEnsembleConfig(seed='x')":
+        lambda: analytic.BayesianLinearEnsembleConfig(seed="x"),
+    "QuadraticDatasetConfig(seed=0.5)": lambda: analytic.QuadraticDatasetConfig(seed=0.5),
+    "calibration_error(matrix PIT)": lambda: st.calibration_error([[0.5, 0.6], [0.1, 0.2]]),
+    "picp(matrix PIT)": lambda: st.picp([[0.5, 0.6], [0.1, 0.2]]),
+    "sample_statistic(statistic None)":
+        lambda: ppc.sample_statistic(CLASS_PROBS, None, None, ppc.INDEPENDENT),
+    "sample_statistic(statistic without evaluate)": lambda: ppc.sample_statistic(
+        CLASS_PROBS, None, st.BinningConfig(), ppc.INDEPENDENT),
+}
+# a plain value in a parameter object's slot is read through the object's class:
+# site -> (the call with the plain value, the call with the object)
+PLAIN_VALUES = {
+    "EceStatistic.bins": (lambda: ppc.EceStatistic(bins=15),
+                          lambda: ppc.EceStatistic(st.BinningConfig(15))),
+    "run_ppc(EceStatistic(bins=4))": (
+        lambda: ppc.run_ppc(CLASS_PROBS, None, [0, 1, 0, 1, 1], ppc.EceStatistic(bins=4),
+                            ppc.BAYESIAN, num_replicates=10).to_dict(),
+        lambda: ppc.run_ppc(CLASS_PROBS, None, [0, 1, 0, 1, 1],
+                            ppc.EceStatistic(st.BinningConfig(4)), ppc.BAYESIAN,
+                            num_replicates=10).to_dict()),
+    "ece.bins": (lambda: st.ece([[0.9, 0.1], [0.3, 0.7]], [0, 0], bins=4),
+                 lambda: st.ece([[0.9, 0.1], [0.3, 0.7]], [0, 0], st.BinningConfig(4))),
+    "CalibrationErrorStatistic.quantiles": (
+        lambda: ppc.CalibrationErrorStatistic((0.25, 0.5)),
+        lambda: ppc.CalibrationErrorStatistic(st.QuantileSet((0.25, 0.5)))),
+    "calibration_error.quantiles": (
+        lambda: st.calibration_error([0.1, 0.9], (0.5,)),
+        lambda: st.calibration_error([0.1, 0.9], st.QuantileSet((0.5,)))),
+    "apply_temperatures.temps": (
+        lambda: apply_temperatures(np.ones((1, 2, 2)), [1.0, 2.0]).tolist(),
+        lambda: apply_temperatures(np.ones((1, 2, 2)), TemperatureVector((1.0, 2.0))).tolist()),
+    "exact_statistic_distribution.budget": tuple(
+        lambda budget=budget: oracle.exact_statistic_distribution(
+            TWO_CLASS_ROWS, None, ppc.EceStatistic(), ppc.BAYESIAN, budget=budget).as_dict()
+        for budget in (10, oracle.EnumerationBudget(10))),
 }
 
 
@@ -280,6 +335,17 @@ def test_real_array_reads_a_float64_array_in_place():
 def test_an_input_is_read_before_it_is_sized(make):
     with pytest.raises(InvalidParameterError):
         make()
+
+
+@pytest.mark.parametrize("plain,made", list(PLAIN_VALUES.values()), ids=list(PLAIN_VALUES))
+def test_a_plain_value_is_read_through_its_class(plain, made):
+    assert plain() == made()
+
+
+def test_a_budget_read_through_its_class_still_bounds_the_enumeration():
+    with pytest.raises(oracle.BudgetExceededError, match="needs 4 joint outcomes, budget is 3"):
+        oracle.exact_statistic_distribution(TWO_CLASS_ROWS, None, ppc.EceStatistic(),
+                                            ppc.BAYESIAN, budget=3)
 
 
 @pytest.mark.parametrize("make", list(VECTOR_BAD.values()), ids=list(VECTOR_BAD))

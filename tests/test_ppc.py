@@ -322,7 +322,7 @@ class TestExactLaws:
         for k in range(reps):
             y = ppc.replicate_labels(preds, None, ppc.INDEPENDENT, ppc.replicate_rng(75, k))
             pit = st.pit_from_gaussians(preds.means, preds.stds, ctx.weights, y)
-            expected.append(statistic.evaluate_pit(pit, ctx))
+            expected.append(statistic.kernel(ctx)(pit))
         got = ppc.sample_statistic(preds, None, statistic, ppc.INDEPENDENT,
                                    num_replicates=reps, seed=74)
         assert ks_2samp(got.samples, expected).pvalue >= 0.001
@@ -526,7 +526,7 @@ class TestEngineProperties:
         ctx = ppc.build_context(preds, weights)
         pit = pit_from_gaussians(preds.means, preds.stds, ctx.weights, labels)
         assert (statistic.evaluate(labels, ctx).hex()
-                == statistic.evaluate_pit(pit, ctx).hex())
+                == statistic.kernel(ctx)(pit).hex())
         with mock.patch.object(ppc, "_pit_near_cuts",
                                lambda plan, y, scratch=None:
                                pit_from_gaussians(plan.means, plan.stds, plan.w, y)):
@@ -580,8 +580,8 @@ class TestEngineProperties:
             for side in (np.less, np.less_equal):
                 assert (side(pit[:, None], cuts) == side(exact[:, None], cuts)).all()
         assert (statistic.evaluate(labels, ctx).hex()
-                == statistic.evaluate_pit(pit_from_gaussians(
-                    preds.means, preds.stds, ctx.weights, labels), ctx).hex())
+                == statistic.kernel(ctx)(pit_from_gaussians(
+                    preds.means, preds.stds, ctx.weights, labels)).hex())
         with mock.patch.object(ppc, "_pit_near_cuts",
                                lambda plan, y, scratch=None:
                                pit_from_gaussians(plan.means, plan.stds, plan.w, y)):
@@ -621,7 +621,7 @@ class TestEngineProperties:
         pit = pit_from_gaussians(preds.means, preds.stds, ctx.weights, labels)
         for upper in pit[(pit > 0) & (pit < 1)]:
             statistic = ppc.PicpStatistic(0.0, float(upper))
-            assert statistic.evaluate(labels, ctx) == statistic.evaluate_pit(pit, ctx)
+            assert statistic.evaluate(labels, ctx) == statistic.kernel(ctx)(pit)
 
     def test_near_cut_cases_place_pit_at_the_cuts(self):
         # the quantile placement puts PIT within 1e-12 of a level
@@ -733,6 +733,8 @@ class LabelMean:
         return float(np.mean(labels))
 
 
+BUILT_IN_STATISTICS = [ppc.EceStatistic(), ppc.AccuracyStatistic(),
+                       ppc.CalibrationErrorStatistic(), ppc.PicpStatistic()]
 ANY_MODE = None
 # reader -> (prediction kind, statistic, mode or ANY_MODE)
 BLOCK_READERS = {
@@ -826,8 +828,33 @@ class TestBlocks:
             rng.normal(0, 2, (n, 2, data.draw(hst.integers(2, 5))))))
         size = data.draw(hst.integers(1, 8))
         hits = rng.random((size, n)) < rng.random((size, 1))
-        kernel = statistic.prepare_hits(ctx)
+        kernel = statistic.kernel(ctx)
         assert kernel(hits).tolist() == [float(kernel(h)) for h in hits]
+
+    @pytest.mark.parametrize("statistic", BUILT_IN_STATISTICS, ids=lambda s: s.name)
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_on_a_block_equals_its_rows_bit_for_bit(self, statistic, data):
+        """`kernel(ctx)` maps a block [A, B, N] to [A, B], each value that of its
+        own vector alone, as `float.hex`. PIT blocks put values on the cuts, 0 and 1."""
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        n = data.draw(hst.integers(1, 300))
+        shape = (data.draw(hst.integers(1, 3)), data.draw(hst.integers(2, 5)))
+        if statistic.kind == st.CLASSIFICATION:
+            ctx = ppc.build_context(st.EnsemblePredictions.from_logits(
+                rng.normal(0, 2, (n, 2, 3))))
+            block = rng.random(shape + (n,)) < rng.random(shape + (1,))
+        else:
+            ctx = ppc.build_context(st.EnsemblePredictions.from_gaussians(
+                rng.normal(0, 1, (n, 2)), rng.uniform(0.2, 2, (n, 2))))
+            block = rng.random(shape + (n,))
+            on_cut = rng.random(block.shape) < 0.3
+            block[on_cut] = rng.choice(np.append(statistic.cuts, [0.0, 1.0]), on_cut.sum())
+        kernel = statistic.kernel(ctx)
+        values = kernel(block)
+        assert values.shape == shape
+        assert ([v.hex() for v in values.ravel().tolist()]
+                == [float(kernel(row)).hex() for row in block.reshape(-1, n)])
 
     @pytest.mark.parametrize("reader", ["hits-accuracy", "pit-calibration",
                                         "labels-bayesian-calibration", "labels-custom"])
@@ -845,6 +872,74 @@ class TestBlocks:
         samples = ppc.sample_statistic(preds, None, statistic, mode or ppc.BAYESIAN,
                                        num_replicates=2 * size, seed=3).samples
         assert size == 4 and not np.array_equal(samples[:size], samples[size:])
+
+
+class AboveOneUniforms:
+    """A substream whose uniforms are all 1 + 1e-12, outside [0, 1]."""
+
+    def random(self, shape):
+        return np.full(shape, 1.0 + 1e-12)
+
+
+@dataclass(frozen=True)
+class LabelMeanWithReaderNames(LabelMean):
+    """LabelMean with methods named as the built-in readers' (and their former
+    names); the engine must call none of them."""
+
+    def kernel(self, ctx):
+        raise AssertionError("a custom statistic was read as a built-in one")
+
+    hit_mass = pit_plan = prepare_hits = evaluate_pit = kernel
+
+
+@dataclass(frozen=True)
+class RegressionLabelMean(LabelMean):
+    kind = st.REGRESSION
+
+
+@dataclass(frozen=True)
+class RegressionLabelMeanWithReaderNames(LabelMeanWithReaderNames):
+    kind = st.REGRESSION
+
+
+class TestReaders:
+    """The engine picks a block reader by the statistic's class, not by the names
+    of its attributes, and each kernel call checks the PIT values it is handed."""
+
+    GAUSSIANS = st.EnsemblePredictions.from_gaussians(np.zeros((6, 2)), np.ones((6, 2)))
+
+    @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("reader", ["labels", "uniform", "observed"])
+    def test_a_pit_above_one_is_refused_in_each_reader(self, statistic, reader):
+        """The label reader and the observed value read `_pit_near_cuts`, here 1 +
+        1e-12 everywhere; the uniform reader draws no labels, so its uniforms are."""
+        above_one = mock.patch.object(ppc, "_pit_near_cuts", lambda plan, y, scratch=None:
+                                      np.full(y.shape, 1.0 + 1e-12))
+        if reader == "uniform":
+            above_one = mock.patch.object(ppc, "replicate_rng",
+                                          lambda seed, b: AboveOneUniforms())
+        with above_one, pytest.raises(InvalidParameterError,
+                                      match=r"^PIT values must lie in \[0, 1\]$"):
+            if reader == "observed":
+                statistic.evaluate(np.zeros(6), ppc.build_context(self.GAUSSIANS))
+            else:
+                ppc.sample_statistic(self.GAUSSIANS, None, statistic, ppc.INDEPENDENT
+                                     if reader == "uniform" else ppc.BAYESIAN,
+                                     num_replicates=5, seed=0, threads=1)
+
+    @pytest.mark.parametrize("custom,plain", [
+        (LabelMeanWithReaderNames(), LabelMean()),
+        (RegressionLabelMeanWithReaderNames(), RegressionLabelMean())],
+        ids=[st.CLASSIFICATION, st.REGRESSION])
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT],
+                             ids=lambda m: m.describe())
+    def test_a_custom_statistic_with_reader_names_takes_the_label_path(self, custom, plain,
+                                                                        mode):
+        preds = two_model_onehot(4) if custom.kind == st.CLASSIFICATION else self.GAUSSIANS
+        got, want = (ppc.sample_statistic(preds, None, statistic, mode, num_replicates=20,
+                                          seed=1).samples for statistic in (custom, plain))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestContext:
