@@ -109,11 +109,10 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
         required = c ** n * member_weights.size
         if required > budget.max_outcomes:
             raise BudgetExceededError(required, budget.max_outcomes)
-        values = np.empty(c ** n)
-        masses = np.empty(c ** n)
+        values, masses = [], np.empty(c ** n)
         for i, labels in enumerate(itertools.product(range(c), repeat=n)):
             y = np.asarray(labels, dtype=int)
-            values[i] = statistic.evaluate(y, ctx)
+            values.append(statistic.evaluate(y, ctx))   # read by `finite_values` below
             masses[i] = float(row_mass[:, rows, y].prod(axis=1) @ member_weights)
 
     values, masses = _merge(ppc_mod.finite_values(values), masses)

@@ -27,12 +27,11 @@ from typing import Union
 import numpy as np
 
 from . import statistics as st
-from .predictive import (InvalidParameterError, PosteriorWeights, _pit_near_cuts,
-                         _pit_plan, check_finite, check_integer, class_mass, cumulative,
+from .predictive import (_BLOCK_ELEMENTS, InvalidParameterError, PosteriorWeights, _pit_plan,
+                         _pit_near_cuts, check_finite, check_integer, class_mass, cumulative,
                          draw_component, draw_mixture, parse_number, read_as, real_array)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
-_BLOCK_ELEMENTS = 2 ** 16      # a block holds B = max(1, _BLOCK_ELEMENTS // N) replicates
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class _ReadsHits:
 
     kind = st.CLASSIFICATION
 
-    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
+    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext):
         return self.kernel(ctx)(ctx.predicted == labels)
 
     def hit_mass(self, ctx: PredictiveContext) -> np.ndarray:
@@ -160,14 +159,14 @@ class _ReadsHits:
 
 
 class _ReadsPit:
-    """Reads labels only through their PIT values, `kernel(ctx)(pit [..., N])` ->
-    [...], and reads each PIT value only by comparing it with the sorted `cuts`. So
-    the PIT of `_pit_near_cuts`, exact where a cut lies within its chord bound,
-    gives the value of exact PIT."""
+    """Reads labels [..., N] only through their PIT values, `kernel(ctx)(pit [..., N])`
+    -> [...], and reads each PIT value only by comparing it with the sorted `cuts`. So
+    the PIT of `_pit_near_cuts`, exact where a cut lies within its chord bound, gives
+    the value of exact PIT, for the observed labels [N] as for a block [count, N]."""
 
     kind = st.REGRESSION
 
-    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext) -> float:
+    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext):
         return self.kernel(ctx)(_pit_near_cuts(self.pit_plan(ctx), labels))
 
     def pit_plan(self, ctx: PredictiveContext):
@@ -269,22 +268,28 @@ def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """One replicated label vector y_rep under the given uncertainty mode:
     the mode's member draw, then one value draw per row."""
     check_mode(preds, mode)
-    return _replicate_labels_ctx(build_context(preds, weights), mode, rng)
+    return _label_block(build_context(preds, weights), mode, rng, 1)[0]
 
 
-def _replicate_labels_ctx(ctx: PredictiveContext, mode: UncertaintyMode,
-                          rng: np.random.Generator) -> np.ndarray:
-    """One draw under a mode that `check_mode` has accepted."""
-    return draw_mixture(rng, mode.members(rng, ctx.weight_cums, ctx.preds.num_rows),
-                        means=ctx.preds.means, stds=ctx.preds.stds,
-                        class_cums=ctx.class_cums)
+def _label_block(ctx: PredictiveContext, mode: UncertaintyMode, rng: np.random.Generator,
+                 count: int) -> np.ndarray:
+    """count label vectors [count, N] under a mode that `check_mode` has accepted, drawn
+    one after another, each as `replicate_labels` draws one."""
+    return np.stack([draw_mixture(rng, mode.members(rng, ctx.weight_cums, ctx.preds.num_rows),
+                                  means=ctx.preds.means, stds=ctx.preds.stds,
+                                  class_cums=ctx.class_cums) for _ in range(count)])
+
+
+def statistic_values(statistic, labels, ctx: PredictiveContext) -> np.ndarray:
+    """Each label vector y's `statistic.evaluate(y, ctx)`, read by `finite_values`."""
+    return finite_values([statistic.evaluate(y, ctx) for y in labels])
 
 
 def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, size: int):
     """`(rng, count) ->` the first count values of a block of size replicates, drawn only
-    through what the statistic reads, for one `kernel` call: hits (k [size] from `law` over
-    its `hit_mass`, then u [size, N] < q[k]) or U(0, 1) PIT [size, N], both drawn whole, or
-    PIT [count, N], one label draw per row; else labels, each for one `evaluate`."""
+    through what the statistic reads: hits (k [size] from `law` over its `hit_mass`, then
+    u [size, N] < q[k]) or U(0, 1) PIT [size, N], drawn whole for one `kernel` call; else
+    labels [count, N], for one `evaluate` as the observed labels get, or one per row."""
     num_rows = ctx.preds.num_rows
     if isinstance(statistic, _ReadsHits):
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))
@@ -294,20 +299,13 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
             k = draw_component(rng, member_cums, size)[:count]
             return kernel(rng.random((size, num_rows))[:count] < q[k])
         return block
-    if isinstance(statistic, _ReadsPit):
+    if isinstance(statistic, _ReadsPit) and mode.uniform_pit:
         kernel = statistic.kernel(ctx)
-        if mode.uniform_pit:
-            return lambda rng, count: kernel(rng.random((size, num_rows))[:count])
-        plan = statistic.pit_plan(ctx)
-
-        def block(rng, count):
-            scratch, pit = plan.scratch(), np.empty((count, num_rows))  # the block's
-            for row in pit:
-                row[:] = _pit_near_cuts(plan, _replicate_labels_ctx(ctx, mode, rng), scratch)
-            return kernel(pit)
-        return block
-    return lambda rng, count: [statistic.evaluate(_replicate_labels_ctx(ctx, mode, rng), ctx)
-                               for _ in range(count)]
+        return lambda rng, count: kernel(rng.random((size, num_rows))[:count])
+    if isinstance(statistic, _ReadsPit):
+        return lambda rng, count: statistic.evaluate(_label_block(ctx, mode, rng, count), ctx)
+    return lambda rng, count: statistic_values(statistic, _label_block(ctx, mode, rng, count),
+                                               ctx)
 
 
 def _usable_cpus():
@@ -331,10 +329,10 @@ def _num_threads(threads) -> int:
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                      statistic, mode: UncertaintyMode, num_replicates: int = 1000,
                      seed: int = 0, threads: int = None) -> StatisticSamples:
-    """Replicated test-statistic values, drawn a block at a time.
+    """Replicated test-statistic values, drawn and evaluated a block at a time.
 
-    Replicate k is slot k % B of block k // B, and block b draws from the
-    substream (seed, b) (see `_block_statistic`). B depends on N only, so the
+    Replicate k is slot k % B of block k // B, and block b draws from the substream
+    (seed, b) for one call of `_block_statistic`'s reader. B depends on N only, so the
     output is bit-identical for every prefix length and thread count: the min(threads,
     num_replicates, usable CPUs) pool workers, one too, take whole blocks, each writing
     its own slice of the output; a block's error reaches the caller.
@@ -345,7 +343,7 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     check_mode(preds, mode)
     workers = min(_num_threads(threads), num_replicates, _usable_cpus() or 1)
     ctx = build_context(preds, weights)
-    size = max(1, _BLOCK_ELEMENTS // preds.num_rows)
+    size = max(1, _BLOCK_ELEMENTS // preds.num_rows)    # B
     out = np.empty(num_replicates, dtype=float)
     block = _block_statistic(ctx, statistic, mode, size)
 
@@ -410,7 +408,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
     labels = st.validate_labels(preds, labels)
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)
-    observed = float(statistic.evaluate(labels, ss.context))
+    observed = float(statistic_values(statistic, [labels], ss.context)[0])
     p = p_value(ss, observed)
     pcts = dict(zip(("p5", "p25", "p50", "p75", "p95"),
                     _quantiles(ss.samples, (0.05, 0.25, 0.5, 0.75, 0.95))))

@@ -182,6 +182,7 @@ _CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pi
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
 _TINY_STD = 2.0 ** -1012    # the least std whose std / 1024 is a normal double
 _CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
+_BLOCK_ELEMENTS = 2 ** 16   # the unit of work: labels per `ppc` block, member cells per pass
 
 
 @functools.cache
@@ -233,13 +234,6 @@ class _PitPlan:
     cuts: np.ndarray
     next_cut: np.ndarray
 
-    def scratch(self) -> tuple:
-        """The [N, M] gather, position and cell arrays that `_pit_near_cuts` writes,
-        as views of one allocation, which glibc hands whole to the next block
-        (three separate ones took about 13 new pages per replicate, glibc 2.36)."""
-        gathered, cell, j = np.empty((3,) + self.means.shape)
-        return gathered, cell, j.view(np.intp)
-
 
 def _pit_plan(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts) -> _PitPlan:
     """The plan of `_pit_near_cuts` for a check's members and its sorted cuts in [0, 1]."""
@@ -250,10 +244,11 @@ def _pit_plan(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts) -> _PitP
                     cuts, cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)])
 
 
-def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.ndarray:
-    """PIT values [N] that compare with each of the plan's cuts as the exact ones
-    (`pit_from_gaussians`) do, by two brackets from the grid table. `scratch`
-    (`plan.scratch()`, else new arrays) is overwritten.
+def _pit_near_cuts(plan: _PitPlan, y: np.ndarray) -> np.ndarray:
+    """PIT values [..., N] of labels y [..., N] that compare with each of the plan's
+    cuts as the exact ones (`pit_from_gaussians`) do, by two brackets from the grid
+    table, in passes of max(1, _BLOCK_ELEMENTS // (N M)) label rows that share one
+    [3, rows, N, M] scratch (three per replicate took 13 new pages each, glibc 2.36).
 
     Each member's Phi(z) lies in its cell [phi[j], phi[j + 1]], so a row's PIT lies
     in [lo, lo + widest] for lo = phi[j] @ w (the weights sum to 1 within 1e-9).
@@ -271,7 +266,7 @@ def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.n
     subnormal z both sums round to 8705); as rounding is monotone, adding 8705 then
     clipping equals clipping then adding. Below _TINY_STD a position may be wrong
     or NaN: such a row's cells are set to 0 before the cast, so no NaN is cast or
-    gathered, and the row gets exact PIT whatever the brackets gave it.
+    gathered, and the row gets exact PIT in every label row, whatever its brackets.
 
     A row is near a cut when the least cut >= a = lo - _CUT_MARGIN is <= lo + widest
     + _CUT_MARGIN. The plan's grid screens first: next_cut[floor(a G)] is a cut >=
@@ -279,25 +274,33 @@ def _pit_near_cuts(plan: _PitPlan, y: np.ndarray, scratch: tuple = None) -> np.n
     power of two; a < 0 takes cell 0, and no cut is below 0). So every near row
     passes the screen, and the exact search runs on those that pass."""
     phi, widest = _cdf_table()
-    gathered, cell, j = scratch or plan.scratch()
-    _grid_cell(y[:, None], plan.means, plan.divisor, out=cell)
-    cell[plan.tiny] = 0.0
-    np.copyto(j, cell, casting="unsafe")
-    pit = np.minimum(phi.take(j, mode="clip", out=gathered) @ plan.w, 1.0)
+    (n, m), labels = plan.means.shape, y.reshape(-1, plan.means.shape[0])
+    step = max(1, min(len(labels), _BLOCK_ELEMENTS // (n * m)))
+    scratch, pit = np.empty((3, step, n, m)), np.empty(labels.shape)
 
     def near_cut(low, width):
         low, high = low - _CUT_MARGIN, low + width + _CUT_MARGIN
         rows = np.flatnonzero(plan.next_cut.take((low * _CUT_GRID).astype(np.intp),
                                                  mode="clip") <= high)
         return rows[plan.cuts[np.searchsorted(plan.cuts, low[rows])] <= high[rows]]
-    rows = near_cut(pit, widest)
-    pit[rows] = np.minimum(_chord(cell[rows]) @ plan.w, 1.0)
-    rows = rows[near_cut(pit[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
-    # a row listed twice is set twice to one value (`np.union1d` would load numpy.ma)
-    rows = np.concatenate((rows, plan.tiny))
-    if rows.size:
-        pit[rows] = pit_from_gaussians(plan.means[rows], plan.stds[rows], plan.w, y[rows])
-    return pit
+    for start in range(0, len(labels), step):
+        part = labels[start:start + step]
+        gathered, cell, j = scratch[:, :len(part)]
+        _grid_cell(part[..., None], plan.means, plan.divisor, out=cell)
+        cell[:, plan.tiny] = 0.0
+        j = j.view(np.intp)
+        np.copyto(j, cell, casting="unsafe")
+        out = np.minimum(phi.take(j, mode="clip", out=gathered) @ plan.w, 1.0).reshape(-1)
+        rows = near_cut(out, widest)
+        out[rows] = np.minimum(_chord(cell.reshape(-1, m)[rows]) @ plan.w, 1.0)
+        rows = rows[near_cut(out[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
+        # a row listed twice is set twice to one value (`np.union1d` would load numpy.ma)
+        rows = np.concatenate((rows, (n * np.arange(len(part))[:, None] + plan.tiny).ravel()))
+        if rows.size:
+            out[rows] = pit_from_gaussians(plan.means[rows % n], plan.stds[rows % n], plan.w,
+                                           part.reshape(-1)[rows])
+        pit[start:start + len(part)] = out.reshape(part.shape)
+    return pit.reshape(y.shape)
 
 
 def gaussian_cdf(mean: float, stddev: float, y: float) -> float:

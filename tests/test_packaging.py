@@ -106,9 +106,9 @@ def test_engine_does_not_import_the_file_formats():
 
 def test_no_cache_outside_the_check_and_no_thread_state():
     """A check's context is frozen data with six fields; the bracket's plan is built
-    by the statistic that reads it and its scratch lives in a block: no module
-    imports `threading`, and the one `functools` cache is `_cdf_table`'s, a
-    constant of the grid."""
+    by the statistic that reads it and its scratch lives in one `_pit_near_cuts`
+    call: no module imports `threading`, and the one `functools` cache is
+    `_cdf_table`'s, a constant of the grid."""
     cached, threading = [], []
     for module, tree in parsed_modules().items():
         for node in ast.walk(tree):

@@ -942,6 +942,144 @@ class TestReaders:
         assert got.tobytes() == want.tobytes()
 
 
+def many_pass_ensemble():
+    """N = 200 rows and M = 110 members, so a pass of `_pit_near_cuts` holds
+    2^16 // 22,000 = 2 label rows and a block 2^16 // 200 = 327: a full block takes
+    164 passes, the last one partial. Member 0 of rows 0, 7 and 150 has a std below
+    2^-1012, so in every label row those rows get their PIT from the exact kernel."""
+    rng = np.random.default_rng(28)
+    means, stds = rng.normal(0, 1, (200, 110)), rng.uniform(0.2, 2, (200, 110))
+    stds[[0, 7, 150], 0] = [1e-310, 5e-324, 2.0 ** -1013]
+    return st.EnsemblePredictions.from_gaussians(means, stds)
+
+
+def exact_pit(plan, y):
+    """`pit_from_gaussians` of each label row of y [..., N], one row at a time."""
+    rows = y.reshape(-1, plan.means.shape[0])
+    return np.array([pit_from_gaussians(plan.means, plan.stds, plan.w, row)
+                     for row in rows]).reshape(y.shape)
+
+
+class TestBlockBracket:
+    """`_pit_near_cuts` brackets a block of label rows [..., N] in passes of at most
+    2^16 member cells, and the label reader hands it one block at a time."""
+
+    @pytest.mark.parametrize("statistic,mode", [
+        (ppc.CalibrationErrorStatistic(), ppc.BAYESIAN),
+        (ppc.PicpStatistic(), ppc.PointEstimate(0))],
+        ids=["calibration-bayesian", "picp-point:0"])
+    def test_a_block_in_many_passes_gives_the_bytes_of_exact_pit(self, statistic, mode):
+        preds = many_pass_ensemble()
+        assert ppc._BLOCK_ELEMENTS // preds.num_rows == 327
+        assert predictive._BLOCK_ELEMENTS // (preds.num_rows * preds.num_models) == 2
+        with mock.patch.object(ppc, "_pit_near_cuts", exact_pit):   # blocks of 327 and 4
+            exact = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=331,
+                                         seed=6, threads=1)
+        bracket = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=331,
+                                       seed=6, threads=1)
+        assert bracket.samples.tobytes() == exact.samples.tobytes()
+
+    @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic(0.1, 0.7)], ids=lambda s: s.name)
+    def test_a_block_compares_with_every_cut_as_each_rows_exact_pit(self, statistic):
+        # 9 label rows: four passes of two and a partial one; in each row about half
+        # the labels sit at a cut's quantile, so their PIT is within 1e-12 of the cut
+        preds, rng = many_pass_ensemble(), np.random.default_rng(29)
+        ctx = ppc.build_context(preds)
+        plan, cuts = statistic.pit_plan(ctx), np.asarray(statistic.cuts)
+        placed = labels_at_levels(preds, PosteriorWeights.uniform(preds.num_models),
+                                  cuts[rng.integers(0, cuts.size, preds.num_rows)])
+        drawn = ppc._label_block(ctx, ppc.BAYESIAN, rng, 9)
+        labels = np.where(rng.random(drawn.shape) < 0.5, placed, drawn)
+        pit, exact = predictive._pit_near_cuts(plan, labels), exact_pit(plan, labels)
+        for side in (np.less, np.less_equal):
+            assert (side(pit[..., None], cuts) == side(exact[..., None], cuts)).all()
+        shaped = predictive._pit_near_cuts(plan, labels.reshape(3, 3, -1))
+        assert shaped.tobytes() == pit.tobytes() and shaped.shape == (3, 3, preds.num_rows)
+
+    @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
+                                           ppc.PicpStatistic()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.PointEstimate(1)],
+                             ids=lambda m: m.describe())
+    def test_the_label_reader_brackets_once_per_block(self, statistic, mode):
+        n, rng = 2 ** 14, np.random.default_rng(9)      # B = 4 replicates a block
+        preds = st.EnsemblePredictions.from_gaussians(rng.normal(0, 1, (n, 2)),
+                                                      rng.uniform(0.2, 2, (n, 2)))
+        shapes, bracket = [], predictive._pit_near_cuts
+
+        def counted(plan, y):
+            shapes.append(y.shape)
+            return bracket(plan, y)
+        with mock.patch.object(ppc, "_pit_near_cuts", counted):
+            ppc.sample_statistic(preds, None, statistic, mode, num_replicates=10, seed=0,
+                                 threads=1)
+        assert shapes == [(4, n), (4, n), (2, n)]
+
+
+@dataclass(frozen=True)
+class ValueWhere:
+    """A custom statistic: `value(labels)` where `where(labels)`, else the label mean."""
+
+    value: object
+    where: object = None        # None: everywhere
+    kind: str = st.REGRESSION
+
+    name = "value-where"
+
+    def evaluate(self, labels, ctx):
+        if self.where is None or self.where(labels):
+            return self.value(labels)
+        return float(np.mean(labels))
+
+
+NOT_REAL_NUMBERS = {"bool": lambda y: bool(y[0] == 0), "np.bool_": lambda y: np.bool_(True),
+                    "str": lambda y: str(float(np.mean(y))), "None": lambda y: None}
+REAL_NUMBERS = {  # a value the engine accepts -> the float it stands for
+    "int": (lambda y: int(y[0] > 0), lambda y: float(y[0] > 0)),
+    "np.float64": (lambda y: np.float64(np.mean(y)), lambda y: float(np.mean(y))),
+    "0-d array": (lambda y: np.array(np.mean(y)), lambda y: float(np.mean(y)))}
+
+
+class TestCustomValues:
+    """A custom statistic's value is a real number: each replicate value, enumerated
+    value and observed value is read by `finite_values` before anything casts it, so
+    a bool, a string or None gives no p, report or PMF."""
+
+    @pytest.mark.parametrize("value", list(NOT_REAL_NUMBERS))
+    @pytest.mark.parametrize("where", ["every-value", "observed-only"])
+    def test_a_value_that_is_not_a_real_number_is_refused(self, value, where):
+        # replicates of N(0, 1) rows are never all 0, the observed labels are
+        preds = st.EnsemblePredictions.from_gaussians(np.zeros((5, 1)), np.ones((5, 1)))
+        statistic = ValueWhere(NOT_REAL_NUMBERS[value], None if where == "every-value"
+                               else lambda y: np.all(y == 0.0))
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            ppc.run_ppc(preds, None, np.zeros(5), statistic, ppc.BAYESIAN,
+                        num_replicates=40, seed=0)
+
+    @pytest.mark.parametrize("value", list(NOT_REAL_NUMBERS))
+    def test_a_classification_value_that_is_not_a_real_number_is_refused(self, value):
+        statistic = ValueWhere(NOT_REAL_NUMBERS[value], kind=st.CLASSIFICATION)
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            ppc.run_ppc(two_model_onehot(4), None, [0, 1, 1, 0], statistic,
+                        ppc.INDEPENDENT, num_replicates=40, seed=0)
+        with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
+            oracle.exact_statistic_distribution(two_model_onehot(4), None, statistic,
+                                                ppc.BAYESIAN)
+
+    @pytest.mark.parametrize("value", list(REAL_NUMBERS))
+    def test_a_real_number_is_read_as_its_float(self, value):
+        given_, as_float = REAL_NUMBERS[value]
+        preds = st.EnsemblePredictions.from_gaussians(np.zeros((5, 2)), np.ones((5, 2)))
+        reports = [json.dumps(ppc.run_ppc(preds, None, np.linspace(-1, 1, 5), ValueWhere(f),
+                                          ppc.BAYESIAN, num_replicates=40, seed=3).to_dict())
+                   for f in (given_, as_float)]
+        assert reports[0] == reports[1]
+        pmfs = [oracle.exact_statistic_distribution(
+            two_model_onehot(3), None, ValueWhere(f, kind=st.CLASSIFICATION),
+            ppc.BAYESIAN).as_dict() for f in (given_, as_float)]
+        assert pmfs[0] == pmfs[1]
+
+
 class TestContext:
     """A check's context is built once and only read: its block workers, at 1, 2
     and 4 real workers, and the observed value leave each field the same object
