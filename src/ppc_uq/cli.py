@@ -162,7 +162,7 @@ def cmd_oracle(args) -> int:
     pmf = oracle.exact_statistic_distribution(
         preds, None, statistic, mode,
         budget=oracle.EnumerationBudget(max_outcomes=args.budget))
-    observed = float(ppc.statistic_values(statistic, [labels], pmf.context)[0])
+    observed = float(ppc.statistic_values(statistic, pmf.context)(labels[None])[0])
     print(json.dumps({"values": pmf.values.tolist(), "masses": pmf.masses.tolist(),
                       "observed": observed}, indent=2))
     return 0

@@ -44,13 +44,14 @@ class StatisticPmf:
         return {float(v): float(m) for v, m in zip(self.values, self.masses)}
 
     def tv_distance(self, samples) -> float:
-        """Total variation against the empirical distribution of samples."""
-        samples, freq = ppc_mod.finite_values(samples), np.zeros_like(self.masses)
-        matched = np.zeros(samples.size, dtype=bool)
-        for i, v in enumerate(self.values):
-            hit = np.abs(samples - v) <= 1e-9
-            freq[i] = np.mean(hit)
-            matched |= hit
+        """Total variation against the empirical distribution of samples: each counts
+        toward the nearest value within 1e-9 (values merged within 1e-12 can both be that
+        near), found by `searchsorted` on the sorted values' midpoints, or toward none."""
+        samples, order = ppc_mod.finite_values(samples), np.argsort(self.values)
+        values = np.append(self.values[order], np.inf)     # no sample is near it
+        near = np.searchsorted(values[:-1] / 2 + values[1:] / 2, samples)
+        matched = np.abs(samples - values[near]) <= 1e-9
+        freq = np.bincount(order[near[matched]], minlength=order.size) / samples.size
         return float(0.5 * (np.sum(np.abs(self.masses - freq)) + np.mean(~matched)))
 
 

@@ -27,9 +27,9 @@ from typing import Union
 import numpy as np
 
 from . import statistics as st
-from .predictive import (_BLOCK_ELEMENTS, InvalidParameterError, PosteriorWeights, _pit_plan,
-                         _pit_near_cuts, check_finite, check_integer, class_mass, cumulative,
-                         draw_component, draw_mixture, parse_number, read_as, real_array)
+from .predictive import (_BLOCK_ELEMENTS, InvalidParameterError, PosteriorWeights, _pit_reader,
+                         check_finite, check_integer, class_mass, cumulative, draw_component,
+                         draw_mixture, parse_number, read_as, real_array)
 
 THREADS_ENV_VAR = "PPC_UQ_THREADS"
 
@@ -144,13 +144,23 @@ def build_context(preds: st.EnsemblePredictions,
                              integrated.max(axis=1), cumulative(probs))
 
 
-class _ReadsHits:
+class _Reads:
+    """A built-in statistic: `reader(ctx)`, built once per check, maps labels [..., N]
+    to values [...], and `evaluate` is one reader's value, the reader built anew."""
+
+    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext):
+        return self.reader(ctx)(labels)
+
+
+class _ReadsHits(_Reads):
     """Reads labels only through the hits: `kernel(ctx)(hits [..., N])` -> [...]."""
 
     kind = st.CLASSIFICATION
 
-    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext):
-        return self.kernel(ctx)(ctx.predicted == labels)
+    def reader(self, ctx: PredictiveContext):
+        """labels [..., N] -> the kernel's values of their hits, `ctx.predicted == labels`."""
+        kernel = self.kernel(ctx)
+        return lambda labels: kernel(ctx.predicted == labels)
 
     def hit_mass(self, ctx: PredictiveContext) -> np.ndarray:
         """[M, N]: the `class_mass` of row n's predicted class under member m."""
@@ -158,20 +168,19 @@ class _ReadsHits:
                           ctx.predicted[None, :, None])[..., 0]
 
 
-class _ReadsPit:
+class _ReadsPit(_Reads):
     """Reads labels [..., N] only through their PIT values, `kernel(ctx)(pit [..., N])`
     -> [...], and reads each PIT value only by comparing it with the sorted `cuts`. So
-    the PIT of `_pit_near_cuts`, exact where a cut lies within its chord bound, gives
-    the value of exact PIT, for the observed labels [N] as for a block [count, N]."""
+    the PIT of `_pit_reader`'s bracket, exact where a cut lies within its chord bound,
+    gives the value of exact PIT, for the observed labels [N] as for a block [count, N]."""
 
     kind = st.REGRESSION
 
-    def evaluate(self, labels: np.ndarray, ctx: PredictiveContext):
-        return self.kernel(ctx)(_pit_near_cuts(self.pit_plan(ctx), labels))
-
-    def pit_plan(self, ctx: PredictiveContext):
-        """The `_pit_plan` of the context's members for these cuts, built anew."""
-        return _pit_plan(ctx.preds.means, ctx.preds.stds, ctx.weights, self.cuts)
+    def reader(self, ctx: PredictiveContext):
+        """labels [..., N] -> the kernel's values of their PIT, by one `_pit_reader`."""
+        kernel = self.kernel(ctx)
+        bracket = _pit_reader(ctx.preds.means, ctx.preds.stds, ctx.weights, self.cuts)
+        return lambda labels: kernel(bracket(labels))
 
 
 @dataclass(frozen=True)
@@ -280,16 +289,20 @@ def _label_block(ctx: PredictiveContext, mode: UncertaintyMode, rng: np.random.G
                                   class_cums=ctx.class_cums) for _ in range(count)])
 
 
-def statistic_values(statistic, labels, ctx: PredictiveContext) -> np.ndarray:
-    """Each label vector y's `statistic.evaluate(y, ctx)`, read by `finite_values`."""
-    return finite_values([statistic.evaluate(y, ctx) for y in labels])
+def statistic_values(statistic, ctx: PredictiveContext):
+    """The check's one reader of labels: `labels [k, N] ->` their k values, read by
+    `finite_values`. A built-in statistic's `reader(ctx)`, built here once, reads the
+    whole block; a custom statistic's `evaluate(y, ctx)` reads each label vector y."""
+    read = statistic.reader(ctx) if isinstance(statistic, _Reads) else (
+        lambda labels: [statistic.evaluate(y, ctx) for y in labels])
+    return lambda labels: finite_values(read(labels))
 
 
 def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, size: int):
     """`(rng, count) ->` the first count values of a block of size replicates, drawn only
     through what the statistic reads: hits (k [size] from `law` over its `hit_mass`, then
     u [size, N] < q[k]) or U(0, 1) PIT [size, N], drawn whole for one `kernel` call; else
-    labels [count, N], for one `evaluate` as the observed labels get, or one per row."""
+    labels [count, N], for the check's one `statistic_values`, built here, as observed."""
     num_rows = ctx.preds.num_rows
     if isinstance(statistic, _ReadsHits):
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))
@@ -302,10 +315,8 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
     if isinstance(statistic, _ReadsPit) and mode.uniform_pit:
         kernel = statistic.kernel(ctx)
         return lambda rng, count: kernel(rng.random((size, num_rows))[:count])
-    if isinstance(statistic, _ReadsPit):
-        return lambda rng, count: statistic.evaluate(_label_block(ctx, mode, rng, count), ctx)
-    return lambda rng, count: statistic_values(statistic, _label_block(ctx, mode, rng, count),
-                                               ctx)
+    values = statistic_values(statistic, ctx)
+    return lambda rng, count: values(_label_block(ctx, mode, rng, count))
 
 
 def _usable_cpus():
@@ -332,10 +343,10 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """Replicated test-statistic values, drawn and evaluated a block at a time.
 
     Replicate k is slot k % B of block k // B, and block b draws from the substream
-    (seed, b) for one call of `_block_statistic`'s reader. B depends on N only, so the
-    output is bit-identical for every prefix length and thread count: the min(threads,
-    num_replicates, usable CPUs) pool workers, one too, take whole blocks, each writing
-    its own slice of the output; a block's error reaches the caller.
+    (seed, b) for one call of `_block_statistic`'s function, built once per check. B
+    depends on N only, so the output is bit-identical for every prefix length and thread
+    count: the min(threads, num_replicates, usable CPUs) pool workers, one too, share it
+    and take whole blocks, each writing its own slice; a block's error reaches the caller.
     """
     num_replicates = check_integer(num_replicates, 1, "need at least one replicate")
     seed = check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
@@ -408,7 +419,7 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
     labels = st.validate_labels(preds, labels)
     ss = sample_statistic(preds, weights, statistic, mode,
                           num_replicates=num_replicates, seed=seed, threads=threads)
-    observed = float(statistic_values(statistic, [labels], ss.context)[0])
+    observed = float(statistic_values(statistic, ss.context)(labels[None])[0])
     p = p_value(ss, observed)
     pcts = dict(zip(("p5", "p25", "p50", "p75", "p95"),
                     _quantiles(ss.samples, (0.05, 0.25, 0.5, 0.75, 0.95))))

@@ -172,13 +172,13 @@ def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
     return np.minimum(np.einsum("...m,m->...", _ndtr(z), w), 1.0)
 
 
-# Phi on the grid t_k = -8.5 + k / 1024, k = 0..17408, padded for `_pit_near_cuts`
+# Phi on the grid t_k = -8.5 + k / 1024, k = 0..17408, padded for `_pit_reader`
 # as phi = [0, Phi(t_0), ..., Phi(t_17408), 1]: z in cell j (t_{j-1} <= z < t_j, with
 # t_{-1} = -inf and t_17409 = +inf) has phi[j] <= Phi(z) <= phi[j + 1], as Phi is monotone.
 _GRID_END = 8.5
 _GRID_CELLS_PER_UNIT = 1024
 _GRID_HALF = int(_GRID_END * _GRID_CELLS_PER_UNIT)     # cells on each side of 0
-_CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pit_near_cuts`
+_CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pit_reader`
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
 _TINY_STD = 2.0 ** -1012    # the least std whose std / 1024 is a normal double
 _CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
@@ -220,34 +220,13 @@ def _chord(cell: np.ndarray) -> np.ndarray:
     return chord
 
 
-@dataclass(frozen=True, eq=False)
-class _PitPlan:
-    """What `_pit_near_cuts` reads of one check: the members [N, M], the weights,
-    the divisor std / 1024, the rows with a std below _TINY_STD, the sorted cuts
-    with +inf appended and next_cut[i], the least cut >= i / _CUT_GRID."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    w: np.ndarray
-    divisor: np.ndarray
-    tiny: np.ndarray
-    cuts: np.ndarray
-    next_cut: np.ndarray
-
-
-def _pit_plan(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts) -> _PitPlan:
-    """The plan of `_pit_near_cuts` for a check's members and its sorted cuts in [0, 1]."""
-    cuts = np.append(np.asarray(cuts, dtype=float), np.inf)
-    with np.errstate(under="ignore"):   # below _TINY_STD, which the plan marks
-        divisor = stds / _GRID_CELLS_PER_UNIT
-    return _PitPlan(means, stds, w, divisor, np.flatnonzero((stds < _TINY_STD).any(axis=1)),
-                    cuts, cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)])
-
-
-def _pit_near_cuts(plan: _PitPlan, y: np.ndarray) -> np.ndarray:
-    """PIT values [..., N] of labels y [..., N] that compare with each of the plan's
-    cuts as the exact ones (`pit_from_gaussians`) do, by two brackets from the grid
-    table, in passes of max(1, _BLOCK_ELEMENTS // (N M)) label rows that share one
+def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
+    """The bracket of a check's members [N, M], weights and sorted cuts in [0, 1]:
+    `y [..., N] -> PIT [..., N]` that compares with each cut as `pit_from_gaussians`
+    does, by two brackets from the grid table. The plan is built here, once: std / 1024,
+    the rows with a std below _TINY_STD, the cuts with +inf appended and next_cut[i],
+    the least cut >= i / _CUT_GRID. Workers share the bracket, which only reads it; a
+    call reads passes of max(1, _BLOCK_ELEMENTS // (N M)) label rows that share one
     [3, rows, N, M] scratch (three per replicate took 13 new pages each, glibc 2.36).
 
     Each member's Phi(z) lies in its cell [phi[j], phi[j + 1]], so a row's PIT lies
@@ -269,38 +248,46 @@ def _pit_near_cuts(plan: _PitPlan, y: np.ndarray) -> np.ndarray:
     gathered, and the row gets exact PIT in every label row, whatever its brackets.
 
     A row is near a cut when the least cut >= a = lo - _CUT_MARGIN is <= lo + widest
-    + _CUT_MARGIN. The plan's grid screens first: next_cut[floor(a G)] is a cut >=
-    floor(a G) / G, so no larger than the least cut >= a (a G is exact, G being a
+    + _CUT_MARGIN. The grid of next_cut screens first: next_cut[floor(a G)] is a cut
+    >= floor(a G) / G, so no larger than the least cut >= a (a G is exact, G being a
     power of two; a < 0 takes cell 0, and no cut is below 0). So every near row
     passes the screen, and the exact search runs on those that pass."""
-    phi, widest = _cdf_table()
-    (n, m), labels = plan.means.shape, y.reshape(-1, plan.means.shape[0])
-    step = max(1, min(len(labels), _BLOCK_ELEMENTS // (n * m)))
-    scratch, pit = np.empty((3, step, n, m)), np.empty(labels.shape)
+    cuts = np.append(np.asarray(cuts, dtype=float), np.inf)
+    next_cut = cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)]
+    with np.errstate(under="ignore"):   # below _TINY_STD, which `tiny` marks
+        divisor = stds / _GRID_CELLS_PER_UNIT
+    tiny, (n, m) = np.flatnonzero((stds < _TINY_STD).any(axis=1)), means.shape
 
     def near_cut(low, width):
         low, high = low - _CUT_MARGIN, low + width + _CUT_MARGIN
-        rows = np.flatnonzero(plan.next_cut.take((low * _CUT_GRID).astype(np.intp),
-                                                 mode="clip") <= high)
-        return rows[plan.cuts[np.searchsorted(plan.cuts, low[rows])] <= high[rows]]
-    for start in range(0, len(labels), step):
-        part = labels[start:start + step]
-        gathered, cell, j = scratch[:, :len(part)]
-        _grid_cell(part[..., None], plan.means, plan.divisor, out=cell)
-        cell[:, plan.tiny] = 0.0
-        j = j.view(np.intp)
-        np.copyto(j, cell, casting="unsafe")
-        out = np.minimum(phi.take(j, mode="clip", out=gathered) @ plan.w, 1.0).reshape(-1)
-        rows = near_cut(out, widest)
-        out[rows] = np.minimum(_chord(cell.reshape(-1, m)[rows]) @ plan.w, 1.0)
-        rows = rows[near_cut(out[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
-        # a row listed twice is set twice to one value (`np.union1d` would load numpy.ma)
-        rows = np.concatenate((rows, (n * np.arange(len(part))[:, None] + plan.tiny).ravel()))
-        if rows.size:
-            out[rows] = pit_from_gaussians(plan.means[rows % n], plan.stds[rows % n], plan.w,
-                                           part.reshape(-1)[rows])
-        pit[start:start + len(part)] = out.reshape(part.shape)
-    return pit.reshape(y.shape)
+        rows = np.flatnonzero(next_cut.take((low * _CUT_GRID).astype(np.intp),
+                                            mode="clip") <= high)
+        return rows[cuts[np.searchsorted(cuts, low[rows])] <= high[rows]]
+
+    def bracket(y: np.ndarray) -> np.ndarray:
+        phi, widest = _cdf_table()
+        labels = y.reshape(-1, n)
+        step = max(1, min(len(labels), _BLOCK_ELEMENTS // (n * m)))
+        scratch, pit = np.empty((3, step, n, m)), np.empty(labels.shape)
+        for start in range(0, len(labels), step):
+            part = labels[start:start + step]
+            gathered, cell, j = scratch[:, :len(part)]
+            _grid_cell(part[..., None], means, divisor, out=cell)
+            cell[:, tiny] = 0.0
+            j = j.view(np.intp)
+            np.copyto(j, cell, casting="unsafe")
+            out = np.minimum(phi.take(j, mode="clip", out=gathered) @ w, 1.0).reshape(-1)
+            rows = near_cut(out, widest)
+            out[rows] = np.minimum(_chord(cell.reshape(-1, m)[rows]) @ w, 1.0)
+            rows = rows[near_cut(out[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
+            # a row listed twice is set twice to one value (`np.union1d` would load numpy.ma)
+            rows = np.concatenate((rows, (n * np.arange(len(part))[:, None] + tiny).ravel()))
+            if rows.size:
+                out[rows] = pit_from_gaussians(means[rows % n], stds[rows % n], w,
+                                               part.reshape(-1)[rows])
+            pit[start:start + len(part)] = out.reshape(part.shape)
+        return pit.reshape(y.shape)
+    return bracket
 
 
 def gaussian_cdf(mean: float, stddev: float, y: float) -> float:

@@ -277,6 +277,28 @@ class TestMonteCarloAgreement:
                                   num_replicates=20_000, seed=17)
         assert pmf.tv_distance(ss.samples) < 0.02
 
+    def test_a_sample_counts_toward_one_value(self):
+        # two values 5e-10 apart, both within 1e-9 of every sample
+        pmf = oracle.StatisticPmf(np.array([0.0, 5e-10]), np.array([0.9, 0.1]))
+        assert pmf.tv_distance(np.zeros(10)) == pytest.approx(0.1, abs=1e-12)
+        assert pmf.tv_distance(np.full(10, 4e-10)) == pytest.approx(0.9, abs=1e-12)
+        assert pmf.tv_distance(np.full(10, 2e-9)) == pytest.approx(1.0, abs=1e-12)
+        unsorted = oracle.StatisticPmf(np.array([5e-10, 0.0]), np.array([0.1, 0.9]))
+        assert unsorted.tv_distance(np.r_[np.zeros(9), 1e300]) == pytest.approx(0.1, abs=1e-12)
+        assert oracle.StatisticPmf(np.array([]), np.array([])).tv_distance([0.0]) == 0.5
+
+    def test_tv_distance_small_where_values_lie_within_1e_9(self):
+        # the ECE's values 1e-10, 0.5 - 1e-10 and 0.5 + 1e-10 are 2e-10 apart in
+        # the middle; each replicate counts toward its own value
+        probs = np.tile([0.5 + 1e-10, 0.5 - 1e-10], (2, 1, 1))
+        preds = st.EnsemblePredictions.from_probs(probs)
+        stat = ppc.EceStatistic(bins=st.BinningConfig(1))
+        pmf = oracle.exact_statistic_distribution(preds, None, stat, ppc.INDEPENDENT)
+        assert pmf.values.size == 3 and np.diff(pmf.values)[1] < 1e-9
+        ss = ppc.sample_statistic(preds, None, stat, ppc.INDEPENDENT,
+                                  num_replicates=20_000, seed=0)
+        assert pmf.tv_distance(ss.samples) < 0.02
+
     def test_marginal_label_laws_agree_across_modes(self, rng):
         # per-row marginals taken by enumerating each row alone
         raw = rng.random((4, 3, 3))

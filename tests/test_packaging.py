@@ -106,9 +106,9 @@ def test_engine_does_not_import_the_file_formats():
 
 def test_no_cache_outside_the_check_and_no_thread_state():
     """A check's context is frozen data with six fields; the bracket's plan is built
-    by the statistic that reads it and its scratch lives in one `_pit_near_cuts`
-    call: no module imports `threading`, and the one `functools` cache is
-    `_cdf_table`'s, a constant of the grid."""
+    once per check by `_pit_reader`, which the statistic's reader calls, and its
+    scratch lives in one call of the bracket: no module imports `threading`, and the
+    one `functools` cache is `_cdf_table`'s, a constant of the grid."""
     cached, threading = [], []
     for module, tree in parsed_modules().items():
         for node in ast.walk(tree):
@@ -153,4 +153,4 @@ def test_an_array_the_library_is_handed_is_read_by_real_array():
     casts = [f"{module}.{name}" for module, tree in parsed_modules().items()
              for name in float_casts(tree)]
     assert sorted(casts) == ["predictive.PosteriorWeights.as_array", "predictive._ndtr",
-                             "predictive._pit_plan", "recalibrate.TemperatureVector.as_array"]
+                             "predictive._pit_reader", "recalibrate.TemperatureVector.as_array"]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -426,7 +427,7 @@ def labels_at_levels(preds, weights, levels):
 @hst.composite
 def near_cut_cases(draw):
     """A regression case of `engine_cases` with random weights, whose labels or
-    cuts are placed where the bracket of `_pit_near_cuts` must hand a row to
+    cuts are placed where the bracket of `_pit_reader` must hand a row to
     the exact kernel. "quantile": some labels sit at a cut's quantile, so
     their PIT lies within 1e-12 of it. "grid": every z = (y - mean) / std is a
     grid point of the bracket table, so a row's lower bound and its exact PIT
@@ -457,6 +458,13 @@ def near_cut_cases(draw):
         bounds = np.sort(rng.choice(np.concatenate([[0.0, 1.0], levels]), 2, replace=False))
         statistic = ppc.PicpStatistic(float(bounds[0]), float(bounds[1]))
     return preds, weights, labels, statistic, mode
+
+
+def exact_reader(means, stds, w, cuts):
+    """A stand-in for `_pit_reader` whose bracket is `pit_from_gaussians` of each
+    label row of y [..., N], one row at a time."""
+    return lambda y: np.array([pit_from_gaussians(means, stds, w, row)
+                               for row in y.reshape(-1, means.shape[0])]).reshape(y.shape)
 
 
 class TestEngineProperties:
@@ -527,9 +535,7 @@ class TestEngineProperties:
         pit = pit_from_gaussians(preds.means, preds.stds, ctx.weights, labels)
         assert (statistic.evaluate(labels, ctx).hex()
                 == statistic.kernel(ctx)(pit).hex())
-        with mock.patch.object(ppc, "_pit_near_cuts",
-                               lambda plan, y, scratch=None:
-                               pit_from_gaussians(plan.means, plan.stds, plan.w, y)):
+        with mock.patch.object(ppc, "_pit_reader", exact_reader):
             exact = ppc.sample_statistic(preds, weights, statistic, mode,
                                          num_replicates=replicates, seed=seed_, threads=1)
         bracket = ppc.sample_statistic(preds, weights, statistic, mode,
@@ -570,21 +576,20 @@ class TestEngineProperties:
         preds = st.EnsemblePredictions.from_gaussians(means, stds)
         labels = np.array([0.3, -2.0, 0.1, 1.5, 0.25, 1e15, -1e15 + 0.5, 0.0])
         ctx = ppc.build_context(preds)
-        plan = statistic.pit_plan(ctx)
-        assert plan.tiny.tolist() == [0, 1, 3]      # the rows with a std below 2^-1012
+        bracket = predictive._pit_reader(preds.means, preds.stds, ctx.weights, statistic.cuts)
+        # the rows with a std below 2^-1012
+        assert inspect.getclosurevars(bracket).nonlocals["tiny"].tolist() == [0, 1, 3]
         cuts = np.asarray(statistic.cuts)
         draws = np.random.default_rng(22)
         for y in [labels] + [ppc.replicate_labels(preds, None, mode, draws) for _ in range(50)]:
-            pit = predictive._pit_near_cuts(plan, y)
+            pit = bracket(y)
             exact = pit_from_gaussians(preds.means, preds.stds, ctx.weights, y)
             for side in (np.less, np.less_equal):
                 assert (side(pit[:, None], cuts) == side(exact[:, None], cuts)).all()
         assert (statistic.evaluate(labels, ctx).hex()
                 == statistic.kernel(ctx)(pit_from_gaussians(
                     preds.means, preds.stds, ctx.weights, labels)).hex())
-        with mock.patch.object(ppc, "_pit_near_cuts",
-                               lambda plan, y, scratch=None:
-                               pit_from_gaussians(plan.means, plan.stds, plan.w, y)):
+        with mock.patch.object(ppc, "_pit_reader", exact_reader):
             exact = ppc.sample_statistic(preds, None, statistic, mode,
                                          num_replicates=300, seed=4, threads=1)
         bracket = ppc.sample_statistic(preds, None, statistic, mode,
@@ -889,7 +894,7 @@ class LabelMeanWithReaderNames(LabelMean):
     def kernel(self, ctx):
         raise AssertionError("a custom statistic was read as a built-in one")
 
-    hit_mass = pit_plan = prepare_hits = evaluate_pit = kernel
+    hit_mass = reader = pit_plan = prepare_hits = evaluate_pit = kernel
 
 
 @dataclass(frozen=True)
@@ -912,10 +917,10 @@ class TestReaders:
                                            ppc.PicpStatistic()], ids=lambda s: s.name)
     @pytest.mark.parametrize("reader", ["labels", "uniform", "observed"])
     def test_a_pit_above_one_is_refused_in_each_reader(self, statistic, reader):
-        """The label reader and the observed value read `_pit_near_cuts`, here 1 +
-        1e-12 everywhere; the uniform reader draws no labels, so its uniforms are."""
-        above_one = mock.patch.object(ppc, "_pit_near_cuts", lambda plan, y, scratch=None:
-                                      np.full(y.shape, 1.0 + 1e-12))
+        """The label reader and the observed value read `_pit_reader`'s bracket, here
+        1 + 1e-12 everywhere; the uniform reader draws no labels, so its uniforms are."""
+        above_one = mock.patch.object(ppc, "_pit_reader", lambda means, stds, w, cuts:
+                                      lambda y: np.full(y.shape, 1.0 + 1e-12))
         if reader == "uniform":
             above_one = mock.patch.object(ppc, "replicate_rng",
                                           lambda seed, b: AboveOneUniforms())
@@ -943,7 +948,7 @@ class TestReaders:
 
 
 def many_pass_ensemble():
-    """N = 200 rows and M = 110 members, so a pass of `_pit_near_cuts` holds
+    """N = 200 rows and M = 110 members, so a pass of `_pit_reader`'s bracket holds
     2^16 // 22,000 = 2 label rows and a block 2^16 // 200 = 327: a full block takes
     164 passes, the last one partial. Member 0 of rows 0, 7 and 150 has a std below
     2^-1012, so in every label row those rows get their PIT from the exact kernel."""
@@ -953,16 +958,10 @@ def many_pass_ensemble():
     return st.EnsemblePredictions.from_gaussians(means, stds)
 
 
-def exact_pit(plan, y):
-    """`pit_from_gaussians` of each label row of y [..., N], one row at a time."""
-    rows = y.reshape(-1, plan.means.shape[0])
-    return np.array([pit_from_gaussians(plan.means, plan.stds, plan.w, row)
-                     for row in rows]).reshape(y.shape)
-
-
 class TestBlockBracket:
-    """`_pit_near_cuts` brackets a block of label rows [..., N] in passes of at most
-    2^16 member cells, and the label reader hands it one block at a time."""
+    """`_pit_reader`'s bracket reads a block of label rows [..., N] in passes of at
+    most 2^16 member cells, and the label reader, built once per check, hands it one
+    block at a time."""
 
     @pytest.mark.parametrize("statistic,mode", [
         (ppc.CalibrationErrorStatistic(), ppc.BAYESIAN),
@@ -972,7 +971,7 @@ class TestBlockBracket:
         preds = many_pass_ensemble()
         assert ppc._BLOCK_ELEMENTS // preds.num_rows == 327
         assert predictive._BLOCK_ELEMENTS // (preds.num_rows * preds.num_models) == 2
-        with mock.patch.object(ppc, "_pit_near_cuts", exact_pit):   # blocks of 327 and 4
+        with mock.patch.object(ppc, "_pit_reader", exact_reader):   # blocks of 327 and 4
             exact = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=331,
                                          seed=6, threads=1)
         bracket = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=331,
@@ -986,15 +985,17 @@ class TestBlockBracket:
         # the labels sit at a cut's quantile, so their PIT is within 1e-12 of the cut
         preds, rng = many_pass_ensemble(), np.random.default_rng(29)
         ctx = ppc.build_context(preds)
-        plan, cuts = statistic.pit_plan(ctx), np.asarray(statistic.cuts)
+        cuts = np.asarray(statistic.cuts)
+        bracket, exact = (reader(preds.means, preds.stds, ctx.weights, cuts)
+                          for reader in (predictive._pit_reader, exact_reader))
         placed = labels_at_levels(preds, PosteriorWeights.uniform(preds.num_models),
                                   cuts[rng.integers(0, cuts.size, preds.num_rows)])
         drawn = ppc._label_block(ctx, ppc.BAYESIAN, rng, 9)
         labels = np.where(rng.random(drawn.shape) < 0.5, placed, drawn)
-        pit, exact = predictive._pit_near_cuts(plan, labels), exact_pit(plan, labels)
+        pit, exact = bracket(labels), exact(labels)
         for side in (np.less, np.less_equal):
             assert (side(pit[..., None], cuts) == side(exact[..., None], cuts)).all()
-        shaped = predictive._pit_near_cuts(plan, labels.reshape(3, 3, -1))
+        shaped = bracket(labels.reshape(3, 3, -1))
         assert shaped.tobytes() == pit.tobytes() and shaped.shape == (3, 3, preds.num_rows)
 
     @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
@@ -1002,18 +1003,43 @@ class TestBlockBracket:
     @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.PointEstimate(1)],
                              ids=lambda m: m.describe())
     def test_the_label_reader_brackets_once_per_block(self, statistic, mode):
+        """One `_pit_reader`, so one plan, for the check's three blocks."""
         n, rng = 2 ** 14, np.random.default_rng(9)      # B = 4 replicates a block
         preds = st.EnsemblePredictions.from_gaussians(rng.normal(0, 1, (n, 2)),
                                                       rng.uniform(0.2, 2, (n, 2)))
-        shapes, bracket = [], predictive._pit_near_cuts
+        shapes, builds, bracket = [], [], predictive._pit_reader
 
-        def counted(plan, y):
-            shapes.append(y.shape)
-            return bracket(plan, y)
-        with mock.patch.object(ppc, "_pit_near_cuts", counted):
+        def counted(*plan):
+            builds.append(plan)
+            read = bracket(*plan)
+
+            def counted_read(y):
+                shapes.append(y.shape)
+                return read(y)
+            return counted_read
+        with mock.patch.object(ppc, "_pit_reader", counted):
             ppc.sample_statistic(preds, None, statistic, mode, num_replicates=10, seed=0,
                                  threads=1)
-        assert shapes == [(4, n), (4, n), (2, n)]
+        assert shapes == [(4, n), (4, n), (2, n)] and len(builds) == 1
+
+    @pytest.mark.parametrize("statistic", [LabelMean(), RegressionLabelMean()],
+                             ids=[st.CLASSIFICATION, st.REGRESSION])
+    def test_a_custom_statistic_gets_one_evaluate_per_label_row(self, statistic):
+        n, rng = 2 ** 14, np.random.default_rng(10)     # B = 4 replicates a block
+        if statistic.kind == st.CLASSIFICATION:
+            preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, 2, 3)))
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(rng.normal(0, 1, (n, 2)),
+                                                          rng.uniform(0.2, 2, (n, 2)))
+        shapes, evaluate = [], type(statistic).evaluate
+
+        def counted(self, labels, ctx):
+            shapes.append(np.shape(labels))
+            return evaluate(self, labels, ctx)
+        with mock.patch.object(type(statistic), "evaluate", counted):
+            samples = ppc.sample_statistic(preds, None, statistic, ppc.BAYESIAN,
+                                           num_replicates=10, seed=0, threads=1).samples
+        assert shapes == [(n,)] * 10 and samples.shape == (10,)
 
 
 @dataclass(frozen=True)
@@ -1268,6 +1294,21 @@ class TestRunPpc:
         with pytest.raises(InvalidParameterError, match="statistic values must be finite"):
             ppc.run_ppc(preds, None, observed_labels, NanWhere(is_nan), ppc.BAYESIAN,
                         num_replicates=200, seed=0)
+
+    @pytest.mark.parametrize("statistic", BUILT_IN_STATISTICS, ids=lambda s: s.name)
+    def test_observed_value_is_the_readers_value_on_the_observed_labels(self, statistic):
+        rng = np.random.default_rng(11)
+        if statistic.kind == st.CLASSIFICATION:
+            preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (60, 3, 4)))
+            labels = rng.integers(0, 4, 60)
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(rng.normal(0, 1, (60, 3)),
+                                                          rng.uniform(0.2, 2, (60, 3)))
+            labels = rng.normal(0, 1.5, 60)
+        report = ppc.run_ppc(preds, None, labels, statistic, ppc.BAYESIAN,
+                             num_replicates=20, seed=0, threads=1)
+        read = statistic.reader(ppc.build_context(preds))
+        assert report.observed.hex() == float(read(labels)).hex()
 
     def test_self_consistency_point_estimate(self):
         # data generated by the model itself should pass

@@ -171,8 +171,8 @@ class TestNdtrKernel:
 
 
 class TestChordBound:
-    """`_pit_near_cuts` estimates a member's Phi(z) by its chord across z's grid
-    cell; _CHORD_ERROR must bound the chord's distance from the kernel's Phi."""
+    """`_pit_reader`'s bracket estimates a member's Phi(z) by its chord across z's
+    grid cell; _CHORD_ERROR must bound the chord's distance from the kernel's Phi."""
 
     EDGES = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_CELLS_PER_UNIT
     Z = np.concatenate([
@@ -185,7 +185,7 @@ class TestChordBound:
 
     @staticmethod
     def chord(z):
-        # the cell and the chord as `_pit_near_cuts` computes them, at std 1
+        # the cell and the chord as `_pit_reader`'s bracket computes them, at std 1
         return _chord(_grid_cell(z, 0.0, 1.0 / _GRID_CELLS_PER_UNIT))
 
     def test_chord_is_within_the_bound_and_the_bound_is_tight(self):
