@@ -4,15 +4,14 @@ statistic's by enumerating the joint label outcomes of a tiny ensemble.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ppc as ppc_mod
 from . import statistics as st
-from .predictive import (InvalidParameterError, PosteriorWeights, check_integer,
-                         class_mass, read_as)
+from .predictive import (_BLOCK_ELEMENTS, InvalidParameterError, PosteriorWeights,
+                         check_integer, class_mass, read_as)
 
 
 class BudgetExceededError(ValueError):
@@ -88,10 +87,11 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  mode: ppc_mod.UncertaintyMode,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
-    """Exact PMF of the replicated statistic under the mode's `law` over the
-    engine's class masses: accuracy's mixes K Poisson-binomials of the hit masses
-    q [K, N], at any size; any other statistic weighs each joint label outcome by its
-    mass, C^N * K outcomes within the budget, from the full [N, M, C] masses."""
+    """Exact PMF of the replicated statistic under the mode's `law` over the engine's
+    class masses: accuracy's mixes K Poisson-binomials of the hit masses q [K, N], at any
+    size; any other statistic weighs each joint label outcome by its mass, C^N * K within
+    the budget, read in blocks y [B, N] of K * B * N <= `_BLOCK_ELEMENTS` member cells by
+    the check's one `ppc.statistic_values`; each outcome's mass is its own dot over K members."""
     ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
@@ -99,7 +99,6 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
     budget = read_as(EnumerationBudget, budget)
     ctx = ppc_mod.build_context(preds, weights)
     n, c = preds.num_rows, preds.num_classes
-    rows = np.arange(n)
     if isinstance(statistic, ppc_mod.AccuracyStatistic):
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))  # [K], [K, N]
         values = np.arange(n + 1) / n
@@ -110,13 +109,14 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
         required = c ** n * member_weights.size
         if required > budget.max_outcomes:
             raise BudgetExceededError(required, budget.max_outcomes)
-        values, masses = [], np.empty(c ** n)
-        for i, labels in enumerate(itertools.product(range(c), repeat=n)):
-            y = np.asarray(labels, dtype=int)
-            values.append(statistic.evaluate(y, ctx))   # read by `finite_values` below
-            masses[i] = float(row_mass[:, rows, y].prod(axis=1) @ member_weights)
-
-    values, masses = _merge(ppc_mod.finite_values(values), masses)
+        read, cells = ppc_mod.statistic_values(statistic, ctx), row_mass.transpose(1, 2, 0)
+        size, w = max(1, _BLOCK_ELEMENTS // (member_weights.size * n)), member_weights[:, None]
+        values, masses = np.empty(c ** n), np.empty(c ** n)
+        for lo in range(0, c ** n, size):       # y [B, N] in `itertools.product` order
+            y = np.stack(np.unravel_index(np.arange(lo, min(lo + size, c ** n)), (c,) * n), -1)
+            values[lo:lo + size] = read(y)
+            masses[lo:lo + size] = (cells[np.arange(n), y].prod(1, keepdims=True) @ w).ravel()
+    values, masses = _merge(values, masses)
     if abs(masses.sum() - 1.0) > 1e-9:
         raise InvalidParameterError("enumerated masses failed to sum to 1")
     return StatisticPmf(values, masses, context=ctx)

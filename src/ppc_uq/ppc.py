@@ -290,9 +290,9 @@ def _label_block(ctx: PredictiveContext, mode: UncertaintyMode, rng: np.random.G
 
 
 def statistic_values(statistic, ctx: PredictiveContext):
-    """The check's one reader of labels: `labels [k, N] ->` their k values, read by
-    `finite_values`. A built-in statistic's `reader(ctx)`, built here once, reads the
-    whole block; a custom statistic's `evaluate(y, ctx)` reads each label vector y."""
+    """The one reader of labels [k, N] -> k values read by `finite_values`, for the engine's
+    blocks, the observed labels and the oracle's joint outcomes: a built-in statistic's
+    `reader(ctx)`, built here once, reads a block; a custom `evaluate(y, ctx)`, each row y."""
     read = statistic.reader(ctx) if isinstance(statistic, _Reads) else (
         lambda labels: [statistic.evaluate(y, ctx) for y in labels])
     return lambda labels: finite_values(read(labels))
@@ -371,7 +371,7 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
 def finite_values(samples, *observed) -> np.ndarray:
     """`samples` (StatisticSamples or a vector) as a vector of finite floats, by `real_array`,
     and the observed value, if given, a finite number, by `check_finite`; else
-    InvalidParameterError. Its readers: `p_value`, `sharpness`, the oracle's values and
+    InvalidParameterError. Its readers: `statistic_values`, `p_value`, `sharpness` and
     `StatisticPmf.tv_distance`, each before it sizes the values."""
     vals = real_array(getattr(samples, "samples", samples), "statistic values must be finite")
     if vals.ndim != 1:

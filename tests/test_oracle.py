@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,6 +191,76 @@ class TestLawMasses:
         oracle.exact_statistic_distribution(
             two_model_onehot(3), None, ppc.EceStatistic(), mode,
             budget=oracle.EnumerationBudget(max_outcomes=outcomes))
+
+
+def logit_ensemble(n=5, m=3, c=3):
+    rng = np.random.default_rng(30)
+    return st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, m, c)))
+
+
+class TestBlocks:
+    """The enumeration reads the joint outcomes in `itertools.product` order, a block
+    of at most `_BLOCK_ELEMENTS` member cells (K * B * N) at a time, through one
+    `ppc.statistic_values` built per call."""
+
+    @pytest.mark.parametrize("statistic", [OutcomeCode(), ppc.EceStatistic()],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(1)],
+                             ids=lambda m: m.describe())
+    def test_many_blocks_give_the_bytes_of_one(self, statistic, mode, monkeypatch):
+        # 3^5 = 243 outcomes; 40 cells give B = 2 (K = 3) or 8 (K = 1): 122 or 31
+        # blocks, the last partial; at 2^16 cells all 243 are one block
+        preds = logit_ensemble()
+        one = oracle.exact_statistic_distribution(preds, None, statistic, mode)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 40)
+        many = oracle.exact_statistic_distribution(preds, None, statistic, mode)
+        assert many.values.tobytes() == one.values.tobytes()
+        assert many.masses.tobytes() == one.masses.tobytes()
+
+    def test_a_built_in_reader_is_built_once_per_call(self):
+        # 3^8 = 6,561 outcomes of K * N = 16 cells: blocks of 4,096 and 2,465
+        preds, reader = logit_ensemble(n=8, m=2), ppc.EceStatistic.reader
+        shapes, builds = [], []
+
+        def counted(self, ctx):
+            builds.append(ctx)
+            read = reader(self, ctx)
+
+            def counted_read(labels):
+                shapes.append(labels.shape)
+                return read(labels)
+            return counted_read
+        with mock.patch.object(ppc.EceStatistic, "reader", counted):
+            oracle.exact_statistic_distribution(preds, None, ppc.EceStatistic(), ppc.BAYESIAN)
+        assert shapes == [(4096, 8), (2465, 8)] and len(builds) == 1
+
+    def test_a_custom_statistic_gets_one_evaluate_per_outcome_in_product_order(
+            self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 40)     # blocks of 2 outcomes
+        seen, evaluate = [], OutcomeCode.evaluate
+
+        def recorded(self, labels, ctx):
+            seen.append(tuple(labels))
+            return evaluate(self, labels, ctx)
+        with mock.patch.object(OutcomeCode, "evaluate", recorded):
+            oracle.exact_statistic_distribution(logit_ensemble(), None,
+                                                OutcomeCode(), ppc.BAYESIAN)
+        assert seen == list(itertools.product(range(3), repeat=5))
+
+    def test_memory_peak_is_below_2_mib_at_983040_outcomes(self):
+        # N = 15, C = 2, M = 30, bayesian: 2^15 outcomes * 30 members = 983,040, inside
+        # the default budget. Blocks of 2^16 // N outcomes would hold [4369, 15, 30]
+        # member cells (15.7 MB); a list of values, one `evaluate` per outcome, peaks at
+        # 2.3 MiB
+        preds = logit_ensemble(n=15, m=30, c=2)
+        tracemalloc.start()
+        try:
+            oracle.exact_statistic_distribution(preds, None, ppc.EceStatistic(),
+                                                ppc.BAYESIAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 @dataclass(frozen=True)
