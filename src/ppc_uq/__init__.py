@@ -1,6 +1,6 @@
 """Posterior predictive checks for probabilistic models with model uncertainty."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .predictive import (Gaussian, InvalidParameterError, MixturePredictive,
                          PosteriorWeights, gaussian_cdf, mixture_cdf, mixture_sample)

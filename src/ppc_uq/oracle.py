@@ -55,17 +55,19 @@ class StatisticPmf:
 
 
 def _merge(values: np.ndarray, masses: np.ndarray, atol: float = 1e-12) -> tuple:
+    """Sorted values, each merged into the first of its run within atol, with masses summed in
+    order (`bincount`), massless runs dropped; only chains wider than atol need the loop."""
     order = np.argsort(values)
     values, masses = values[order], masses[order]
-    out_v, out_m = [], []
-    for v, m in zip(values, masses):
-        if out_v and v - out_v[-1] <= atol:
-            out_m[-1] += m
-        else:
-            out_v.append(v)
-            out_m.append(m)
-    out_v, out_m = np.asarray(out_v), np.asarray(out_m)
-    return out_v[out_m > 0], out_m[out_m > 0]
+    first = np.diff(values, prepend=-np.inf) > atol
+    chains = np.flatnonzero(first)
+    ends = np.append(chains[1:], values.size)
+    for lo, hi in np.stack((chains, ends), 1)[values[ends - 1] - values[chains] > atol]:
+        while values[hi - 1] - values[lo] > atol:
+            lo += 1 + np.count_nonzero(values[lo + 1:hi] - values[lo] <= atol)
+            first[lo] = True
+    out_m = np.bincount(np.cumsum(first) - 1, weights=masses)
+    return values[first][out_m > 0], out_m[out_m > 0]
 
 
 def _hit_count_pmf(hit_probs: np.ndarray) -> np.ndarray:

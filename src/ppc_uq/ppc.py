@@ -6,8 +6,8 @@ Replicated labels are drawn under one of three uncertainty modes:
 * ConditionallyIndependent — a fresh model index per row;
 * PointEstimate — a fixed model index for all rows.
 
-A mode's `members` draws the model index of each row, or one index that every
-row shares, and its `law(weights, per_member)` mixes a per-member array
+A mode's `members` draws a block's model indices, one per label vector [B, 1], per label
+[B, N] or one index for all, and its `law(weights, per_member)` mixes a per-member array
 x [M, ...] into the mode's components, (w [K], x_k [K, ...]): over the label
 draw's class masses (`class_mass`) the exact law of one replicate's labels,
 over a hit statistic's `hit_mass(ctx)` that of its hits. Under `uniform_pit` a
@@ -41,8 +41,8 @@ class Bayesian:
     def describe(self) -> str:
         return "bayesian"
 
-    def members(self, rng, cums: np.ndarray, num_rows: int):
-        return draw_component(rng, cums, 1)[0]
+    def members(self, rng, cums: np.ndarray, shape: tuple) -> np.ndarray:
+        return draw_component(rng, cums, (shape[0], 1))
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
         return weights, per_member
@@ -55,8 +55,8 @@ class ConditionallyIndependent:
     def describe(self) -> str:
         return "independent"
 
-    def members(self, rng, cums: np.ndarray, num_rows: int) -> np.ndarray:
-        return draw_component(rng, cums, num_rows)
+    def members(self, rng, cums: np.ndarray, shape: tuple) -> np.ndarray:
+        return draw_component(rng, cums, shape)
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
         return np.ones(1), np.tensordot(weights, per_member, axes=1)[None]
@@ -75,7 +75,7 @@ class PointEstimate:
     def describe(self) -> str:
         return f"point:{self.index}"
 
-    def members(self, rng, cums: np.ndarray, num_rows: int):
+    def members(self, rng, cums: np.ndarray, shape: tuple) -> int:
         return self.index
 
     def law(self, weights: np.ndarray, per_member: np.ndarray) -> tuple:
@@ -274,19 +274,19 @@ def replicate_rng(seed: int, k: int) -> np.random.Generator:
 
 def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                      mode: UncertaintyMode, rng: np.random.Generator) -> np.ndarray:
-    """One replicated label vector y_rep under the given uncertainty mode:
-    the mode's member draw, then one value draw per row."""
+    """One replicated label vector y_rep under the given uncertainty mode, the block of
+    one: the mode's member draw, then one value draw per row."""
     check_mode(preds, mode)
     return _label_block(build_context(preds, weights), mode, rng, 1)[0]
 
 
 def _label_block(ctx: PredictiveContext, mode: UncertaintyMode, rng: np.random.Generator,
-                 count: int) -> np.ndarray:
-    """count label vectors [count, N] under a mode that `check_mode` has accepted, drawn
-    one after another, each as `replicate_labels` draws one."""
-    return np.stack([draw_mixture(rng, mode.members(rng, ctx.weight_cums, ctx.preds.num_rows),
-                                  means=ctx.preds.means, stds=ctx.preds.stds,
-                                  class_cums=ctx.class_cums) for _ in range(count)])
+                 size: int) -> np.ndarray:
+    """A block of label vectors [size, N] under a mode that `check_mode` has accepted: all
+    their members in one `mode.members` call, then all their values in one `draw_mixture`."""
+    shape = (size, ctx.preds.num_rows)
+    return draw_mixture(rng, mode.members(rng, ctx.weight_cums, shape), shape,
+                        means=ctx.preds.means, stds=ctx.preds.stds, class_cums=ctx.class_cums)
 
 
 def statistic_values(statistic, ctx: PredictiveContext):
@@ -301,8 +301,8 @@ def statistic_values(statistic, ctx: PredictiveContext):
 def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, size: int):
     """`(rng, count) ->` the first count values of a block of size replicates, drawn only
     through what the statistic reads: hits (k [size] from `law` over its `hit_mass`, then
-    u [size, N] < q[k]) or U(0, 1) PIT [size, N], drawn whole for one `kernel` call; else
-    labels [count, N], for the check's one `statistic_values`, built here, as observed."""
+    u [size, N] < q[k]) or U(0, 1) PIT [size, N], or labels [size, N], each drawn whole for
+    one `kernel` or (the first count labels) the check's one `statistic_values`, built here."""
     num_rows = ctx.preds.num_rows
     if isinstance(statistic, _ReadsHits):
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))
@@ -316,7 +316,7 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
         kernel = statistic.kernel(ctx)
         return lambda rng, count: kernel(rng.random((size, num_rows))[:count])
     values = statistic_values(statistic, ctx)
-    return lambda rng, count: values(_label_block(ctx, mode, rng, count))
+    return lambda rng, count: values(_label_block(ctx, mode, rng, size)[:count])
 
 
 def _usable_cpus():

@@ -182,7 +182,7 @@ _CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pi
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
 _TINY_STD = 2.0 ** -1012    # the least std whose std / 1024 is a normal double
 _CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
-_BLOCK_ELEMENTS = 2 ** 16   # the unit of work: labels per `ppc` block, member cells per pass
+_BLOCK_ELEMENTS = 2 ** 16   # the unit of work: labels per `ppc` block, member or class cells per pass
 
 
 @functools.cache
@@ -333,32 +333,30 @@ def class_mass(cums: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return hi - np.where(classes > 0, np.clip(lo, 0.0, 1.0), 0.0)
 
 
-def draw_component(rng: np.random.Generator, cums: np.ndarray,
-                   num_rows: int) -> np.ndarray:
-    """Mixture component index per row, [num_rows], from the weights' `cumulative`
-    (a check builds it once): the first step of every mixture draw, which knows no
-    mode. Uniforms consumed: one per row, none when M = 1."""
+def draw_component(rng: np.random.Generator, cums: np.ndarray, shape: tuple) -> np.ndarray:
+    """Mixture component indices of the given shape from the weights' `cumulative` (a
+    check builds it once): the first step of every mixture draw, which knows no mode.
+    Uniforms consumed: one per index, in C order, none when M = 1."""
     if cums.size == 1:
-        return np.broadcast_to(0, (num_rows,))
-    return np.searchsorted(cums, rng.random(num_rows), side="right")
+        return np.broadcast_to(0, shape)
+    return np.searchsorted(cums, rng.random(shape), side="right")
 
 
-def draw_mixture(rng: np.random.Generator, idx: np.ndarray, means=None, stds=None,
+def draw_mixture(rng: np.random.Generator, idx, shape: tuple, means=None, stds=None,
                  class_cums=None) -> np.ndarray:
-    """One draw per row from per-row mixtures, given each row's component
-    index (`idx`, [N], from `draw_component` or a mode's `members`), or one
-    index for every row, whose column is then read by basic slicing.
-
-    The components are Gaussian (means, stds: [N, M]) or categorical
-    (class_cums: [N, M, C], see `cumulative`). RNG consumption: one value
-    draw per row, in row order.
-    """
-    rows = slice(None) if np.ndim(idx) == 0 else np.arange(np.size(idx))
+    """Draws of `shape` [..., N] from per-row mixtures, one per row of each label vector,
+    given component indices that broadcast against it: [B, N], [B, 1] or one index (from
+    `draw_component` or a mode's `members`). The components are Gaussian (means, stds:
+    [N, M]) or categorical (class_cums: [N, M, C], see `cumulative`; shape [B, N]), whose
+    uniforms meet the CDF in passes of at most _BLOCK_ELEMENTS class cells, or one
+    vector's [N, C]. RNG consumption: one value draw per label, in C order."""
+    rows = np.arange(shape[-1])
     if class_cums is None:
-        mean = means[rows, idx]
-        return mean + stds[rows, idx] * rng.standard_normal(mean.size)
-    cums = class_cums[rows, idx]
-    return (rng.random(len(cums))[:, None] > cums).sum(axis=1)
+        return means[rows, idx] + stds[rows, idx] * rng.standard_normal(shape)
+    u, idx = rng.random(shape)[..., None], np.broadcast_to(idx, shape)
+    step = max(1, _BLOCK_ELEMENTS // (shape[-1] * class_cums.shape[-1]))
+    return np.concatenate([(u[lo:lo + step] > class_cums[rows, idx[lo:lo + step]]).sum(-1)
+                           for lo in range(0, shape[0], step)])
 
 
 def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=None):
@@ -370,7 +368,7 @@ def mixture_sample(mixture: MixturePredictive, rng: np.random.Generator, size=No
     n = 1 if size is None else check_integer(
         size, 0, f"size must be None or an integer >= 0, got {size!r}")
     means, stds, w = _mixture_arrays(mixture)
-    out = draw_mixture(rng, draw_component(rng, cumulative(w), n),
+    out = draw_mixture(rng, draw_component(rng, cumulative(w), (n,)), (n,),
                        means=np.broadcast_to(means, (n, w.size)),
                        stds=np.broadcast_to(stds, (n, w.size)))
     return out[0] if size is None else out

@@ -11,7 +11,7 @@ from scipy.stats import binom
 
 from ppc_uq import oracle, ppc
 from ppc_uq import statistics as st
-from ppc_uq.predictive import InvalidParameterError
+from ppc_uq.predictive import InvalidParameterError, PosteriorWeights
 
 from conftest import edge_probs
 
@@ -371,6 +371,21 @@ class TestMonteCarloAgreement:
                                   num_replicates=20_000, seed=0)
         assert pmf.tv_distance(ss.samples) < 0.02
 
+    def test_a_bayesian_custom_statistic_reads_unequal_weights(self):
+        # M = 3 members weighted 0.6, 0.3, 0.1, N = 3, C = 2; every one of the 8 joint
+        # outcomes has its own value. Uniform weights give a law TV 0.14 away
+        probs = np.array([[[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]],
+                          [[0.7, 0.3], [0.1, 0.9], [0.6, 0.4]],
+                          [[0.8, 0.2], [0.3, 0.7], [0.4, 0.6]]])
+        preds, stat = st.EnsemblePredictions.from_probs(probs), OutcomeCode()
+        weights = PosteriorWeights((0.6, 0.3, 0.1))
+        pmf = oracle.exact_statistic_distribution(preds, weights, stat, ppc.BAYESIAN)
+        uniform = oracle.exact_statistic_distribution(preds, None, stat, ppc.BAYESIAN)
+        ss = ppc.sample_statistic(preds, weights, stat, ppc.BAYESIAN,
+                                  num_replicates=100_000, seed=43)
+        assert pmf.values.size == 8 and pmf.tv_distance(ss.samples) < 0.02
+        assert uniform.tv_distance(ss.samples) > 0.1
+
     def test_marginal_label_laws_agree_across_modes(self, rng):
         # per-row marginals taken by enumerating each row alone
         raw = rng.random((4, 3, 3))
@@ -382,6 +397,48 @@ class TestMonteCarloAgreement:
                     for mode in (ppc.BAYESIAN, ppc.INDEPENDENT)]
             np.testing.assert_allclose(pmfs[0].values, pmfs[1].values)
             np.testing.assert_allclose(pmfs[0].masses, pmfs[1].masses, atol=1e-12)
+
+
+def merge_loop(values, masses, atol=1e-12):
+    """`oracle._merge` as a loop over the sorted values: each value merges into the
+    first value of the run it is within atol of, its mass added in order."""
+    order = np.argsort(values)
+    values, masses = values[order], masses[order]
+    out_v, out_m = [], []
+    for v, m in zip(values, masses):
+        if out_v and v - out_v[-1] <= atol:
+            out_m[-1] += m
+        else:
+            out_v.append(v)
+            out_m.append(m)
+    out_v, out_m = np.asarray(out_v), np.asarray(out_m)
+    return out_v[out_m > 0], out_m[out_m > 0]
+
+
+class TestMerge:
+    """The PMF's merge gives the bytes of the loop over the sorted values."""
+
+    def test_a_chain_merges_into_the_first_value_of_its_run(self):
+        values, masses = oracle._merge(np.array([1.2e-12, 0.0, 0.6e-12, 0.5]),
+                                       np.array([0.5, 0.2, 0.1, 0.0]))
+        assert values.tolist() == [0.0, 1.2e-12] and masses.tolist() == [0.2 + 0.1, 0.5]
+
+    @given(data=hst.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_loop_bit_for_bit(self, data):
+        # values on grids of spacing 0.3e-12 to 2e-12 around a few centres, so that
+        # chains of gaps within 1e-12 but wider than it occur; some masses are 0
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1)))
+        n = data.draw(hst.integers(1, 400))
+        step = data.draw(hst.sampled_from([0.3e-12, 0.5e-12, 0.6e-12, 1e-12, 2e-12]))
+        values = (rng.choice([0.0, 0.25, 1 / 3, 0.5, 1.0], n)
+                  + rng.integers(0, data.draw(hst.integers(1, 30)), n) * step)
+        if data.draw(hst.booleans()):
+            values = np.where(rng.random(n) < 0.3, rng.random(n), values)
+        masses = rng.random(n) * (rng.random(n) < 0.9)
+        got, want = oracle._merge(values, masses), merge_loop(values, masses)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestRowPermutation:

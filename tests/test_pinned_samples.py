@@ -3,7 +3,9 @@
 A refactor that keeps the engine's behaviour keeps these digests: the sha256 of
 `sample_statistic(...).samples.tobytes()` and the observed value's `float.hex`.
 They pin sample bytes, not report files, so a version bump does not move them;
-a change that breaks the replicate stream updates them on purpose.
+a change that breaks the replicate stream updates them on purpose. The public label
+draw, `replicate_labels`, is pinned too: it is the label reader's block of one, and
+has kept its bytes since 0.3.0, when the engine drew one replicate at a time.
 """
 import hashlib
 from dataclasses import dataclass
@@ -56,7 +58,7 @@ CHECKS = {
         "0x1.2edda14e2b30cp-2"),
     "calibration-bayesian": (
         regression_check, ppc.CalibrationErrorStatistic(), ppc.BAYESIAN,
-        "ed63365329b15b02b32d44364a8d1fad132c27d5d29243f35f5b8d81ce1d2e2d",
+        "dfee2fe84723c64ee9a383a4a9c4054162dded1ad5a0d1ce7ebfa26ec0bf67f2",
         "0x1.2edda14e2b30cp-2"),
     "picp-point:0": (
         regression_check, ppc.PicpStatistic(), ppc.PointEstimate(0),
@@ -64,7 +66,7 @@ CHECKS = {
         "0x1.c000000000000p-1"),
     "custom-bayesian": (
         classification_check, AgreementWithClassZero(), ppc.BAYESIAN,
-        "80813aa16ea46dee48460188ea2a16c91f22bec6bdabfb20a8eb324e97124765",
+        "471d5a287395909d84cdc97430d481ff4458543007480280f2a136476c076456",
         "0x1.1111111111111p-1"),
 }
 
@@ -78,3 +80,32 @@ def test_sample_bytes_and_observed_value_are_pinned(name):
     observed = float(statistic.evaluate(labels, ss.context))
     assert (hashlib.sha256(ss.samples.tobytes()).hexdigest(), observed.hex()) == (
         samples_sha256, observed_hex)
+
+
+# (fixture, mode) -> sha256 of 20 `replicate_labels` draws, member m weighted m + 1
+LABEL_DRAWS = {
+    ("classification", "bayesian"):
+        "f78cc80cf554a09cb262a5c85419e44879859d4f784137415d90396d8959800a",
+    ("classification", "independent"):
+        "9d066d8d2e68ced058ad8578d264f0cd6764c2c2a3084fc8cc755be88b624964",
+    ("classification", "point:3"):
+        "d4948467cccec9e14d804fccbf2f769c9bb7e7516f9ac779b6b350e93229afc2",
+    ("regression", "bayesian"):
+        "ed3cb28df69f7cb104c3713fad35d8f8ef35cf0990085bcf196833b9f7a3c62e",
+    ("regression", "independent"):
+        "c70c643b661480b90a2fd3b2e647cddc0adbe1e2e0d435db8efb5825413ebf71",
+    ("regression", "point:2"):
+        "8b11f46e64efb1449d291f6c00eed6bd86a1fb21734abb3f76939699ea433642",
+}
+
+
+@pytest.mark.parametrize("fixture,mode", list(LABEL_DRAWS), ids="-".join)
+def test_replicate_labels_bytes_are_pinned(fixture, mode):
+    preds, _ = (classification_check if fixture == "classification" else regression_check)()
+    weights = np.arange(1.0, preds.num_models + 1)
+    digest = hashlib.sha256()
+    for k in range(20):
+        digest.update(ppc.replicate_labels(preds, (weights / weights.sum()).tolist(),
+                                           ppc.parse_mode(mode),
+                                           ppc.replicate_rng(11, k)).tobytes())
+    assert digest.hexdigest() == LABEL_DRAWS[fixture, mode]

@@ -5,6 +5,7 @@ import math
 import pickle
 import platform
 import re
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -121,7 +122,8 @@ class TestSharedSampler:
 
 
 class UniformStub:
-    """Stands in for a Generator: `random` hands out preset uniforms in order."""
+    """Stands in for a Generator: `random` hands out preset uniforms in order, one or
+    an array of the shape asked for, filled in C order."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -129,8 +131,9 @@ class UniformStub:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
-        out, self.values = np.array(self.values[:size]), self.values[size:]
-        return out
+        count = math.prod(np.atleast_1d(size))
+        out, self.values = np.array(self.values[:count]), self.values[count:]
+        return out.reshape(size)
 
 
 def band_probes(ctx, member):
@@ -1040,6 +1043,87 @@ class TestBlockBracket:
             samples = ppc.sample_statistic(preds, None, statistic, ppc.BAYESIAN,
                                            num_replicates=10, seed=0, threads=1).samples
         assert shapes == [(n,)] * 10 and samples.shape == (10,)
+
+
+class TestBlockDraw:
+    """The label reader draws a whole block of B replicates: the members of all of them
+    in one `mode.members` call, then all their values in one `draw_mixture` call, and
+    hands the first count label rows to the check's reader."""
+
+    @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(1)],
+                             ids=lambda m: m.describe())
+    def test_one_members_call_and_one_value_draw_per_block(self, kind, mode):
+        n, rng = 5, np.random.default_rng(14)       # B = 4 replicates a block: 4, 4, 2
+        if kind == st.CLASSIFICATION:
+            preds, statistic = (st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, 3, 3))),
+                                LabelMean())
+        else:
+            preds, statistic = (st.EnsemblePredictions.from_gaussians(
+                rng.normal(0, 1, (n, 3)), rng.uniform(0.2, 2, (n, 3))), RegressionLabelMean())
+        members, draws, draw_members, draw_mixture = [], [], type(mode).members, ppc.draw_mixture
+
+        def counted_members(self, rng, cums, shape):
+            members.append(shape)
+            return draw_members(self, rng, cums, shape)
+
+        def counted_draw(rng, idx, shape, **components):
+            draws.append(shape)
+            return draw_mixture(rng, idx, shape, **components)
+        with mock.patch.object(ppc, "_BLOCK_ELEMENTS", 4 * n), \
+                mock.patch.object(type(mode), "members", counted_members), \
+                mock.patch.object(ppc, "draw_mixture", counted_draw):
+            samples = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=10,
+                                           seed=2, threads=1).samples
+        assert members == draws == [(4, n)] * 3 and samples.shape == (10,)
+
+    @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
+    def test_a_bayesian_block_shares_one_member_per_replicate(self, kind):
+        # member 0 puts every row on class 0 (or near -10), member 1 on class 1 (near
+        # +10); a replicate of one member has every label on one side
+        n = 6
+        if kind == st.CLASSIFICATION:
+            preds = two_model_onehot(n)
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(np.tile([-10.0, 10.0], (n, 1)),
+                                                          np.full((n, 2), 0.1))
+        ctx = ppc.build_context(preds)
+        for mode, shared in ((ppc.BAYESIAN, True), (ppc.INDEPENDENT, False)):
+            labels = ppc._label_block(ctx, mode, ppc.replicate_rng(5, 0), 400)
+            side = labels > 0.5
+            one_side = side.all(axis=1) | ~side.any(axis=1)
+            assert labels.shape == (400, n) and one_side.all() == shared
+            assert 0.4 < side.mean() < 0.6
+
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(2)],
+                             ids=lambda m: m.describe())
+    @pytest.mark.parametrize("cells", [1, 12, 37, 48, 2 ** 16])
+    def test_a_categorical_block_gives_the_bytes_of_any_pass_size(self, mode, cells):
+        """Its uniforms meet the class CDF in passes of max(1, cells // (N C)) label
+        rows, N C = 12: one, three (the last pass partial), four or all 50 at a time."""
+        ctx = ppc.build_context(st.EnsemblePredictions.from_logits(
+            np.random.default_rng(15).normal(0, 2, (4, 3, 3))))
+        want = ppc._label_block(ctx, mode, ppc.replicate_rng(6, 0), 50)
+        with mock.patch.object(predictive, "_BLOCK_ELEMENTS", cells):
+            got = ppc._label_block(ctx, mode, ppc.replicate_rng(6, 0), 50)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT],
+                             ids=lambda m: m.describe())
+    def test_memory_peak_of_a_custom_statistic_at_1000_classes(self, mode):
+        # N = 64, M = 4, C = 1,000, R = 2,000: a block of B = 1,024 replicates whose
+        # [B, N, C] class cells would be 524 MB; the engine drawing one replicate at a
+        # time (0.3.0) peaked at 6.35 MiB here, the [N, M, C] context most of it
+        preds = st.EnsemblePredictions.from_logits(
+            np.random.default_rng(12).normal(0, 2, (64, 4, 1000)))
+        tracemalloc.start()
+        try:
+            ppc.sample_statistic(preds, None, LabelMean(), mode, num_replicates=2000,
+                                 seed=0, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 6.35 * 2 ** 20
 
 
 @dataclass(frozen=True)
