@@ -11,7 +11,7 @@ import numpy as np
 from . import ppc as ppc_mod
 from . import statistics as st
 from .predictive import (_BLOCK_ELEMENTS, InvalidParameterError, PosteriorWeights,
-                         check_integer, class_mass, read_as)
+                         check_integer, class_mass, cumulative, read_as)
 
 
 class BudgetExceededError(ValueError):
@@ -89,11 +89,11 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
                                  mode: ppc_mod.UncertaintyMode,
                                  budget: EnumerationBudget = EnumerationBudget()
                                  ) -> StatisticPmf:
-    """Exact PMF of the replicated statistic under the mode's `law` over the engine's
-    class masses: accuracy's mixes K Poisson-binomials of the hit masses q [K, N], at any
-    size; any other statistic weighs each joint label outcome by its mass, C^N * K within
-    the budget, read in blocks y [B, N] of K * B * N <= `_BLOCK_ELEMENTS` member cells by
-    the check's one `ppc.statistic_values`; each outcome's mass is its own dot over K members."""
+    """Exact PMF of the replicated statistic under the mode's `law` over the engine's class
+    masses: a hits statistic of kernel `hit_fraction` mixes K Poisson-binomials of its hit
+    masses q [K, N], at any size; any other weighs each joint label outcome by its mass, C^N
+    * K within the budget, read in blocks y [B, N] of K * B * N <= `_BLOCK_ELEMENTS` member
+    cells by the check's one `ppc.statistic_values`; an outcome's mass is its dot over K."""
     ppc_mod.check_compatible(preds, statistic)
     if preds.kind != st.CLASSIFICATION:
         raise st.KindMismatchError("exact enumeration covers classification only")
@@ -101,12 +101,12 @@ def exact_statistic_distribution(preds: st.EnsemblePredictions,
     budget = read_as(EnumerationBudget, budget)
     ctx = ppc_mod.build_context(preds, weights)
     n, c = preds.num_rows, preds.num_classes
-    if isinstance(statistic, ppc_mod.AccuracyStatistic):
+    if isinstance(statistic, ppc_mod._ReadsHits) and statistic.kernel(ctx) is st.hit_fraction:
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))  # [K], [K, N]
         values = np.arange(n + 1) / n
         masses = member_weights @ _hit_count_pmf(q)
     else:
-        mass = class_mass(ctx.class_cums, np.arange(c)[None, None])    # [N, M, C]
+        mass = class_mass(cumulative(preds.class_probs()), np.arange(c)[None, None])
         member_weights, row_mass = mode.law(ctx.weights, mass.transpose(1, 0, 2))  # [K, N, C]
         required = c ** n * member_weights.size
         if required > budget.max_outcomes:

@@ -122,26 +122,23 @@ def check_compatible(preds: st.EnsemblePredictions, statistic) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PredictiveContext:
-    """The integrated predictive of one check, which its block workers only read."""
+    """The integrated predictive of one check, which its block workers only read: the four
+    fields a custom statistic may read, and no derived array (a reader builds its own)."""
 
     preds: st.EnsemblePredictions
     weights: np.ndarray                  # [M]
-    weight_cums: np.ndarray              # [M], `cumulative(weights)`, for `members`
     predicted: np.ndarray = None         # classification: argmax class
     confidence: np.ndarray = None        # classification: max prob
-    class_cums: np.ndarray = None        # classification: per-row-per-model CDF
 
 
 def build_context(preds: st.EnsemblePredictions,
                   weights: PosteriorWeights = None) -> PredictiveContext:
-    """The context of one check."""
+    """The context of one check: its weights and (classification) integrated argmax and max."""
     w = PosteriorWeights.for_models(weights, preds.num_models).as_array()
     if preds.kind != st.CLASSIFICATION:
-        return PredictiveContext(preds, w, cumulative(w))
-    probs = preds.class_probs()
-    integrated = np.einsum("nmc,m->nc", probs, w)
-    return PredictiveContext(preds, w, cumulative(w), integrated.argmax(axis=1),
-                             integrated.max(axis=1), cumulative(probs))
+        return PredictiveContext(preds, w)
+    integrated = np.einsum("nmc,m->nc", preds.class_probs(), w)
+    return PredictiveContext(preds, w, integrated.argmax(axis=1), integrated.max(axis=1))
 
 
 class _Reads:
@@ -163,8 +160,9 @@ class _ReadsHits(_Reads):
         return lambda labels: kernel(ctx.predicted == labels)
 
     def hit_mass(self, ctx: PredictiveContext) -> np.ndarray:
-        """[M, N]: the `class_mass` of row n's predicted class under member m."""
-        return class_mass(ctx.class_cums.transpose(1, 0, 2),
+        """[M, N]: the `class_mass` of row n's predicted class under member m, read off the
+        class CDF `cumulative(class_probs)`, built per call (the engine's, once per check)."""
+        return class_mass(cumulative(ctx.preds.class_probs()).transpose(1, 0, 2),
                           ctx.predicted[None, :, None])[..., 0]
 
 
@@ -277,16 +275,18 @@ def replicate_labels(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     """One replicated label vector y_rep under the given uncertainty mode, the block of
     one: the mode's member draw, then one value draw per row."""
     check_mode(preds, mode)
-    return _label_block(build_context(preds, weights), mode, rng, 1)[0]
+    return _label_draw(build_context(preds, weights), mode)(rng, 1)[0]
 
 
-def _label_block(ctx: PredictiveContext, mode: UncertaintyMode, rng: np.random.Generator,
-                 size: int) -> np.ndarray:
-    """A block of label vectors [size, N] under a mode that `check_mode` has accepted: all
-    their members in one `mode.members` call, then all their values in one `draw_mixture`."""
-    shape = (size, ctx.preds.num_rows)
-    return draw_mixture(rng, mode.members(rng, ctx.weight_cums, shape), shape,
-                        means=ctx.preds.means, stds=ctx.preds.stds, class_cums=ctx.class_cums)
+def _label_draw(ctx: PredictiveContext, mode: UncertaintyMode):
+    """`(rng, size) ->` label vectors [size, N] under a mode `check_mode` accepted: all members
+    in one `mode.members` call, then all values in one `draw_mixture`, from the weights' and
+    (classification) the class `cumulative`, both built here, once per check."""
+    preds, weight_cums = ctx.preds, cumulative(ctx.weights)
+    class_cums = cumulative(preds.class_probs()) if preds.kind == st.CLASSIFICATION else None
+    return lambda rng, size: draw_mixture(
+        rng, mode.members(rng, weight_cums, (size, preds.num_rows)), (size, preds.num_rows),
+        means=preds.means, stds=preds.stds, class_cums=class_cums)
 
 
 def statistic_values(statistic, ctx: PredictiveContext):
@@ -302,7 +302,8 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
     """`(rng, count) ->` the first count values of a block of size replicates, drawn only
     through what the statistic reads: hits (k [size] from `law` over its `hit_mass`, then
     u [size, N] < q[k]) or U(0, 1) PIT [size, N], or labels [size, N], each drawn whole for
-    one `kernel` or (the first count labels) the check's one `statistic_values`, built here."""
+    one `kernel` or (the first count labels, from one `_label_draw`) the check's one
+    `statistic_values`; each built here."""
     num_rows = ctx.preds.num_rows
     if isinstance(statistic, _ReadsHits):
         member_weights, q = mode.law(ctx.weights, statistic.hit_mass(ctx))
@@ -315,8 +316,8 @@ def _block_statistic(ctx: PredictiveContext, statistic, mode: UncertaintyMode, s
     if isinstance(statistic, _ReadsPit) and mode.uniform_pit:
         kernel = statistic.kernel(ctx)
         return lambda rng, count: kernel(rng.random((size, num_rows))[:count])
-    values = statistic_values(statistic, ctx)
-    return lambda rng, count: values(_label_block(ctx, mode, rng, size)[:count])
+    values, draw = statistic_values(statistic, ctx), _label_draw(ctx, mode)
+    return lambda rng, count: values(draw(rng, size)[:count])
 
 
 def _usable_cpus():

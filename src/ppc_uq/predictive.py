@@ -195,29 +195,23 @@ def _cdf_table() -> tuple:
     return phi, float(np.max(np.diff(phi)))
 
 
-def _grid_cell(y, means, divisor, out: np.ndarray = None) -> np.ndarray:
+def _grid_cell(y, means, divisor) -> np.ndarray:
     """Each member's position clip((y - mean) / divisor + 8705, 0, 17409) on the grid
-    of `phi`, for divisor = std / 1024: z lies in cell j = floor(position), at frac =
-    position - j. Overflow (z = ±inf is right), x / 0 and 0 / 0 give no warning."""
+    of `phi`, for divisor = std / 1024, in a fresh array: z lies in cell j = floor(position),
+    at frac = position - j. Overflow (z = ±inf is right), x / 0 and 0 / 0 give no warning."""
     with np.errstate(all="ignore"):
-        out = np.subtract(y, means, out=out)
-        np.divide(out, divisor, out=out)
+        out = (y - means) / divisor
     out += _GRID_HALF + 1
     return np.clip(out, 0, 2 * _GRID_HALF + 1, out=out)
 
 
 def _chord(cell: np.ndarray) -> np.ndarray:
     """Each member's chord of Phi across its cell at `_grid_cell`'s position,
-    phi[j] + (phi[j + 1] - phi[j]) * frac; `cell` is overwritten with frac."""
+    (phi[j + 1] - phi[j]) * frac + phi[j]; `cell` is only read."""
     phi, _ = _cdf_table()
     j = cell.astype(np.intp)
     lower = phi.take(j)
-    chord = phi[1:].take(j)
-    chord -= lower
-    cell -= j
-    chord *= cell
-    chord += lower
-    return chord
+    return (phi[1:].take(j) - lower) * (cell - j) + lower
 
 
 def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
@@ -226,8 +220,8 @@ def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
     does, by two brackets from the grid table. The plan is built here, once: std / 1024,
     the rows with a std below _TINY_STD, the cuts with +inf appended and next_cut[i],
     the least cut >= i / _CUT_GRID. Workers share the bracket, which only reads it; a
-    call reads passes of max(1, _BLOCK_ELEMENTS // (N M)) label rows that share one
-    [3, rows, N, M] scratch (three per replicate took 13 new pages each, glibc 2.36).
+    call reads passes of max(1, _BLOCK_ELEMENTS // (N M)) label rows, each pass in its
+    own arrays, so no buffer outlives a pass.
 
     Each member's Phi(z) lies in its cell [phi[j], phi[j + 1]], so a row's PIT lies
     in [lo, lo + widest] for lo = phi[j] @ w (the weights sum to 1 within 1e-9).
@@ -267,16 +261,12 @@ def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
     def bracket(y: np.ndarray) -> np.ndarray:
         phi, widest = _cdf_table()
         labels = y.reshape(-1, n)
-        step = max(1, min(len(labels), _BLOCK_ELEMENTS // (n * m)))
-        scratch, pit = np.empty((3, step, n, m)), np.empty(labels.shape)
+        step, pit = max(1, _BLOCK_ELEMENTS // (n * m)), np.empty(labels.shape)
         for start in range(0, len(labels), step):
             part = labels[start:start + step]
-            gathered, cell, j = scratch[:, :len(part)]
-            _grid_cell(part[..., None], means, divisor, out=cell)
+            cell = _grid_cell(part[..., None], means, divisor)
             cell[:, tiny] = 0.0
-            j = j.view(np.intp)
-            np.copyto(j, cell, casting="unsafe")
-            out = np.minimum(phi.take(j, mode="clip", out=gathered) @ w, 1.0).reshape(-1)
+            out = np.minimum(phi.take(cell.astype(np.intp)) @ w, 1.0).reshape(-1)
             rows = near_cut(out, widest)
             out[rows] = np.minimum(_chord(cell.reshape(-1, m)[rows]) @ w, 1.0)
             rows = rows[near_cut(out[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]

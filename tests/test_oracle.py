@@ -11,7 +11,7 @@ from scipy.stats import binom
 
 from ppc_uq import oracle, ppc
 from ppc_uq import statistics as st
-from ppc_uq.predictive import InvalidParameterError, PosteriorWeights
+from ppc_uq.predictive import InvalidParameterError, PosteriorWeights, cumulative
 
 from conftest import edge_probs
 
@@ -117,14 +117,15 @@ class OutcomeCode:
     name = "outcome-code"
 
     def evaluate(self, labels, ctx):
-        c = ctx.class_cums.shape[2]
+        c = ctx.preds.num_classes
         return float(np.asarray(labels) @ c ** np.arange(len(labels))[::-1])
 
 
 def band_masses(ctx):
     """[N, M, C] class masses of the label draw: the steps of each member's
     CDF, each CDF value clipped to [0, 1] as the draw's uniform is."""
-    return np.diff(np.clip(ctx.class_cums, 0.0, 1.0), prepend=0.0, axis=-1)
+    cums = cumulative(ctx.preds.class_probs())
+    return np.diff(np.clip(cums, 0.0, 1.0), prepend=0.0, axis=-1)
 
 
 def reference_masses(preds, mode):
@@ -274,6 +275,16 @@ class EnumeratedAccuracy:
         return ppc.AccuracyStatistic().evaluate(labels, ctx)
 
 
+@dataclass(frozen=True)
+class SquaredAccuracy(ppc.AccuracyStatistic):
+    """A subclass of accuracy with another kernel, the squared hit fraction."""
+
+    name = "squared-accuracy"
+
+    def kernel(self, ctx):
+        return lambda hits: st.hit_fraction(hits) ** 2
+
+
 def masses_by_hit_count(pmf, n):
     full = np.zeros(n + 1)
     full[np.rint(pmf.values * n).astype(int)] = pmf.masses
@@ -385,6 +396,38 @@ class TestMonteCarloAgreement:
                                   num_replicates=100_000, seed=43)
         assert pmf.values.size == 8 and pmf.tv_distance(ss.samples) < 0.02
         assert uniform.tv_distance(ss.samples) > 0.1
+
+    def test_an_accuracy_subclass_of_another_kernel_gets_its_own_law(self):
+        # 2 rows x 2 members: hit fractions 0, 1/2 and 1 square to 0, 1/4 and 1, where
+        # accuracy's Poisson-binomial would put mass on 1/2
+        preds = st.EnsemblePredictions.from_probs(np.array([[[0.8, 0.2], [0.3, 0.7]],
+                                                            [[0.6, 0.4], [0.2, 0.8]]]))
+        pmf = oracle.exact_statistic_distribution(preds, None, SquaredAccuracy(), ppc.BAYESIAN)
+        ss = ppc.sample_statistic(preds, None, SquaredAccuracy(), ppc.BAYESIAN,
+                                  num_replicates=100_000, seed=44)
+        assert pmf.values.tolist() == [0.0, 0.25, 1.0] and pmf.tv_distance(ss.samples) < 0.02
+        # accuracy itself keeps the bytes of the mixed recursion over the engine's hit law
+        ctx = ppc.build_context(preds)
+        weights, q = ppc.BAYESIAN.law(ctx.weights, ppc.AccuracyStatistic().hit_mass(ctx))
+        masses = weights @ oracle._hit_count_pmf(q)
+        accuracy = oracle.exact_statistic_distribution(preds, None, ppc.AccuracyStatistic(),
+                                                       ppc.BAYESIAN)
+        assert accuracy.masses.tobytes() == masses[masses > 0].tobytes()
+
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.PointEstimate(0)],
+                             ids=lambda m: m.describe())
+    def test_ece_of_unequal_members_agrees_with_the_enumeration(self, mode):
+        # the engine draws ECE's hits from `hit_mass`, the enumeration weighs each joint
+        # label outcome by the class masses: M = 3 members weighted 0.6, 0.3, 0.1, the
+        # first and last far apart, so a member read for another moves the law
+        probs = np.array([[[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]],
+                          [[0.8, 0.2], [0.4, 0.6], [0.2, 0.8]],
+                          [[0.7, 0.3], [0.6, 0.4], [0.1, 0.9]]])
+        preds, stat = st.EnsemblePredictions.from_probs(probs), ppc.EceStatistic()
+        weights = PosteriorWeights((0.6, 0.3, 0.1))
+        pmf = oracle.exact_statistic_distribution(preds, weights, stat, mode)
+        ss = ppc.sample_statistic(preds, weights, stat, mode, num_replicates=20_000, seed=45)
+        assert pmf.tv_distance(ss.samples) < 0.02
 
     def test_marginal_label_laws_agree_across_modes(self, rng):
         # per-row marginals taken by enumerating each row alone

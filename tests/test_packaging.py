@@ -105,10 +105,11 @@ def test_engine_does_not_import_the_file_formats():
 
 
 def test_no_cache_outside_the_check_and_no_thread_state():
-    """A check's context is frozen data with six fields; the bracket's plan is built
-    once per check by `_pit_reader`, which the statistic's reader calls, and its
-    scratch lives in one call of the bracket: no module imports `threading`, and the
-    one `functools` cache is `_cdf_table`'s, a constant of the grid."""
+    """A check's context is frozen data with the four fields a custom statistic may read
+    (preds, weights, predicted, confidence), no derived array; the bracket's plan is built
+    once per check by `_pit_reader`, which the statistic's reader calls, and its arrays
+    live in one pass of the bracket: no module imports `threading`, and the one
+    `functools` cache is `_cdf_table`'s, a constant of the grid."""
     cached, threading = [], []
     for module, tree in parsed_modules().items():
         for node in ast.walk(tree):
@@ -126,7 +127,7 @@ def test_no_cache_outside_the_check_and_no_thread_state():
     assert cached == ["predictive._cdf_table"]
     assert ppc.PredictiveContext.__dataclass_params__.frozen
     assert [f.name for f in dataclasses.fields(ppc.PredictiveContext)] == [
-        "preds", "weights", "weight_cums", "predicted", "confidence", "class_cums"]
+        "preds", "weights", "predicted", "confidence"]
 
 
 def float_casts(node, scope=()):

@@ -142,7 +142,7 @@ def band_probes(ctx, member):
     CDF as the label draw reads it: a CDF value outside [0, 1] counts as 0 or
     1, and class 0 also gets the point 0, which has no length."""
     n = ctx.predicted.size
-    cums = ctx.class_cums[np.arange(n), member]
+    cums = predictive.cumulative(ctx.preds.class_probs())[np.arange(n), member]
     hi = cums[np.arange(n), ctx.predicted]
     lo = np.where(ctx.predicted > 0, cums[np.arange(n), ctx.predicted - 1], 0.0)
     return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
@@ -993,7 +993,7 @@ class TestBlockBracket:
                           for reader in (predictive._pit_reader, exact_reader))
         placed = labels_at_levels(preds, PosteriorWeights.uniform(preds.num_models),
                                   cuts[rng.integers(0, cuts.size, preds.num_rows)])
-        drawn = ppc._label_block(ctx, ppc.BAYESIAN, rng, 9)
+        drawn = ppc._label_draw(ctx, ppc.BAYESIAN)(rng, 9)
         labels = np.where(rng.random(drawn.shape) < 0.5, placed, drawn)
         pit, exact = bracket(labels), exact(labels)
         for side in (np.less, np.less_equal):
@@ -1089,7 +1089,7 @@ class TestBlockDraw:
                                                           np.full((n, 2), 0.1))
         ctx = ppc.build_context(preds)
         for mode, shared in ((ppc.BAYESIAN, True), (ppc.INDEPENDENT, False)):
-            labels = ppc._label_block(ctx, mode, ppc.replicate_rng(5, 0), 400)
+            labels = ppc._label_draw(ctx, mode)(ppc.replicate_rng(5, 0), 400)
             side = labels > 0.5
             one_side = side.all(axis=1) | ~side.any(axis=1)
             assert labels.shape == (400, n) and one_side.all() == shared
@@ -1103,10 +1103,28 @@ class TestBlockDraw:
         rows, N C = 12: one, three (the last pass partial), four or all 50 at a time."""
         ctx = ppc.build_context(st.EnsemblePredictions.from_logits(
             np.random.default_rng(15).normal(0, 2, (4, 3, 3))))
-        want = ppc._label_block(ctx, mode, ppc.replicate_rng(6, 0), 50)
+        want = ppc._label_draw(ctx, mode)(ppc.replicate_rng(6, 0), 50)
         with mock.patch.object(predictive, "_BLOCK_ELEMENTS", cells):
-            got = ppc._label_block(ctx, mode, ppc.replicate_rng(6, 0), 50)
+            got = ppc._label_draw(ctx, mode)(ppc.replicate_rng(6, 0), 50)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT, ppc.PointEstimate(1)],
+                             ids=lambda m: m.describe())
+    def test_the_drawer_builds_each_cumulative_once_per_check(self, mode):
+        """A custom classification statistic over three blocks: one `cumulative` of the
+        weights [M] and one of the class probabilities [N, M, C], not one per block."""
+        n, rng = 5, np.random.default_rng(16)       # B = 4 replicates a block: 4, 4, 2
+        preds = st.EnsemblePredictions.from_logits(rng.normal(0, 2, (n, 3, 4)))
+        shapes, cumulative = [], ppc.cumulative
+
+        def counted(p):
+            shapes.append(np.shape(p))
+            return cumulative(p)
+        with mock.patch.object(ppc, "_BLOCK_ELEMENTS", 4 * n), \
+                mock.patch.object(ppc, "cumulative", counted):
+            samples = ppc.sample_statistic(preds, None, LabelMean(), mode, num_replicates=10,
+                                           seed=3, threads=1).samples
+        assert shapes == [(3,), (n, 3, 4)] and samples.shape == (10,)
 
     @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.INDEPENDENT],
                              ids=lambda m: m.describe())
