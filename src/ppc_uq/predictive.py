@@ -160,15 +160,21 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(a))
 
 
+def _standardized(y, means, stds) -> np.ndarray:
+    """z = (y - mean) / std, broadcast, in a fresh array: the one z of both Gaussian
+    CDF readers. Past the largest double z = ±inf is right, so overflow gives no warning."""
+    with np.errstate(over="ignore"):
+        return (y - means) / stds
+
+
 def pit_from_gaussians(means: np.ndarray, stds: np.ndarray, w: np.ndarray,
                        y: np.ndarray) -> np.ndarray:
-    """The one Gaussian-mixture CDF kernel: sum_m w_m Phi((y - mean_m) / std_m), over
-    the last (model) axis of means and stds, which broadcast against y[..., None].
-    The sum is `einsum`'s, whose value for a row does not depend on the rows
-    around it (a BLAS matvec's does), and is capped at 1: weights that sum to 1
-    can round to more."""
-    with np.errstate(over="ignore"):    # past the largest double, z = ±inf is right
-        z = (y[..., None] - means) / stds
+    """The one Gaussian-mixture CDF kernel: sum_m w_m Phi(z_m), for `_standardized`'s
+    z_m = (y - mean_m) / std_m over the last (model) axis of means and stds, which
+    broadcast against y[..., None]. The sum is `einsum`'s, whose value for a row does
+    not depend on the rows around it (a BLAS matvec's does), and is capped at 1:
+    weights that sum to 1 can round to more."""
+    z = _standardized(y[..., None], means, stds)
     return np.minimum(np.einsum("...m,m->...", _ndtr(z), w), 1.0)
 
 
@@ -180,7 +186,6 @@ _GRID_CELLS_PER_UNIT = 1024
 _GRID_HALF = int(_GRID_END * _GRID_CELLS_PER_UNIT)     # cells on each side of 0
 _CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pit_reader`
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
-_TINY_STD = 2.0 ** -1012    # the least std whose std / 1024 is a normal double
 _CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
 _BLOCK_ELEMENTS = 2 ** 16   # the unit of work: labels per `ppc` block, member or class cells per pass
 
@@ -195,14 +200,15 @@ def _cdf_table() -> tuple:
     return phi, float(np.max(np.diff(phi)))
 
 
-def _grid_cell(y, means, divisor) -> np.ndarray:
-    """Each member's position clip((y - mean) / divisor + 8705, 0, 17409) on the grid
-    of `phi`, for divisor = std / 1024, in a fresh array: z lies in cell j = floor(position),
-    at frac = position - j. Overflow (z = ±inf is right), x / 0 and 0 / 0 give no warning."""
-    with np.errstate(all="ignore"):
-        out = (y - means) / divisor
+def _grid_cell(y, means, stds) -> np.ndarray:
+    """Each member's position clip(z, -8.5 - 1/1024, 8.5) * 1024 + 8705 on the grid of
+    `phi`, for `_standardized`'s z, in a fresh array: z lies in cell j = floor(position),
+    at frac = position - j. Clipping first keeps the scaling exact and free of overflow."""
+    out = _standardized(y, means, stds)
+    np.clip(out, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END, out=out)
+    out *= _GRID_CELLS_PER_UNIT
     out += _GRID_HALF + 1
-    return np.clip(out, 0, 2 * _GRID_HALF + 1, out=out)
+    return out
 
 
 def _chord(cell: np.ndarray) -> np.ndarray:
@@ -217,29 +223,20 @@ def _chord(cell: np.ndarray) -> np.ndarray:
 def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
     """The bracket of a check's members [N, M], weights and sorted cuts in [0, 1]:
     `y [..., N] -> PIT [..., N]` that compares with each cut as `pit_from_gaussians`
-    does, by two brackets from the grid table. The plan is built here, once: std / 1024,
-    the rows with a std below _TINY_STD, the cuts with +inf appended and next_cut[i],
-    the least cut >= i / _CUT_GRID. Workers share the bracket, which only reads it; a
-    call reads passes of max(1, _BLOCK_ELEMENTS // (N M)) label rows, each pass in its
-    own arrays, so no buffer outlives a pass.
+    does, by two brackets from the grid table. The plan is built here, once: the cuts
+    with +inf appended and next_cut[i], the least cut >= i / _CUT_GRID. Workers share
+    the bracket, which only reads the plan and the members; a call reads passes of
+    max(1, _BLOCK_ELEMENTS // (N M)) label rows, each in its own arrays.
 
-    Each member's Phi(z) lies in its cell [phi[j], phi[j + 1]], so a row's PIT lies
-    in [lo, lo + widest] for lo = phi[j] @ w (the weights sum to 1 within 1e-9).
-    A row with no cut there, widened by _CUT_MARGIN, gets lo, on the same side of
-    every cut as its PIT. The others get the `@ w` of the members' chords of Phi
-    across their cells. On an inner cell a chord is within h^2 max|Phi''| / 8 of
-    Phi, and |Phi''(z)| = |z| phi(z) <= phi(1) < 0.242, so within 2.885e-8 for
-    h = 1/1024; on an end cell both lie in [0, Phi(-8.5)] or [Phi(8.5), 1]. With
-    the roundings (each below 1e-15) that is _CHORD_ERROR; the rows with a cut
-    within _CHORD_ERROR + _CUT_MARGIN of their chord sum get exact PIT.
-
-    The position (`_grid_cell`) equals clip(z, -8.5 - 1/1024, 8.5) * 1024 + 8705 bit
-    for bit when std >= _TINY_STD: std / 1024 is then exact and scaling by a power
-    of two commutes with correct rounding, so the quotient is 1024 z (for a
-    subnormal z both sums round to 8705); as rounding is monotone, adding 8705 then
-    clipping equals clipping then adding. Below _TINY_STD a position may be wrong
-    or NaN: such a row's cells are set to 0 before the cast, so no NaN is cast or
-    gathered, and the row gets exact PIT in every label row, whatever its brackets.
+    Each member's z, the kernel's, lies in the cell of its `_grid_cell` position, so
+    Phi(z) is in [phi[j], phi[j + 1]] and a row's PIT in [lo, lo + widest] for lo =
+    phi[j] @ w (the weights sum to 1 within 1e-9). A row with no cut there, widened by
+    _CUT_MARGIN, gets lo, on the same side of every cut as its PIT. The others get the
+    `@ w` of the members' chords of Phi across their cells. On an inner cell a chord is
+    within h^2 max|Phi''| / 8 of Phi, and |Phi''(z)| = |z| phi(z) <= phi(1) < 0.242, so
+    within 2.885e-8 for h = 1/1024; on an end cell both lie in [0, Phi(-8.5)] or
+    [Phi(8.5), 1]. With the roundings (each below 1e-15) that is _CHORD_ERROR; the rows
+    with a cut within _CHORD_ERROR + _CUT_MARGIN of their chord sum get exact PIT.
 
     A row is near a cut when the least cut >= a = lo - _CUT_MARGIN is <= lo + widest
     + _CUT_MARGIN. The grid of next_cut screens first: next_cut[floor(a G)] is a cut
@@ -248,9 +245,7 @@ def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
     passes the screen, and the exact search runs on those that pass."""
     cuts = np.append(np.asarray(cuts, dtype=float), np.inf)
     next_cut = cuts[np.searchsorted(cuts, np.arange(_CUT_GRID) / _CUT_GRID)]
-    with np.errstate(under="ignore"):   # below _TINY_STD, which `tiny` marks
-        divisor = stds / _GRID_CELLS_PER_UNIT
-    tiny, (n, m) = np.flatnonzero((stds < _TINY_STD).any(axis=1)), means.shape
+    n, m = means.shape
 
     def near_cut(low, width):
         low, high = low - _CUT_MARGIN, low + width + _CUT_MARGIN
@@ -264,14 +259,11 @@ def _pit_reader(means: np.ndarray, stds: np.ndarray, w: np.ndarray, cuts):
         step, pit = max(1, _BLOCK_ELEMENTS // (n * m)), np.empty(labels.shape)
         for start in range(0, len(labels), step):
             part = labels[start:start + step]
-            cell = _grid_cell(part[..., None], means, divisor)
-            cell[:, tiny] = 0.0
+            cell = _grid_cell(part[..., None], means, stds)
             out = np.minimum(phi.take(cell.astype(np.intp)) @ w, 1.0).reshape(-1)
             rows = near_cut(out, widest)
             out[rows] = np.minimum(_chord(cell.reshape(-1, m)[rows]) @ w, 1.0)
             rows = rows[near_cut(out[rows] - _CHORD_ERROR, 2 * _CHORD_ERROR)]
-            # a row listed twice is set twice to one value (`np.union1d` would load numpy.ma)
-            rows = np.concatenate((rows, (n * np.arange(len(part))[:, None] + tiny).ravel()))
             if rows.size:
                 out[rows] = pit_from_gaussians(means[rows % n], stds[rows % n], w,
                                                part.reshape(-1)[rows])

@@ -520,8 +520,8 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
 
     @pytest.mark.parametrize("statistic", list(cli.STATISTICS) + ["calibration-tiny-std"])
     def test_check_does_not_load_numpy_ma(self, tmp_path, statistic):
-        # each statistic in a fresh interpreter; `np.quantile` would load it, and so
-        # would `np.union1d` of the bracket's rows with those of a std of 1e-310
+        # each statistic in a fresh interpreter; `np.quantile` or `np.union1d` would
+        # load it, and a std of 1e-310 takes the bracket's one path as any other
         if statistic in ("ece", "accuracy"):
             preds, y = preds_of(st.CLASSIFICATION, 20), np.arange(20) % 3
         elif statistic == "calibration-tiny-std":

@@ -564,9 +564,8 @@ class TestEngineProperties:
     @pytest.mark.parametrize("mode", [ppc.BAYESIAN, ppc.PointEstimate(0)],
                              ids=lambda m: m.describe())
     def test_bracket_agrees_with_the_exact_kernel_on_extreme_members(self, statistic, mode):
-        # stds whose std / 1024 is subnormal or 0 (those rows go to the exact
-        # kernel), stds at the bound 2^-1012 and an ulp either side of it, labels
-        # exactly at a member's mean (0 / 0 where std / 1024 is 0), |mean| ~ 1e15;
+        # subnormal stds (down to 5e-324), stds at 2^-1012 and an ulp either side of
+        # it, labels exactly at a member's mean, z past the largest double, |mean| ~ 1e15;
         # member 0, which point:0 draws from, holds the tiny stds
         tiny = 2.0 ** -1012
         stds = np.array([[5e-324, 1.0, 2.0], [1e-310, 0.5, 1.0], [tiny, 1.0, 0.3],
@@ -580,8 +579,12 @@ class TestEngineProperties:
         labels = np.array([0.3, -2.0, 0.1, 1.5, 0.25, 1e15, -1e15 + 0.5, 0.0])
         ctx = ppc.build_context(preds)
         bracket = predictive._pit_reader(preds.means, preds.stds, ctx.weights, statistic.cuts)
-        # the rows with a std below 2^-1012
-        assert inspect.getclosurevars(bracket).nonlocals["tiny"].tolist() == [0, 1, 3]
+        # a tiny std sends no row to the exact kernel: only a cut does, and no PIT
+        # of `labels` is near one (row 1, std 1e-310, has 0.174, 0.004 from a cut)
+        with mock.patch.object(predictive, "pit_from_gaussians",
+                               wraps=pit_from_gaussians) as exact_kernel:
+            bracket(labels)
+        exact_kernel.assert_not_called()
         cuts = np.asarray(statistic.cuts)
         draws = np.random.default_rng(22)
         for y in [labels] + [ppc.replicate_labels(preds, None, mode, draws) for _ in range(50)]:
@@ -603,8 +606,8 @@ class TestEngineProperties:
                         reason="counts the page faults of glibc's allocator; "
                                "another allocator reuses memory by other rules")
     def test_label_path_replicates_take_few_page_faults(self):
-        # each block owns the bracket's [N, M] arrays and its replicates reuse
-        # them; three fresh ones per replicate took about 550 faults each
+        # no bracket array outlives a pass, so a replicate faults in no fresh
+        # [N, M] array; three fresh ones per replicate took about 550 faults each
         resource = pytest.importorskip("resource")
         preds = criterion_5_ensemble()
 
@@ -954,7 +957,7 @@ def many_pass_ensemble():
     """N = 200 rows and M = 110 members, so a pass of `_pit_reader`'s bracket holds
     2^16 // 22,000 = 2 label rows and a block 2^16 // 200 = 327: a full block takes
     164 passes, the last one partial. Member 0 of rows 0, 7 and 150 has a std below
-    2^-1012, so in every label row those rows get their PIT from the exact kernel."""
+    2^-1012, whose z the bracket reads as the exact kernel does."""
     rng = np.random.default_rng(28)
     means, stds = rng.normal(0, 1, (200, 110)), rng.uniform(0.2, 2, (200, 110))
     stds[[0, 7, 150], 0] = [1e-310, 5e-324, 2.0 ** -1013]
@@ -980,6 +983,19 @@ class TestBlockBracket:
         bracket = ppc.sample_statistic(preds, None, statistic, mode, num_replicates=331,
                                        seed=6, threads=1)
         assert bracket.samples.tobytes() == exact.samples.tobytes()
+
+    def test_the_bracket_holds_no_member_array_of_its_own(self):
+        # the plan is the cuts alone: the only [N, M] arrays the bracket reads are
+        # the check's means and stds, not a copy or a quotient of them
+        preds = many_pass_ensemble()
+        bracket = predictive._pit_reader(preds.means, preds.stds, ppc.build_context(
+            preds).weights, ppc.CalibrationErrorStatistic().cuts)
+        held = inspect.getclosurevars(bracket).nonlocals
+        held.update(inspect.getclosurevars(held["near_cut"]).nonlocals)
+        member_arrays = {name: value for name, value in held.items()
+                         if np.shape(value) == preds.means.shape}
+        assert member_arrays.keys() == {"means", "stds"}
+        assert member_arrays["means"] is preds.means and member_arrays["stds"] is preds.stds
 
     @pytest.mark.parametrize("statistic", [ppc.CalibrationErrorStatistic(),
                                            ppc.PicpStatistic(0.1, 0.7)], ids=lambda s: s.name)

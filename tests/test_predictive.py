@@ -181,12 +181,13 @@ class TestChordBound:
         np.random.default_rng(21).uniform(-9.0, 9.0, 10 ** 6),
         np.linspace(-40.0, -_GRID_END, 1000, endpoint=False),  # the end cells
         np.linspace(40.0, _GRID_END, 1000, endpoint=False),
-        [-_GRID_END - 1 / _GRID_CELLS_PER_UNIT, -1e300, 1e300, -np.inf, np.inf]])
+        [-_GRID_END - 1 / _GRID_CELLS_PER_UNIT, -1e300, 1e300, -1e306, 1e306,
+         -np.inf, np.inf]])   # |z| = 1e306: finite, but 1024 z is not
 
     @staticmethod
     def chord(z):
         # the cell and the chord as `_pit_reader`'s bracket computes them, at std 1
-        return _chord(_grid_cell(z, 0.0, 1.0 / _GRID_CELLS_PER_UNIT))
+        return _chord(_grid_cell(z, 0.0, 1.0))
 
     def test_chord_is_within_the_bound_and_the_bound_is_tight(self):
         gap = np.abs(_ndtr(self.Z) - self.chord(self.Z))
@@ -194,17 +195,17 @@ class TestChordBound:
         # h^2 phi(1) / 8 = 2.885e-8 is reached next to |z| = 1: the bound is not loose
         assert gap.max() >= _CHORD_ERROR / 2
 
-    @pytest.mark.parametrize("std", [1.0, 3.7, 2.0 ** -1012, 1e300])
+    @pytest.mark.parametrize("std", [1.0, 3.7, 2.0 ** -1012, 1e-310, 5e-324, 1e300])
     def test_cell_is_the_clipped_z_scaled_and_shifted(self, std):
-        # the kernel divides by std / 1024 and clips last; the cell must still be
-        # clip(z, -8.5 - 1/1024, 8.5) * 1024 + 8705 for z = (y - mean) / std
+        # the cell is clip(z, -8.5 - 1/1024, 8.5) * 1024 + 8705 for z = (y - mean) / std
+        # at every valid std, subnormal ones too, and with no overflow warning
         with np.errstate(over="ignore"):
             y = self.Z * std
             z = y / std
         cell = np.clip(z, -_GRID_END - 1 / _GRID_CELLS_PER_UNIT, _GRID_END)
         cell *= _GRID_CELLS_PER_UNIT
         cell += _GRID_HALF + 1
-        kernel = _grid_cell(y, 0.0, std / _GRID_CELLS_PER_UNIT)
+        kernel = _grid_cell(y, 0.0, std)
         assert kernel.tobytes() == cell.tobytes()
 
 
