@@ -6,7 +6,6 @@ exactly 0 or 1), 1 on any error. Other commands: 0 on success, 1 on error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -14,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analytic, io, oracle, ppc, recalibrate
+from . import __version__, io, oracle, ppc
 from . import statistics as st
 from .predictive import parse_number
 
@@ -78,6 +77,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_recalibrate(args) -> int:
+    from . import recalibrate
     preds, _ = io.load_predictions(args.predictions)
     labels = io.load_labels(args.labels, preds)
     if preds.probs is not None:   # softmax(log p / T) is softmax(z / T) for p = softmax(z)
@@ -98,13 +98,11 @@ def cmd_recalibrate(args) -> int:
 
 def _simulate_location(args, out_dir: str) -> None:
     rng = np.random.default_rng(args.seed)
-    m = args.models
-    theta_draws = rng.standard_normal(m)              # prior over the location
+    theta_draws = rng.standard_normal(args.models)    # prior over the location
     labels = args.theta_true + rng.standard_normal(args.n)
     means = np.tile(theta_draws, (args.n, 1))
-    stds = np.ones_like(means)
     io.save_predictions(os.path.join(out_dir, "predictions_bayes.jsonl"),
-                        st.EnsemblePredictions.from_gaussians(means, stds))
+                        st.EnsemblePredictions.from_gaussians(means, np.ones_like(means)))
     marginal = st.EnsemblePredictions.from_gaussians(
         np.zeros((args.n, 1)), np.full((args.n, 1), math.sqrt(2.0)))
     io.save_predictions(os.path.join(out_dir, "predictions_marginal.jsonl"), marginal)
@@ -112,8 +110,9 @@ def _simulate_location(args, out_dir: str) -> None:
 
 
 def _simulate_quadratic(args, out_dir: str) -> None:
-    cfg = analytic.QuadraticDatasetConfig(n=args.n, seed=args.seed,
-                                          noise_var=args.noise_var)
+    from . import analytic
+    noise = {} if args.noise_var is None else {"noise_var": args.noise_var}
+    cfg = analytic.QuadraticDatasetConfig(n=args.n, seed=args.seed, **noise)
     x_train, y_train, x_ood, y_ood = analytic.generate_quadratic_dataset(cfg)
     io.atomic_write_text(os.path.join(out_dir, "train_inputs.csv"),
                          "x\n" + "\n".join(repr(float(v)) for v in x_train) + "\n")
@@ -121,7 +120,7 @@ def _simulate_quadratic(args, out_dir: str) -> None:
     ens_cfg = analytic.BayesianLinearEnsembleConfig(
         num_models=args.models, noise_var=cfg.noise_var, seed=args.seed)
     x_id, y_id, _, _ = analytic.generate_quadratic_dataset(
-        dataclasses.replace(cfg, n=200, seed=args.seed + 1))
+        analytic.QuadraticDatasetConfig(n=200, seed=args.seed + 1, **noise))
     for tag, xs, ys in (("id", x_id, y_id), ("ood", x_ood, y_ood)):
         preds = analytic.bayesian_linear_ensemble(ens_cfg, x_train, y_train, xs)
         io.save_predictions(os.path.join(out_dir, f"{tag}_predictions.jsonl"), preds)
@@ -129,6 +128,7 @@ def _simulate_quadratic(args, out_dir: str) -> None:
 
 
 def _simulate_conjugate(args, out_dir: str) -> None:
+    from . import analytic
     model = analytic.ConjugateNormalModel()
     rng = np.random.default_rng(args.seed)
     observed = args.theta_true + rng.standard_normal(args.n) if args.data is None else args.data
@@ -159,9 +159,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     preds, labels, statistic, mode = _load_run(args)
-    pmf = oracle.exact_statistic_distribution(
-        preds, None, statistic, mode,
-        budget=oracle.EnumerationBudget(max_outcomes=args.budget))
+    pmf = oracle.exact_statistic_distribution(preds, None, statistic, mode, budget=args.budget)
     observed = float(ppc.statistic_values(statistic, pmf.context)(labels[None])[0])
     print(json.dumps({"values": pmf.values.tolist(), "masses": pmf.masses.tolist(),
                       "observed": observed}, indent=2))
@@ -209,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--theta-true", type=number, default=0.5)
     sim.add_argument("--data", type=numbers, default=None,
                      help="conjugate scenario: comma-separated observations")
-    sim.add_argument("--noise-as-std", dest="noise_var", action="store_const",
-                     const=0.25, default=analytic.QuadraticDatasetConfig.noise_var,
+    sim.add_argument("--noise-as-std", dest="noise_var", action="store_const", const=0.25,
                      help="the noise constant 0.5 is a standard deviation (variance 0.25)")
     sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=cmd_simulate)

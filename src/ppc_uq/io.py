@@ -62,7 +62,7 @@ def _parse_json_line(line: str, lineno: int) -> dict:
 def _numbered_lines(path) -> list:
     """The file's non-blank lines as (file line number, text), numbered from 1,
     split at \n, \r\n and \r only: a JSON string may hold U+2028 and U+0085 raw."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:   # one leading BOM is skipped
         return [(i, ln) for i, ln in enumerate(fh, 1) if ln.strip()]
 
 
@@ -192,24 +192,25 @@ def atomic_write_text(path, text: str) -> None:
 
 def atomic_write(path, chunks) -> None:
     """Write the byte strings of the iterable `chunks` to `path` as one file
-    that appears whole or not at all."""
+    that appears whole or not at all; an OSError names `path`."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".ppc-uq-{os.urandom(8).hex()}")
-    # the mode open(path, "w") gives: an existing file's, else 0o666 less the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        # the mode open(path, "w") gives: an existing file's, else 0o666 less the umask
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
             if os.path.exists(path):
-                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.writelines(chunks)
             # on disk before the rename, so a crash never leaves a torn file at path
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:   # the file asked for, not tmp
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

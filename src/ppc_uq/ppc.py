@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
@@ -338,6 +338,30 @@ def _num_threads(threads) -> int:
     return check_integer(count, 1, f"{name} must be a positive integer, got {threads!r}")
 
 
+def _run_blocks(run_block, num_blocks: int, workers: int) -> None:
+    """`run_block(b)` for each b < num_blocks on this thread and `workers - 1` more, all taking
+    b from one iterator; when every block has run, the lowest failing block's error is raised."""
+    blocks, errors = iter(range(num_blocks)), {}
+
+    def work():
+        for b in blocks:   # a range iterator's `next` is atomic under the GIL
+            try:
+                run_block(b)
+            except Exception as exc:
+                errors[b] = exc
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        list(blocks)   # after an interrupt here, the other workers take no further block
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
                      statistic, mode: UncertaintyMode, num_replicates: int = 1000,
                      seed: int = 0, threads: int = None) -> StatisticSamples:
@@ -346,9 +370,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     Replicate k is slot k % B of block k // B, and block b draws from the substream
     (seed, b) for one call of `_block_statistic`'s function, built once per check. B
     depends on N only, so the output is bit-identical for every prefix length and thread
-    count: the min(threads, num_replicates, usable CPUs) pool workers, one too, share it
-    and take whole blocks, each writing its own slice; a block's error reaches the caller.
-    """
+    count: the min(threads, num_replicates, usable CPUs) workers of `_run_blocks`, one too,
+    take whole blocks, each writing its own slice, and a failing block's error is raised."""
     num_replicates = check_integer(num_replicates, 1, "need at least one replicate")
     seed = check_integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     check_compatible(preds, statistic)
@@ -362,9 +385,7 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
     def run_block(b: int) -> None:
         lo, hi = b * size, min((b + 1) * size, num_replicates)
         out[lo:hi] = block(replicate_rng(seed, b), hi - lo)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_block, range(-(-num_replicates // size))))  # raises a block's error
+    _run_blocks(run_block, -(-num_replicates // size), workers)
     return StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
                             mode=mode.describe(), statistic=statistic.name, context=ctx)
 

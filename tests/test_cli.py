@@ -482,32 +482,52 @@ print(json.dumps(results))
 
     def test_no_command_loads_scipy(self, tmp_path):
         # a fresh interpreter: the test process has scipy loaded already. The
-        # Gaussian CDF is numpy's own, so regression checks do not load it either
+        # Gaussian CDF is numpy's own, so regression checks do not load it either.
+        # Neither `--version` nor a check loads the modules only other commands run,
+        # nor the thread pool's `concurrent.futures` and the `logging` it imports;
+        # `recalibrate` and `simulate` then load what they run, in the same process
         probs = np.full((4, 2, 3), 1.0 / 3.0)
         cls_p, cls_l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
                                      np.array([0, 1, 2, 0]))
         (tmp_path / "reg").mkdir()
         preds, y = self_generated_regression(0, n=20)
         reg_p, reg_l = write_fixture(tmp_path / "reg", preds, y)
+        out_dir = str(tmp_path / "out")
         script = f"""
-import json, sys
+import contextlib, io, json, os, sys
 from ppc_uq import cli
+UNUSED = ("concurrent.futures", "logging", "ppc_uq.analytic", "ppc_uq.recalibrate")
+def unused():
+    return [name for name in UNUSED if name in sys.modules]
 try:
     cli.main(["--version"])
 except SystemExit:
     pass
 version_loaded = ["orjson" in sys.modules, "scipy" in sys.modules]
+unused_loaded = [unused()]
 codes = [cli.main(["check", "--predictions", {cls_p!r}, "--labels", {cls_l!r},
                    "--statistic", "ece", "--mode", "independent",
                    "--replications", "20"])]
 loaded = ["scipy" in sys.modules]
+unused_loaded.append(unused())
 codes.append(cli.main(["check", "--predictions", {reg_p!r}, "--labels", {reg_l!r},
                        "--statistic", "calibration", "--mode", "bayesian",
                        "--replications", "20"]))
 loaded.append("scipy" in sys.modules)
-print(json.dumps({{"codes": codes, "loaded": loaded,
-                  "version_loaded": version_loaded}}))
+unused_loaded.append(unused())
+with contextlib.redirect_stdout(io.StringIO()):
+    later = [cli.main(["recalibrate", "--predictions", {cls_p!r}, "--labels", {cls_l!r},
+                       "--fraction", "0.5",
+                       "--out-temps", os.path.join({out_dir!r}, "t.json"),
+                       "--out-predictions", os.path.join({out_dir!r}, "r.jsonl")])]
+    for flags in ([], ["--noise-as-std"]):
+        later.append(cli.main(["simulate", "--scenario", "quadratic", "--n", "20",
+                               "--models", "3", "--out-dir",
+                               os.path.join({out_dir!r}, "q" + str(len(flags)))] + flags))
+print(json.dumps({{"codes": codes, "loaded": loaded, "version_loaded": version_loaded,
+                  "unused_loaded": unused_loaded, "later": later}}))
 """
+        os.mkdir(out_dir)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
@@ -517,6 +537,19 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
         assert result["version_loaded"] == [False, False]
         assert result["loaded"] == [False, False]
         assert all(code in (0, 2) for code in result["codes"])
+        assert result["unused_loaded"] == [[], [], []]
+        assert result["later"] == [0, 0, 0]
+        assert json.loads((tmp_path / "out" / "t.json").read_text())["temperatures"]
+        # the noise constant read as a variance (0.5) and as a standard deviation (0.25)
+        for noise_var, flags in ((0.5, "q0"), (0.25, "q1")):
+            x_train, y_train, _, _ = analytic.generate_quadratic_dataset(
+                analytic.QuadraticDatasetConfig(n=20, noise_var=noise_var))
+            preds, _ = io.load_predictions(tmp_path / "out" / flags / "id_predictions.jsonl")
+            written = io.load_labels(tmp_path / "out" / flags / "train_labels.csv",
+                                     st.EnsemblePredictions.from_gaussians(
+                                         np.zeros((20, 1)), np.ones((20, 1))))
+            assert written.tobytes() == y_train.tobytes()
+            assert preds.num_models == 3
 
     @pytest.mark.parametrize("statistic", list(cli.STATISTICS) + ["calibration-tiny-std"])
     def test_check_does_not_load_numpy_ma(self, tmp_path, statistic):
@@ -670,6 +703,42 @@ class TestFaultsNameLineThree:
                              "--statistic", statistic, "--mode", "bayesian"])
             assert code == 1
             assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
+class TestWrites:
+    """A file a command cannot write is named as asked for, never as the hidden
+    file that `io.atomic_write` writes first, and no hidden file is left."""
+
+    @pytest.mark.parametrize("target", ["check", "out-temps", "out-predictions",
+                                        "simulate"])
+    def test_a_write_error_names_the_path_asked_for(self, tmp_path, capsys, target):
+        probs = np.full((4, 2, 3), 1.0 / 3.0)
+        p, l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
+                             np.array([0, 1, 2, 0]))
+        missing = str(tmp_path / "missing" / "out")
+        ok = str(tmp_path / "ok")
+        argv = {
+            "check": ["check", "--predictions", p, "--labels", l, "--statistic", "ece",
+                      "--mode", "bayesian", "--replications", "20", "--out", missing],
+            "out-temps": ["recalibrate", "--predictions", p, "--labels", l,
+                          "--fraction", "0.5", "--out-temps", missing,
+                          "--out-predictions", ok],
+            "out-predictions": ["recalibrate", "--predictions", p, "--labels", l,
+                                "--fraction", "0.5", "--out-temps", ok,
+                                "--out-predictions", missing],
+            "simulate": ["simulate", "--scenario", "location", "--n", "3",
+                         "--models", "2", "--out-dir", str(tmp_path / "sim")],
+        }[target]
+        errno, path = 2, missing
+        if target == "simulate":   # its first file's name is taken by a directory
+            path = str(tmp_path / "sim" / "predictions_bayes.jsonl")
+            os.makedirs(path)
+            errno = 21
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno}] {os.strerror(errno)}: {path!r}\n")
+        assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                    if f.startswith(".ppc-uq-")]
 
 
 class TestRecalibrateCommand:

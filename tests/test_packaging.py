@@ -108,22 +108,29 @@ def test_no_cache_outside_the_check_and_no_thread_state():
     """A check's context is frozen data with the four fields a custom statistic may read
     (preds, weights, predicted, confidence), no derived array; the bracket's plan is built
     once per check by `_pit_reader`, which the statistic's reader calls, and its arrays
-    live in one pass of the bracket: no module imports `threading`, and the one
-    `functools` cache is `_cdf_table`'s, a constant of the grid."""
-    cached, threading = [], []
+    live in one pass of the bracket: only `ppc` imports `threading`, whose block runner
+    starts `threading.Thread`s and takes nothing else from it (no lock, no thread-local
+    state), and the one `functools` cache is `_cdf_table`'s, a constant of the grid."""
+    cached, threading, taken = [], [], set()
     for module, tree in parsed_modules().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                threading += [a.name for a in node.names if a.name.split(".")[0] == "threading"]
+                threading += [f"{module}: {a.name}" for a in node.names
+                              if a.name.split(".")[0] == "threading"]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                threading += [node.module] if node.module.split(".")[0] == "threading" else []
+                threading += ([f"{module}: from {node.module}"]
+                              if node.module.split(".")[0] == "threading" else [])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "threading"):
+                taken.add(node.attr)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 for decorator in node.decorator_list:
                     target = decorator.func if isinstance(decorator, ast.Call) else decorator
                     name = getattr(target, "attr", getattr(target, "id", None))
                     if name in {"cache", "lru_cache", "cached_property"}:
                         cached.append(f"{module}.{node.name}")
-    assert threading == []
+    assert threading == ["ppc: threading"]
+    assert taken == {"Thread"}
     assert cached == ["predictive._cdf_table"]
     assert ppc.PredictiveContext.__dataclass_params__.frozen
     assert [f.name for f in dataclasses.fields(ppc.PredictiveContext)] == [

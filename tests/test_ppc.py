@@ -5,6 +5,9 @@ import math
 import pickle
 import platform
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -660,7 +663,7 @@ class TestEngineProperties:
 
 
 class TestWorkerPool:
-    """Every worker count runs the replicates through one pool path."""
+    """Every worker count runs the replicates through one block runner, `ppc._run_blocks`."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_replicate_error_reaches_the_caller(self, threads):
@@ -676,24 +679,16 @@ class TestWorkerPool:
 
     @staticmethod
     def inline_pool(monkeypatch) -> list:
-        """Replace the pool by one that runs the blocks on the calling thread;
-        the returned list records each `max_workers` asked for."""
+        """Replace the block runner by one that runs the blocks in order on the
+        calling thread; the returned list records each worker count asked for."""
         asked = []
 
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        def inline_runner(run_block, num_blocks, workers):
+            asked.append(workers)
+            for b in range(num_blocks):
+                run_block(b)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(ppc, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(ppc, "_run_blocks", inline_runner)
         return asked
 
     @pytest.mark.parametrize("cpus,threads,env,replicates,workers", [
@@ -732,6 +727,78 @@ class TestWorkerPool:
                              num_replicates=50, seed=5)
         assert asked == [1]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_block_runs_once_and_the_lowest_failing_blocks_error_is_raised(self,
+                                                                              workers):
+        """Blocks 3 and 5 of 9 fail: every block still runs exactly once, on `workers`
+        threads with the calling one among them, and then block 3's error is raised."""
+        ran = []
+        # each worker holds one of the first blocks until all of them hold one
+        first = threading.Barrier(workers, timeout=10)
+
+        def run_block(b):
+            ran.append((b, threading.get_ident()))
+            if b < workers:
+                first.wait()
+            if b in (3, 5):
+                raise RuntimeError(f"block {b} failed")
+
+        with pytest.raises(RuntimeError, match="^block 3 failed$"):
+            ppc._run_blocks(run_block, 9, workers)
+        assert sorted(b for b, _ in ran) == list(range(9))
+        threads = {thread for _, thread in ran}
+        assert len(threads) == workers and threading.get_ident() in threads
+
+    def test_many_workers_take_each_block_once_under_fast_thread_switching(self):
+        """8 workers, more than the cores, share one iterator of 20,000 blocks while the
+        interpreter switches threads every microsecond: no block is lost or run twice."""
+        ran, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=ppc._run_blocks, args=(ran.append, 20_000, 8))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(ran) == list(range(20_000))
+
+    def test_an_interrupt_of_the_calling_thread_leaves_no_block_to_the_others(self):
+        """An exception that is not an `Exception` (as KeyboardInterrupt) in the calling
+        thread's block reaches the caller once the other worker has finished the block it
+        holds: it takes no further one of the 1,000, each 1 ms long (without the drain it
+        runs all 999 left, for over a second)."""
+        class Interrupt(BaseException):
+            pass
+
+        ran, caller = [], threading.get_ident()
+
+        def run_block(b):
+            if threading.get_ident() == caller:
+                raise Interrupt
+            ran.append(b)
+            time.sleep(0.001)
+
+        with pytest.raises(Interrupt):
+            ppc._run_blocks(run_block, 1000, 2)
+        assert len(ran) < 500
+
+    def test_a_lower_block_that_fails_later_is_the_error_raised(self):
+        """At 2 workers, block 0 fails only once block 8 has begun, so the other worker
+        has run blocks 1-8, block 2 failing, by then: block 0's error is raised."""
+        last_begun = threading.Event()
+
+        def run_block(b):
+            if b == 8:
+                last_begun.set()
+            if b == 0:
+                assert last_begun.wait(timeout=10)
+            if b in (0, 2):
+                raise RuntimeError(f"block {b} failed")
+
+        with pytest.raises(RuntimeError, match="^block 0 failed$"):
+            ppc._run_blocks(run_block, 9, 2)
+
 
 @dataclass(frozen=True)
 class LabelMean:
@@ -759,27 +826,14 @@ BLOCK_READERS = {
 }
 
 
-class ShuffledInlineExecutor:
-    """One worker, on the calling thread, that runs the blocks in the order of
-    a permutation of block indices (as a pool's workers may) and returns the
-    results in block order."""
-
-    def __init__(self, order):
-        self.order = order
-
-    def __call__(self, max_workers):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, blocks):
-        blocks = list(blocks)
-        results = {b: fn(blocks[b]) for b in self.order if b < len(blocks)}
-        return [results[b] for b in range(len(blocks))]
+def shuffled_inline_runner(order):
+    """A block runner of one worker, on the calling thread, that runs the blocks
+    in the order of a permutation of block indices (as the workers may)."""
+    def run(run_block, num_blocks, workers):
+        for b in order:
+            if b < num_blocks:
+                run_block(b)
+    return run
 
 
 class TestBlocks:
@@ -821,7 +875,7 @@ class TestBlocks:
                 mock.patch.object(ppc, "_usable_cpus", return_value=3):  # 3 real workers
             first = run(short, 1)
             runs = [run(long, threads) for threads in (1, 2, 3)]
-            with mock.patch.object(ppc, "ThreadPoolExecutor", ShuffledInlineExecutor(order)):
+            with mock.patch.object(ppc, "_run_blocks", shuffled_inline_runner(order)):
                 runs.append(run(long, 1))
         assert (short - 1) // size < (long - 1) // size
         assert first.tobytes() == runs[0][:short].tobytes()

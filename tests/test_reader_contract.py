@@ -46,9 +46,11 @@ class Refused(Exception):
 # ---- the reference reader ----------------------------------------------------
 
 def reference_lines(text):
-    """(file line number, text) of each line that is not blank. A line ends at
-    \\n, at \\r\\n and at a lone \\r (U+2028 and U+0085 do not end one); it is
-    blank when `str.strip` leaves nothing."""
+    """(file line number, text) of each line that is not blank, after one leading
+    U+FEFF (a UTF-8 byte-order mark, as spreadsheet exports write) is skipped. A
+    line ends at \\n, at \\r\\n and at a lone \\r (U+2028 and U+0085 do not end
+    one); it is blank when `str.strip` leaves nothing."""
+    text = text.removeprefix("\ufeff")
     return [(i, line) for i, line in enumerate(re.split(r"\r\n|\r|\n", text), 1)
             if line.strip()]
 
@@ -280,6 +282,9 @@ def bits(a):
 # a lone \r ends a line
 @example(text='{"kind":"regression","rows":2,"models":1,"values":"gaussian"}\n'
               '{"preds":[{"mean":0.5,"std":1}]}\r{"preds":[{"mean":-1e400,"std":1}]}\n')
+# a leading byte-order mark is skipped
+@example(text='\ufeff{"kind":"regression","rows":1,"models":1,"values":"gaussian"}\n'
+              '{"preds":[{"mean":0.5,"std":1}]}\n')
 def test_prediction_reader_agrees_with_the_reference(workdir, text):
     path = write(workdir / "predictions.jsonl", text)
     try:
@@ -311,6 +316,8 @@ def test_prediction_reader_agrees_with_the_reference(workdir, text):
 @example(case=(st.CLASSIFICATION, "0\n0.5\n1\n"))
 # too few labels: named at the last line
 @example(case=(st.REGRESSION, "label\n0.5\n\n1.5\n"))
+# a leading byte-order mark is skipped, so the header is read as one
+@example(case=(st.REGRESSION, "\ufefflabel\n0.5\n1.5\n2.5\n"))
 def test_label_reader_agrees_with_the_reference(workdir, case):
     kind, text = case
     preds_path = str(workdir / f"{kind}.jsonl")
