@@ -147,7 +147,8 @@ def save_predictions(path, preds: st.EnsemblePredictions) -> None:
     else:   # orjson writes a C-contiguous array as its `tolist()`, and refuses others
         data = np.ascontiguousarray(getattr(preds, values))
         rows = ({"preds": data[i]} for i in range(preds.num_rows))
-    atomic_write(path, (orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+    atomic_write(path, (orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY
+                                     | orjson.OPT_APPEND_NEWLINE)
                         for obj in itertools.chain([header], rows)))
 
 
@@ -198,7 +199,7 @@ def atomic_write(path, chunks) -> None:
     tmp = os.path.join(directory, f".ppc-uq-{os.urandom(8).hex()}")
     try:
         # the mode open(path, "w") gives: an existing file's, else 0o666 less the umask
-        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb", 1 << 20) as fh:
             if os.path.exists(path):
                 os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.writelines(chunks)

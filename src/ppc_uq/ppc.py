@@ -242,7 +242,6 @@ class StatisticSamples:
     """Replicated statistic values and the context they were evaluated against."""
 
     samples: np.ndarray
-    num_replicates: int
     seed: int
     mode: str
     statistic: str
@@ -386,8 +385,8 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
         lo, hi = b * size, min((b + 1) * size, num_replicates)
         out[lo:hi] = block(replicate_rng(seed, b), hi - lo)
     _run_blocks(run_block, -(-num_replicates // size), workers)
-    return StatisticSamples(samples=out, num_replicates=num_replicates, seed=seed,
-                            mode=mode.describe(), statistic=statistic.name, context=ctx)
+    return StatisticSamples(samples=out, seed=seed, mode=mode.describe(),
+                            statistic=statistic.name, context=ctx)
 
 
 def finite_values(samples, *observed) -> np.ndarray:
@@ -447,5 +446,5 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
                     _quantiles(ss.samples, (0.05, 0.25, 0.5, 0.75, 0.95))))
     return PpcReport(p_value=p, sharpness=pcts["p95"] - pcts["p5"],  # = sharpness(ss)
                      passed=bool(0.0 < p < 1.0), percentiles=pcts, observed=observed,
-                     num_replicates=ss.num_replicates, seed=ss.seed, mode=ss.mode,
+                     num_replicates=ss.samples.size, seed=ss.seed, mode=ss.mode,
                      statistic=ss.statistic)

@@ -38,7 +38,7 @@ class InvalidRowError(InvalidParameterError):
 class EnsemblePredictions:
     """Per-row, per-model predictive distributions.
 
-    Classification rows carry [N, M, C] probabilities or logits (one shape if both);
+    Classification rows carry [N, M, C] probabilities or logits, never both;
     regression rows carry [N, M] Gaussian (mean, stddev) pairs.
     """
 
@@ -50,21 +50,18 @@ class EnsemblePredictions:
 
     def __post_init__(self):
         if self.kind == CLASSIFICATION:
-            if self.probs is None and self.logits is None:
-                raise InvalidParameterError("classification needs probs or logits")
-            for name in ("logits", "probs"):
-                if getattr(self, name) is not None:
-                    values = real_array(getattr(self, name), f"{name} must be [N, M, C]")
-                    setattr(self, name, values)
-                    if values.ndim != 3:
-                        raise InvalidParameterError(f"{name} must be [N, M, C]")
-                    _require_rows(np.isfinite(values), f"{name} must be finite")
-            if self.probs is not None:
-                _require_rows(self.probs >= -1e-12, "probs must be >= 0")
-                _require_rows(np.abs(self.probs.sum(axis=2) - 1.0) <= 1e-6,
+            if (self.probs is None) == (self.logits is None):
+                raise InvalidParameterError("classification needs probs or logits, not both")
+            name = "logits" if self.probs is None else "probs"
+            values = real_array(getattr(self, name), f"{name} must be [N, M, C]")
+            setattr(self, name, values)
+            if values.ndim != 3:
+                raise InvalidParameterError(f"{name} must be [N, M, C]")
+            _require_rows(np.isfinite(values), f"{name} must be finite")
+            if name == "probs":
+                _require_rows(values >= -1e-12, "probs must be >= 0")
+                _require_rows(np.abs(values.sum(axis=2) - 1.0) <= 1e-6,
                               "per-model probability rows must sum to 1")
-                if self.logits is not None and self.logits.shape != self.probs.shape:
-                    raise InvalidParameterError("probs and logits must have the same shape")
         elif self.kind == REGRESSION:
             if self.means is None or self.stds is None:
                 raise InvalidParameterError("regression needs means and stds")
@@ -152,20 +149,17 @@ class BinningConfig:
 
 @dataclass(frozen=True)
 class QuantileSet:
-    """Ordered quantile levels in (0, 1); default 100 equally spaced j/101. Equality
-    and hashing read the tuple `levels`; replicates read the array of `as_array()`."""
+    """Ordered quantile levels in (0, 1); default 100 equally spaced j/101. They are held
+    once, as the tuple `levels` that equality and hashing read; `as_array()` builds an array."""
 
     levels: tuple = field(default_factory=lambda: QuantileSet.default_levels(100))
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rule = "quantile levels must be strictly increasing in (0,1)"
-        lv = real_array(self.levels, rule).copy()   # a copy: it is made read-only
+        lv = real_array(self.levels, rule)
         if not (lv.ndim == 1 and lv.size and np.all(np.diff(lv, prepend=0, append=1) > 0)):
             raise InvalidParameterError(rule)
-        lv.flags.writeable = False
         object.__setattr__(self, "levels", tuple(lv.tolist()))
-        object.__setattr__(self, "_array", lv)
 
     @staticmethod
     def default_levels(num: int) -> tuple:
@@ -175,7 +169,7 @@ class QuantileSet:
         return tuple((np.arange(1, num + 1) / (num + 1)).tolist())
 
     def as_array(self) -> np.ndarray:
-        return self._array      # read-only, built once
+        return np.array(self.levels)
 
 
 def validate_labels(preds: EnsemblePredictions, labels) -> np.ndarray:

@@ -79,6 +79,26 @@ def test_rows_are_streamed_to_the_file(tmp_path, monkeypatch):
     assert b"".join(chunks) == path.read_bytes()
 
 
+PINNED_FILES = {
+    "probs": (st.EnsemblePredictions.from_probs([[[0.25, 0.75]], [[1.0, 0.0]]]),
+              b'{"kind":"classification","rows":2,"models":1,"classes":2,"values":"probs"}\n'
+              b'{"preds":[[0.25,0.75]]}\n{"preds":[[1.0,0.0]]}\n'),
+    "logits": (st.EnsemblePredictions.from_logits([[[-1.5, 0.0, 1e22]]]),
+               b'{"kind":"classification","rows":1,"models":1,"classes":3,"values":"logits"}\n'
+               b'{"preds":[[-1.5,0.0,1e22]]}\n'),
+    "gaussian": (st.EnsemblePredictions.from_gaussians([[0.5, -1.0]], [[1.0, 0.1]]),
+                 b'{"kind":"regression","rows":1,"models":2,"values":"gaussian"}\n'
+                 b'{"preds":[{"mean":0.5,"std":1.0},{"mean":-1.0,"std":0.1}]}\n'),
+}
+
+
+@pytest.mark.parametrize("values", list(PINNED_FILES))
+def test_written_bytes_are_pinned(tmp_path, values):
+    preds, expected = PINNED_FILES[values]
+    io.save_predictions(tmp_path / "p.jsonl", preds)
+    assert (tmp_path / "p.jsonl").read_bytes() == expected
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 def test_numpy_rows_are_written_as_their_lists(tmp_path, layout):
     """The rows orjson encodes from numpy are the bytes of their `tolist()`,

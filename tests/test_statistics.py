@@ -213,16 +213,23 @@ class TestCalibrationError:
 
 
 class TestQuantileSet:
-    def test_levels_array_is_built_once_and_read_only(self):
+    def test_levels_are_a_tuple_read_from_a_copy(self):
         levels = np.array([0.25, 0.5])
         q = st.QuantileSet(levels)
-        assert q.as_array() is q.as_array()
-        assert not q.as_array().flags.writeable
-        assert levels.flags.writeable       # the caller's array is copied, not frozen
+        assert levels.flags.writeable       # the caller's array is read, not frozen
+        levels[0] = 0.125
         assert q.levels == (0.25, 0.5) and isinstance(q.levels, tuple)
         assert st.QuantileSet((0.5,)) == st.QuantileSet((0.5,))
         assert hash(st.QuantileSet((0.5,))) == hash(st.QuantileSet((0.5,)))
         assert st.QuantileSet((0.5,)) != st.QuantileSet((0.25,))
+
+    def test_as_array_is_a_fresh_array_of_the_levels(self):
+        q = st.QuantileSet((0.25, 0.5))
+        first = q.as_array()
+        assert first.dtype == np.float64 and first.tolist() == [0.25, 0.5]
+        first[0] = 0.75
+        assert q.levels == (0.25, 0.5)
+        assert q.as_array().tolist() == [0.25, 0.5]
 
 
 class TestPicp:
@@ -366,30 +373,35 @@ class TestInputValidation:
 
 
 class TestEnsembleConstructor:
-    def test_logits_are_checked_before_probs(self):
+    def test_logits_of_a_wrong_shape_or_not_finite_are_refused(self):
         with pytest.raises(InvalidParameterError, match="logits must be \\[N, M, C\\]"):
-            st.EnsemblePredictions(st.CLASSIFICATION, probs=[[0.5, 0.5]],
-                                   logits=[[0.0, 0.0]])
+            st.EnsemblePredictions(st.CLASSIFICATION, logits=[[0.0, 0.0]])
         with pytest.raises(InvalidParameterError, match="logits must be finite"):
-            st.EnsemblePredictions(st.CLASSIFICATION, probs=[[[np.nan, 0.5]]],
-                                   logits=[[[np.inf, 0.0]]])
+            st.EnsemblePredictions(st.CLASSIFICATION, logits=[[[np.inf, 0.0]]])
 
     def test_probs_and_logits_of_different_shapes_are_refused(self, rng):
         probs = rng.dirichlet(np.ones(2), size=(3, 2))
         with pytest.raises(InvalidParameterError,
-                           match="probs and logits must have the same shape"):
+                           match="^classification needs probs or logits, not both$"):
             st.EnsemblePredictions(st.CLASSIFICATION, probs=probs,
                                    logits=rng.normal(size=(5, 4, 3)))
 
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_a_classification_ensemble_holds_probs_or_logits(self, rng, given):
+        probs = rng.dirichlet(np.ones(3), size=(4, 2))
+        arrays = {"probs": probs, "logits": np.log(probs)} if given == "both" else {}
+        with pytest.raises(InvalidParameterError,
+                           match="^classification needs probs or logits, not both$"):
+            st.EnsemblePredictions(st.CLASSIFICATION, **arrays)
+
     def test_take_rows_slices_every_array_that_is_set(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(4, 2))
-        both = st.EnsemblePredictions(st.CLASSIFICATION, probs=probs,
-                                      logits=np.log(probs))
-        taken = both.take_rows([2, 0])
-        np.testing.assert_array_equal(taken.probs, probs[[2, 0]])
-        np.testing.assert_array_equal(taken.logits, np.log(probs)[[2, 0]])
-        only_logits = st.EnsemblePredictions.from_logits(np.log(probs)).take_rows([3])
-        assert only_logits.probs is None and only_logits.logits.shape == (1, 2, 3)
+        only_probs = st.EnsemblePredictions.from_probs(probs).take_rows([2, 0])
+        np.testing.assert_array_equal(only_probs.probs, probs[[2, 0]])
+        assert only_probs.logits is None
+        only_logits = st.EnsemblePredictions.from_logits(np.log(probs)).take_rows([3, 1])
+        np.testing.assert_array_equal(only_logits.logits, np.log(probs)[[3, 1]])
+        assert only_logits.probs is None
         reg = st.EnsemblePredictions.from_gaussians(rng.normal(size=(4, 2)),
                                                     np.ones((4, 2)))
         taken = reg.take_rows(slice(1, 3))
