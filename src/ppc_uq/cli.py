@@ -2,10 +2,13 @@
 
 Exit codes for `check`: 0 when the PPC passes, 2 when it fails (p-value is
 exactly 0 or 1), 1 on any error. Other commands: 0 on success, 1 on error.
+A command imports only the modules it runs; `main` has every object frozen at exit.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -13,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, io, oracle, ppc
+from . import __version__, io, ppc
 from . import statistics as st
 from .predictive import parse_number
 
@@ -158,8 +161,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
     preds, labels, statistic, mode = _load_run(args)
-    pmf = oracle.exact_statistic_distribution(preds, None, statistic, mode, budget=args.budget)
+    budget = {} if args.budget is None else {"budget": args.budget}   # else the oracle's
+    pmf = oracle.exact_statistic_distribution(preds, None, statistic, mode, **budget)
     observed = float(ppc.statistic_values(statistic, pmf.context)(labels[None])[0])
     print(json.dumps({"values": pmf.values.tolist(), "masses": pmf.masses.tolist(),
                       "observed": observed}, indent=2))
@@ -216,12 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--predictions", required=True)
     orc.add_argument("--labels", required=True)
     add_statistic_flags(orc)
-    orc.add_argument("--budget", type=integer, default=oracle.EnumerationBudget.max_outcomes)
+    orc.add_argument("--budget", type=integer, default=None)
     orc.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
+    atexit.unregister(gc.freeze)   # once, before the parse: at exit, files closed and
+    atexit.register(gc.freeze)     # threads joined, the last collections traverse nothing
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

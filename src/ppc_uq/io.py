@@ -1,14 +1,13 @@
 """On-disk formats: JSON Lines predictions, CSV labels, JSON reports.
 
-Prediction lines are read and written with orjson, imported by the two prediction calls
-only, so importing the package and `--version` never load it; other JSON uses `json`.
+Prediction lines are read and written with orjson, other JSON with `json`; orjson and
+`hashlib` are imported by the calls that use them, so `--version` loads neither.
 `io` checks the layout (header fields, row count and shape, JSON numbers, label syntax);
 the library checks the values, and a row it rejects is named at its file line.
 """
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import json
 import os
@@ -180,6 +179,7 @@ def save_labels(path, labels) -> None:
 
 
 def file_digest(path) -> str:
+    import hashlib   # only `check` hashes its inputs
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

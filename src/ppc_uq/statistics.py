@@ -34,7 +34,7 @@ class InvalidRowError(InvalidParameterError):
         self.rule, self.row = rule, row
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsemblePredictions:
     """Per-row, per-model predictive distributions.
 
@@ -54,7 +54,7 @@ class EnsemblePredictions:
                 raise InvalidParameterError("classification needs probs or logits, not both")
             name = "logits" if self.probs is None else "probs"
             values = real_array(getattr(self, name), f"{name} must be [N, M, C]")
-            setattr(self, name, values)
+            object.__setattr__(self, name, values)
             if values.ndim != 3:
                 raise InvalidParameterError(f"{name} must be [N, M, C]")
             _require_rows(np.isfinite(values), f"{name} must be finite")
@@ -66,7 +66,8 @@ class EnsemblePredictions:
             if self.means is None or self.stds is None:
                 raise InvalidParameterError("regression needs means and stds")
             rule = "means/stds must both be [N, M]"
-            self.means, self.stds = real_array(self.means, rule), real_array(self.stds, rule)
+            for name in ("means", "stds"):
+                object.__setattr__(self, name, real_array(getattr(self, name), rule))
             if self.means.shape != self.stds.shape or self.means.ndim != 2:
                 raise InvalidParameterError(rule)
             _require_rows(np.isfinite(self.means), "means must be finite")

@@ -441,7 +441,7 @@ print(json.dumps(results))
         assert all(issubclass(error, ValueError) for error in errors)
         assert issubclass(st.KindMismatchError, TypeError)   # as it is to every caller
 
-    def test_defaults_are_the_librarys(self):
+    def test_defaults_are_the_librarys(self, tmp_path, capsys):
         check = cli.build_parser().parse_args(
             ["check", "--predictions", "P", "--labels", "L", "--statistic", "ece",
              "--mode", "bayesian"])
@@ -450,10 +450,18 @@ print(json.dumps(results))
                                                      ppc.PicpStatistic().upper)
         assert (st.QuantileSet.default_levels(check.quantiles)
                 == st.QuantileSet().levels)
-        orc = cli.build_parser().parse_args(
-            ["oracle", "--predictions", "P", "--labels", "L", "--statistic", "ece",
-             "--mode", "bayesian"])
-        assert orc.budget == oracle.EnumerationBudget().max_outcomes
+        # the oracle's budget, read by behaviour: 2^20 outcomes of one member exceed it
+        # as the library states it, and `--budget 0` is refused by the library's rule
+        p, l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(
+            np.full((20, 1, 2), 0.5)), np.zeros(20, dtype=int))
+        flags = ["oracle", "--predictions", p, "--labels", l, "--statistic", "ece",
+                 "--mode", "bayesian"]
+        assert cli.main(flags) == 1
+        assert capsys.readouterr().err == (
+            f"error: enumeration needs {2 ** 20} joint outcomes, budget is "
+            f"{oracle.EnumerationBudget().max_outcomes}\n")
+        assert cli.main(flags + ["--budget", "0"]) == 1
+        assert capsys.readouterr().err == "error: budget must be a positive integer\n"
 
     @pytest.mark.parametrize("flags,message", [
         (["--predictions", "PREDS", "--statistic", "calibration", "--replications", "abc"],
@@ -484,8 +492,10 @@ print(json.dumps(results))
         # a fresh interpreter: the test process has scipy loaded already. The
         # Gaussian CDF is numpy's own, so regression checks do not load it either.
         # Neither `--version` nor a check loads the modules only other commands run,
-        # nor the thread pool's `concurrent.futures` and the `logging` it imports;
-        # `recalibrate` and `simulate` then load what they run, in the same process
+        # nor the thread pool's `concurrent.futures` and the `logging` it imports, and
+        # `--version` loads no `hashlib` (the input digests and `numpy.random`, through
+        # `secrets`, do); `recalibrate` and `simulate` then load what they run, and no
+        # `ppc_uq.oracle`, in the same process
         probs = np.full((4, 2, 3), 1.0 / 3.0)
         cls_p, cls_l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
                                      np.array([0, 1, 2, 0]))
@@ -496,15 +506,16 @@ print(json.dumps(results))
         script = f"""
 import contextlib, io, json, os, sys
 from ppc_uq import cli
-UNUSED = ("concurrent.futures", "logging", "ppc_uq.analytic", "ppc_uq.recalibrate")
-def unused():
-    return [name for name in UNUSED if name in sys.modules]
+UNUSED = ("concurrent.futures", "logging", "ppc_uq.analytic", "ppc_uq.oracle",
+          "ppc_uq.recalibrate")
+def unused(names=UNUSED):
+    return [name for name in names if name in sys.modules]
 try:
     cli.main(["--version"])
 except SystemExit:
     pass
 version_loaded = ["orjson" in sys.modules, "scipy" in sys.modules]
-unused_loaded = [unused()]
+unused_loaded = [unused(UNUSED + ("hashlib",))]
 codes = [cli.main(["check", "--predictions", {cls_p!r}, "--labels", {cls_l!r},
                    "--statistic", "ece", "--mode", "independent",
                    "--replications", "20"])]
@@ -524,6 +535,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         later.append(cli.main(["simulate", "--scenario", "quadratic", "--n", "20",
                                "--models", "3", "--out-dir",
                                os.path.join({out_dir!r}, "q" + str(len(flags)))] + flags))
+unused_loaded.append(unused(("ppc_uq.oracle",)))
 print(json.dumps({{"codes": codes, "loaded": loaded, "version_loaded": version_loaded,
                   "unused_loaded": unused_loaded, "later": later}}))
 """
@@ -537,7 +549,7 @@ print(json.dumps({{"codes": codes, "loaded": loaded, "version_loaded": version_l
         assert result["version_loaded"] == [False, False]
         assert result["loaded"] == [False, False]
         assert all(code in (0, 2) for code in result["codes"])
-        assert result["unused_loaded"] == [[], [], []]
+        assert result["unused_loaded"] == [[], [], [], []]
         assert result["later"] == [0, 0, 0]
         assert json.loads((tmp_path / "out" / "t.json").read_text())["temperatures"]
         # the noise constant read as a variance (0.5) and as a standard deviation (0.25)
@@ -739,6 +751,71 @@ class TestWrites:
             f"error: [Errno {errno}] {os.strerror(errno)}: {path!r}\n")
         assert not [f for _, _, files in os.walk(tmp_path) for f in files
                     if f.startswith(".ppc-uq-")]
+
+
+class TestExit:
+    """`main` has `gc.freeze` run at exit, once per process, so the interpreter's
+    final collections traverse nothing; a CLI process writes what `main` in this
+    process writes, so no file depends on those collections."""
+
+    def run(self, script, *args):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run([sys.executable, "-c", script, *args], check=True,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True).stdout.splitlines()
+
+    def test_two_main_calls_register_one_freeze(self):
+        # a fresh interpreter, with `gc.freeze` counted, registered before `main` runs
+        # so that it reports after the freeze at exit (atexit runs last in, first out)
+        script = """
+import atexit, gc, json
+freeze, calls = gc.freeze, []
+def counted():
+    calls.append(1)
+    freeze()
+gc.freeze = counted
+atexit.register(lambda: print(json.dumps([len(calls), gc.get_freeze_count() > 0])))
+from ppc_uq import cli
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+print(json.dumps([cli.main(["check"]), len(calls)]))   # a usage error returns
+"""
+        assert [json.loads(line) for line in self.run(script)[-2:]] == [[1, 0], [1, True]]
+
+    def test_a_cli_process_writes_main_s_bytes_and_freezes_at_exit(self, tmp_path, capsys):
+        probs = np.random.default_rng(3).dirichlet(np.ones(3), size=(40, 4))
+        p, l = write_fixture(tmp_path, st.EnsemblePredictions.from_probs(probs),
+                             np.arange(40) % 3)
+
+        def argvs(tag):
+            out = str(tmp_path / tag)
+            return [["check", "--predictions", p, "--labels", l, "--statistic", "ece",
+                     "--mode", "bayesian", "--replications", "50",
+                     "--out", out + "-report.json"],
+                    ["recalibrate", "--predictions", p, "--labels", l, "--fraction", "0.5",
+                     "--out-temps", out + "-temps.json",
+                     "--out-predictions", out + "-preds.jsonl"]]
+
+        for argv in argvs("here"):
+            assert cli.main(argv) in (0, 2)
+        capsys.readouterr()
+        # registered before `main`, so it runs after the freeze (atexit runs last in first)
+        script = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from ppc_uq.cli import main
+code = main(sys.argv[1:])
+print("frozen on return:", gc.get_freeze_count() > 0)
+sys.exit(code)
+"""
+        for argv in argvs("child"):
+            assert self.run(script, *argv)[-2:] == ["frozen on return: False",
+                                                    "frozen at exit: True"]
+        for name in ("report.json", "temps.json", "preds.jsonl"):
+            assert ((tmp_path / f"child-{name}").read_bytes()
+                    == (tmp_path / f"here-{name}").read_bytes())
 
 
 class TestRecalibrateCommand:

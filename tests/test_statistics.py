@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -393,6 +394,19 @@ class TestEnsembleConstructor:
         with pytest.raises(InvalidParameterError,
                            match="^classification needs probs or logits, not both$"):
             st.EnsemblePredictions(st.CLASSIFICATION, **arrays)
+
+    @pytest.mark.parametrize("field", ["kind", "probs", "logits", "means", "stds"])
+    def test_an_ensemble_is_frozen(self, field):
+        # the one-array rule and every array check hold after construction too: a
+        # logits array set beside the probs would be read by nothing but take_rows
+        preds = st.EnsemblePredictions.from_probs(np.full((2, 1, 2), 0.5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(preds, field, np.zeros((3, 4, 5)))
+        assert (preds.kind, preds.logits, preds.num_classes) == (st.CLASSIFICATION, None, 2)
+        reg = st.EnsemblePredictions.from_gaussians(np.zeros((2, 1)), np.ones((2, 1)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(reg, field, np.zeros((3, 4)))
+        assert reg.stds.tolist() == [[1.0], [1.0]]
 
     def test_take_rows_slices_every_array_that_is_set(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(4, 2))
