@@ -239,12 +239,9 @@ class PicpStatistic(_ReadsPit):
 
 @dataclass
 class StatisticSamples:
-    """Replicated statistic values and the context they were evaluated against."""
+    """Replicated statistic values and their context; the caller has seed, mode, statistic."""
 
     samples: np.ndarray
-    seed: int
-    mode: str
-    statistic: str
     context: PredictiveContext = field(default=None, repr=False, compare=False)
 
 
@@ -385,8 +382,7 @@ def sample_statistic(preds: st.EnsemblePredictions, weights: PosteriorWeights,
         lo, hi = b * size, min((b + 1) * size, num_replicates)
         out[lo:hi] = block(replicate_rng(seed, b), hi - lo)
     _run_blocks(run_block, -(-num_replicates // size), workers)
-    return StatisticSamples(samples=out, seed=seed, mode=mode.describe(),
-                            statistic=statistic.name, context=ctx)
+    return StatisticSamples(samples=out, context=ctx)
 
 
 def finite_values(samples, *observed) -> np.ndarray:
@@ -446,5 +442,5 @@ def run_ppc(preds: st.EnsemblePredictions, weights: PosteriorWeights, labels,
                     _quantiles(ss.samples, (0.05, 0.25, 0.5, 0.75, 0.95))))
     return PpcReport(p_value=p, sharpness=pcts["p95"] - pcts["p5"],  # = sharpness(ss)
                      passed=bool(0.0 < p < 1.0), percentiles=pcts, observed=observed,
-                     num_replicates=ss.samples.size, seed=ss.seed, mode=ss.mode,
-                     statistic=ss.statistic)
+                     num_replicates=ss.samples.size, seed=int(seed), mode=mode.describe(),
+                     statistic=statistic.name)

@@ -143,17 +143,14 @@ class MixturePredictive:
                            PosteriorWeights.for_models(self.weights, len(comps)))
 
 
-_NDTR_CHUNK = 4096      # elements per pass, which bounds the memory of the list
-
-
 def _ndtr(a: np.ndarray) -> np.ndarray:
     """Phi(a) = erfc(-a / sqrt 2) / 2 elementwise, by libm's erfc through
     `math.erfc`, so an element's value does not depend on the array around it;
-    ±inf give 1 and 0, NaN gives NaN."""
+    ±inf give 1 and 0, NaN gives NaN. Passes of `_BLOCK_ELEMENTS` bound the list."""
     flat = np.asarray(a, dtype=float).reshape(-1)
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _NDTR_CHUNK):
-        part = flat[start:start + _NDTR_CHUNK] * -math.sqrt(0.5)
+    for start in range(0, flat.size, _BLOCK_ELEMENTS):
+        part = flat[start:start + _BLOCK_ELEMENTS] * -math.sqrt(0.5)
         out[start:start + part.size] = np.fromiter(map(math.erfc, part.tolist()),
                                                    float, part.size)
     out *= 0.5
@@ -187,7 +184,7 @@ _GRID_HALF = int(_GRID_END * _GRID_CELLS_PER_UNIT)     # cells on each side of 0
 _CHORD_ERROR = 2.9e-8   # bounds a chord's distance from Phi on a cell: see `_pit_reader`
 _CUT_MARGIN = 1e-9      # far above every rounding of a bracket, far below a cut gap
 _CUT_GRID = 2 ** 14     # cells of [0, 1] in the plan's lookup of the next cut
-_BLOCK_ELEMENTS = 2 ** 16   # the unit of work: labels per `ppc` block, member or class cells per pass
+_BLOCK_ELEMENTS = 2 ** 16   # the unit of work: labels per `ppc` block, elements per pass
 
 
 @functools.cache

@@ -53,11 +53,11 @@ def split_recalibration(preds: st.EnsemblePredictions, labels,
 
 
 def apply_temperatures(logits: np.ndarray, temps: TemperatureVector) -> np.ndarray:
-    """softmax(logits / tau_j) per row and model; preserves per-model argmax."""
-    rule = "logits must be [N, M, C] with M temperatures"
-    logits, tau = real_array(logits, rule), read_as(TemperatureVector, temps).as_array()
-    if logits.ndim != 3 or logits.shape[1] != tau.size:
-        raise InvalidParameterError(rule)
+    """softmax(logits / tau_j) per row and model of `from_logits` logits; keeps each argmax."""
+    logits = st.EnsemblePredictions.from_logits(logits).logits
+    tau = read_as(TemperatureVector, temps).as_array()
+    if logits.shape[1] != tau.size:
+        raise InvalidParameterError("logits must be [N, M, C] with M temperatures")
     return st.softmax(logits / tau[None, :, None])
 
 

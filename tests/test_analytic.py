@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -88,19 +90,43 @@ class TestQuadraticDataset:
         assert x.size == 500
         assert not np.any((x > -1.5) & (x < 0.0))
 
-    @pytest.mark.parametrize("holdout", [(-40.0, 40.0), (-2.6, 2.6), (-math.inf, 0.0),
-                                         (0.0, math.inf), (math.nan, 0.0), (0.0, -1.0)])
-    def test_holdout_that_starves_training_is_refused(self, holdout):
-        # (-2.6, 2.6) leaves 0.93% of the N(0, 1) mass; (-40, 40) made the
-        # rejection sampler loop for ever, (-inf, 0) gave NaN inputs
-        with pytest.raises(InvalidParameterError, match="holdout"):
-            analytic.QuadraticDatasetConfig(holdout=holdout)
+    @pytest.mark.parametrize("config,name,value", [
+        (analytic.QuadraticDatasetConfig, "holdout", (-1.5, 0.0)),
+        (analytic.BayesianLinearEnsembleConfig, "degree", 3)])
+    def test_holdout_and_degree_are_constants(self, config, name, value):
+        # the paper's held-out interval and cubic basis: read as before, set by no caller
+        assert name not in {f.name for f in dataclasses.fields(config)}
+        assert getattr(config, name) == getattr(config(), name) == value
+        with pytest.raises(TypeError, match=name):
+            config(**{name: value})
 
-    def test_holdout_leaving_one_percent_is_sampled(self):
-        cfg = analytic.QuadraticDatasetConfig(n=200, holdout=(-2.4, 2.4), seed=1)
-        x, _, x_ood, _ = analytic.generate_quadratic_dataset(cfg)
-        assert x.size == 200 and np.all(np.abs(x) >= 2.4)
-        assert np.all(np.isfinite(x_ood))
+    # sha256 of each `simulate --scenario quadratic --seed 2 --n 50 --models 10` file
+    SIMULATED_FILES = ("id_labels.csv", "id_predictions.jsonl", "ood_labels.csv",
+                       "ood_predictions.jsonl", "train_inputs.csv", "train_labels.csv")
+    SIMULATED = {
+        (): (
+            "3b69ce94261a1452d00f1124e4a19ce7de4c9528da59352f2b3db8f24fd828e3",
+            "95874308ce7b42a8bc3efeff226b98162f27987b77d5c850873f93080482efff",
+            "377dcbfeb67c83f9b438c5c7d94ebe43899f46ce9c85b9182782f0178600da0a",
+            "af8a8208d106fdbc20ce5c3d455d43236d1d58e7d973485f0a135852caf0e67b",
+            "76deab6b82c6642126cd85b2396a1e3db17ff0947cb3b19f6c6ea40f5ede09f2",
+            "dd22028b7a973a466a9c82176327593fbd5f5c7e408846974c25867d3137216d"),
+        ("--noise-as-std",): (
+            "0da73e0d6ebf4b9dfb1e3e8dce39cabfaeec0a2c176e47828b176751753f78d9",
+            "c56c525cc4e9a19ffa87000b54e5e7bb2bc539d1f6355747accbad1ebef5c2bb",
+            "19f8f5754ae7811eab76738cd52ac52f97294d3a8d6e4ca3f4a873c56a36c6d0",
+            "24883d728c8ebb9b42e2c7e999833dc26922a32a82139d49266078fcaf2c7f0b",
+            "76deab6b82c6642126cd85b2396a1e3db17ff0947cb3b19f6c6ea40f5ede09f2",
+            "b307431392c483edf9acc2c1466e9f64db8291badfd8acd82f98629bdc37c2e7"),
+    }
+
+    @pytest.mark.parametrize("flags", list(SIMULATED), ids=["noise-var", "noise-as-std"])
+    def test_simulated_files_are_pinned(self, tmp_path, flags):
+        assert cli.main(["simulate", "--scenario", "quadratic", "--seed", "2", "--n", "50",
+                         "--models", "10", *flags, "--out-dir", str(tmp_path)]) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir()} == dict(zip(self.SIMULATED_FILES,
+                                                            self.SIMULATED[flags]))
 
     def test_ood_grid_inside_holdout(self):
         cfg = analytic.QuadraticDatasetConfig(n=10, seed=1)

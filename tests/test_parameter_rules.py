@@ -40,8 +40,6 @@ INTEGER_SITES = {
 }
 # integer sites whose bound is 0: every bad integer but 0
 INTEGER_SITES_FROM_0 = {
-    "BayesianLinearEnsembleConfig.degree":
-        (lambda v: analytic.BayesianLinearEnsembleConfig(degree=v), 0),
     "mixture_sample.size": (lambda v: mixture_sample(
         MixturePredictive((Gaussian(0.0, 1.0),)), np.random.default_rng(0), size=v), 3),
     "location_example_demo.seed":
@@ -61,10 +59,6 @@ FINITE_SITES = {
     "picp.upper": (lambda v: st.picp([0.5], 0.1, v), 0.9),
     "split_recalibration.fraction":
         (lambda v: split_recalibration(CLASS_PROBS, [0] * 5, v), 0.5),
-    "QuadraticDatasetConfig.holdout.lo":
-        (lambda v: analytic.QuadraticDatasetConfig(holdout=(v, 0.0)), -1.5),
-    "QuadraticDatasetConfig.holdout.hi":
-        (lambda v: analytic.QuadraticDatasetConfig(holdout=(-1.5, v)), 0.0),
     # an observed value and a location, compared or added in place
     "p_value.observed": (lambda v: ppc.p_value([0.1, 0.9], v), 0.5),
     "location_example_demo.theta_true":
@@ -218,10 +212,6 @@ UNREAD_INPUTS = {
         lambda: analytic.bayesian_linear_ensemble(LINEAR, [[1.0]], [1.0], [0.0]),
     "bayesian_linear_ensemble(matrix x_query)":
         lambda: analytic.bayesian_linear_ensemble(LINEAR, [1.0], [1.0], [[0.0]]),
-    "QuadraticDatasetConfig(three holdout bounds)":
-        lambda: analytic.QuadraticDatasetConfig(holdout=(0.0, 1.0, 2.0)),
-    "QuadraticDatasetConfig(one holdout bound)":
-        lambda: analytic.QuadraticDatasetConfig(holdout=0.0),
     "conjugate_posterior(matrix observations)": lambda: analytic.conjugate_posterior(
         analytic.ConjugateNormalModel(), [[1.0, 2.0], [3.0, 4.0]]),
     "quadratic_mean(matrix x)": lambda: analytic.quadratic_mean([[1.0, 2.0]]),

@@ -365,12 +365,21 @@ class TestSampleStatistic:
 
     def test_determinism_across_thread_counts(self, monkeypatch):
         monkeypatch.setattr(ppc, "_usable_cpus", lambda: 8)   # 8 real workers
+        monkeypatch.setattr(ppc, "_BLOCK_ELEMENTS", 4 * 20)   # 25 blocks of 20
+        monkeypatch.setattr(ppc, "_run_blocks", recording_runner(asked := []))
         preds = two_model_onehot(4)
         runs = [ppc.sample_statistic(preds, None, ppc.EceStatistic(), ppc.BAYESIAN,
                                      num_replicates=500, seed=9, threads=t).samples
                 for t in (1, 2, 8)]
+        assert asked == [(25, 1), (25, 2), (25, 8)]
         np.testing.assert_array_equal(runs[0], runs[1])
         np.testing.assert_array_equal(runs[0], runs[2])
+
+    def test_samples_hold_only_the_values_and_their_context(self):
+        # the seed, mode and statistic are the caller's own arguments: `run_ppc` reports
+        # them from its own, so no copy of them rides on the samples
+        assert [f.name for f in dataclasses.fields(ppc.StatisticSamples)] == [
+            "samples", "context"]
 
     def test_m1_mode_collapse_bit_identical(self):
         probs = np.zeros((6, 1, 3))
@@ -496,10 +505,13 @@ class TestEngineProperties:
     def test_replicates_are_thread_invariant(self, kind, data):
         preds, _, statistic, mode = data.draw(engine_cases(kind))
         seed = data.draw(hst.integers(0, 2 ** 31 - 1))
-        with mock.patch.object(ppc, "_usable_cpus", return_value=3):  # 3 real workers
+        with mock.patch.object(ppc, "_usable_cpus", return_value=3), \
+                mock.patch.object(ppc, "_BLOCK_ELEMENTS", 4 * preds.num_rows), \
+                mock.patch.object(ppc, "_run_blocks", recording_runner(asked := [])):
             runs = [ppc.sample_statistic(preds, None, statistic, mode, num_replicates=40,
                                          seed=seed, threads=t).samples.tobytes()
-                    for t in (1, 2, 3)]
+                    for t in (1, 2, 3)]        # 3 real workers on 10 blocks of 4
+        assert asked == [(10, 1), (10, 2), (10, 3)]
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("kind", [st.CLASSIFICATION, st.REGRESSION])
@@ -824,6 +836,16 @@ BLOCK_READERS = {
                                     ppc.BAYESIAN),
     "labels-custom": (st.CLASSIFICATION, LabelMean(), ANY_MODE),
 }
+
+
+def recording_runner(asked: list):
+    """The block runner, `ppc._run_blocks`, recording each (blocks, workers) it is given."""
+    run_blocks = ppc._run_blocks
+
+    def run(run_block, num_blocks, workers):
+        asked.append((num_blocks, workers))
+        run_blocks(run_block, num_blocks, workers)
+    return run
 
 
 def shuffled_inline_runner(order):
@@ -1336,7 +1358,7 @@ class TestModeAndThreadParameters:
                                       num_replicates=50, seed=2)
             pmf = oracle.exact_statistic_distribution(preds, None,
                                                       ppc.EceStatistic(), mode)
-            results.append((ss.samples.tobytes(), ss.mode, pmf.values.tobytes(),
+            results.append((ss.samples.tobytes(), mode.describe(), pmf.values.tobytes(),
                             pmf.masses.tobytes()))
         assert results[0] == results[1]
 
@@ -1481,6 +1503,13 @@ class TestRunPpc:
                              num_replicates=20, seed=0, threads=1)
         read = statistic.reader(ppc.build_context(preds))
         assert report.observed.hex() == float(read(labels)).hex()
+
+    def test_a_numpy_seed_is_reported_as_an_int(self):
+        report = ppc.run_ppc(two_model_onehot(), None, [0, 1], ppc.AccuracyStatistic(),
+                             ppc.PointEstimate(1), num_replicates=10, seed=np.int64(7))
+        assert type(report.seed) is int and report.seed == 7
+        assert json.loads(json.dumps(report.to_dict()))["seed"] == 7
+        assert (report.mode, report.statistic) == ("point:1", "accuracy")
 
     def test_self_consistency_point_estimate(self):
         # data generated by the model itself should pass

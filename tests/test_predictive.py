@@ -12,8 +12,8 @@ from scipy.special import ndtr
 
 from ppc_uq import statistics as st
 from ppc_uq.predictive import (Gaussian, InvalidParameterError, MixturePredictive,
-                               PosteriorWeights, _CHORD_ERROR, _GRID_CELLS_PER_UNIT,
-                               _GRID_END, _GRID_HALF, _NDTR_CHUNK, _chord, _grid_cell,
+                               PosteriorWeights, _BLOCK_ELEMENTS, _CHORD_ERROR,
+                               _GRID_CELLS_PER_UNIT, _GRID_END, _GRID_HALF, _chord, _grid_cell,
                                _ndtr, gaussian_cdf, mixture_cdf, mixture_sample,
                                pit_from_gaussians)
 
@@ -144,10 +144,10 @@ class TestNdtrKernel:
                 assert _ndtr(part.copy()).tobytes() == whole[start:start + size].tobytes()
         assert _ndtr(a.reshape(40, 25)).tobytes() == whole.tobytes()
         assert _ndtr(a[::3]).tobytes() == whole[::3].tobytes()
-        # across the kernel's passes of _NDTR_CHUNK elements
-        big = np.random.default_rng(19).normal(0.0, 6.0, 3 * _NDTR_CHUNK + 5)
+        # across the kernel's passes of _BLOCK_ELEMENTS elements
+        big = np.random.default_rng(19).normal(0.0, 6.0, 3 * _BLOCK_ELEMENTS + 5)
         whole = _ndtr(big)
-        for start in (_NDTR_CHUNK - 2, 2 * _NDTR_CHUNK - 7, 3 * _NDTR_CHUNK):
+        for start in (_BLOCK_ELEMENTS - 2, 2 * _BLOCK_ELEMENTS - 7, 3 * _BLOCK_ELEMENTS):
             part = big[start:start + 9]
             assert _ndtr(part).tobytes() == whole[start:start + 9].tobytes()
 

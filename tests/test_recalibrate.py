@@ -177,6 +177,18 @@ class TestApplyTemperatures:
         sigma2 = 1.0 / (1.0 + np.exp(-2.0))
         np.testing.assert_allclose(out[0, 0], [sigma2, 1 - sigma2], atol=1e-4)
 
+    @pytest.mark.parametrize("logits", [np.full((1, 1, 2), np.nan), [[[np.inf, 0.0]]],
+                                        [[[1.0, 0.0]], [[0.0, -np.inf]]]],
+                             ids=["nan", "inf", "-inf-on-row-1"])
+    def test_non_finite_logits_are_refused_as_the_fit_refuses_them(self, logits):
+        # these gave NaN probabilities, where fit_temperatures refused the same logits
+        row = len(logits) - 1
+        for call in (lambda: rc.apply_temperatures(logits, (1.0,)),
+                     lambda: rc.fit_temperatures(logits, [0] * len(logits))):
+            with pytest.raises(st.InvalidRowError,
+                               match=f"^row {row}: logits must be finite$"):
+                call()
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(InvalidParameterError):
             rc.TemperatureVector((1.0, 0.0))
