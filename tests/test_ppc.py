@@ -1504,12 +1504,33 @@ class TestRunPpc:
         read = statistic.reader(ppc.build_context(preds))
         assert report.observed.hex() == float(read(labels)).hex()
 
-    def test_a_numpy_seed_is_reported_as_an_int(self):
+    @pytest.mark.parametrize("seed_type", [np.int8, np.int16, np.int32, np.int64,
+                                           np.uint8, np.uint16, np.uint32, np.uint64],
+                             ids=lambda t: t.__name__)
+    def test_a_numpy_seed_is_reported_as_an_int(self, seed_type):
         report = ppc.run_ppc(two_model_onehot(), None, [0, 1], ppc.AccuracyStatistic(),
-                             ppc.PointEstimate(1), num_replicates=10, seed=np.int64(7))
+                             ppc.PointEstimate(1), num_replicates=10, seed=seed_type(7))
         assert type(report.seed) is int and report.seed == 7
         assert json.loads(json.dumps(report.to_dict()))["seed"] == 7
         assert (report.mode, report.statistic) == ("point:1", "accuracy")
+
+    @pytest.mark.parametrize("mode,described", [(ppc.BAYESIAN, "bayesian"),
+                                                (ppc.INDEPENDENT, "independent"),
+                                                (ppc.PointEstimate(1), "point:1")],
+                             ids=["bayesian", "independent", "point"])
+    @pytest.mark.parametrize("statistic,name", [
+        pytest.param(statistic, name, id=name) for statistic, name in zip(
+            BUILT_IN_STATISTICS, ("ece", "accuracy", "calibration", "picp"))])
+    def test_report_names_its_own_seed_mode_and_statistic(self, statistic, name, mode,
+                                                          described):
+        # read from run_ppc's own arguments, as the samples no longer carry them
+        if statistic.kind == st.CLASSIFICATION:
+            preds, labels = two_model_onehot(3), [0, 1, 0]
+        else:
+            preds = st.EnsemblePredictions.from_gaussians(np.zeros((3, 2)), np.ones((3, 2)))
+            labels = [0.1, -0.2, 0.3]
+        report = ppc.run_ppc(preds, None, labels, statistic, mode, num_replicates=10, seed=5)
+        assert (report.seed, report.mode, report.statistic) == (5, described, name)
 
     def test_self_consistency_point_estimate(self):
         # data generated by the model itself should pass

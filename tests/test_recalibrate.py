@@ -189,6 +189,17 @@ class TestApplyTemperatures:
                                match=f"^row {row}: logits must be finite$"):
                 call()
 
+    @pytest.mark.parametrize("logits", [np.zeros((2, 2)), np.zeros((1, 1, 2, 1)), 0.0,
+                                        np.zeros((0, 1, 2)), np.zeros((1, 0, 2)),
+                                        [[[1.0, 0.0]], [[1.0]]]],
+                             ids=["2-d", "4-d", "scalar", "0-rows", "0-models", "ragged"])
+    def test_logits_are_read_by_the_ensemble_rule(self, logits):
+        # one logits rule for the package: the error `from_logits` raises, word for word
+        with pytest.raises(InvalidParameterError) as want:
+            st.EnsemblePredictions.from_logits(logits)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            rc.apply_temperatures(logits, (1.0,))
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(InvalidParameterError):
             rc.TemperatureVector((1.0, 0.0))
