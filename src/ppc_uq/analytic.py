@@ -129,7 +129,8 @@ class BayesianLinearEnsembleConfig:
                        self.prior_precision, self.noise_var)
 
 
-def _design(x: np.ndarray, degree: int, name: str) -> np.ndarray:
+def _design(x: np.ndarray, name: str) -> np.ndarray:
+    degree = BayesianLinearEnsembleConfig.degree
     rule = f"{name} and its powers up to {degree} must be finite"
     if (x := real_array(x, rule)).ndim != 1:
         raise InvalidParameterError(f"{name} must be a vector, got shape {x.shape}")
@@ -147,8 +148,8 @@ def bayesian_linear_ensemble(cfg: BayesianLinearEnsembleConfig, x_train, y_train
     noise_var) at every query point. The prior precision doubles as a ridge
     term, so the normal equations are never singular.
     """
-    phi = _design(x_train, cfg.degree, "x_train")
-    phi_q = _design(x_query, cfg.degree, "x_query")
+    phi = _design(x_train, "x_train")
+    phi_q = _design(x_query, "x_query")
     rule = f"y_train must be {phi.shape[0]} finite targets, one per input"
     y = real_array(y_train, rule)
     if y.shape != phi.shape[:1] or not np.all(np.isfinite(y)):

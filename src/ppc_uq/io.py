@@ -128,7 +128,7 @@ def load_predictions(path) -> tuple:
     fields = ({"means": data[:, 0::2].copy(), "stds": data[:, 1::2].copy()}
               if gaussian else {values: data})
     with _rows_at(lines[1:]):
-        return st.EnsemblePredictions(kind, **fields), header
+        return st.EnsemblePredictions(**fields), header
 
 
 def save_predictions(path, preds: st.EnsemblePredictions) -> None:

@@ -34,61 +34,61 @@ class InvalidRowError(InvalidParameterError):
         self.rule, self.row = rule, row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EnsemblePredictions:
-    """Per-row, per-model predictive distributions.
-
-    Classification rows carry [N, M, C] probabilities or logits, never both;
-    regression rows carry [N, M] Gaussian (mean, stddev) pairs.
+    """Per-row, per-model predictive distributions, held as exactly one of three sets
+    of arrays: [N, M, C] `probs`, [N, M, C] `logits`, or [N, M] Gaussian `means` and
+    `stds`. The kind is read off the set (`means` make it regression); any other set,
+    such as probs beside means and stds, is refused.
     """
 
-    kind: str
     probs: np.ndarray = None          # [N, M, C]
     logits: np.ndarray = None         # [N, M, C]
     means: np.ndarray = None          # [N, M]
     stds: np.ndarray = None           # [N, M]
 
     def __post_init__(self):
+        given = [name for name, values in vars(self).items() if values is not None]
+        if given not in (["probs"], ["logits"], ["means", "stds"]):
+            raise InvalidParameterError("an ensemble holds {probs}, {logits} or "
+                                        f"{{means, stds}}, got {{{', '.join(given)}}}")
+        rule = (f"{given[0]} must be [N, M, C]" if self.kind == CLASSIFICATION
+                else "means/stds must both be [N, M]")
+        for name in given:
+            object.__setattr__(self, name, real_array(getattr(self, name), rule))
         if self.kind == CLASSIFICATION:
-            if (self.probs is None) == (self.logits is None):
-                raise InvalidParameterError("classification needs probs or logits, not both")
-            name = "logits" if self.probs is None else "probs"
-            values = real_array(getattr(self, name), f"{name} must be [N, M, C]")
-            object.__setattr__(self, name, values)
+            name, values = given[0], self._values
             if values.ndim != 3:
-                raise InvalidParameterError(f"{name} must be [N, M, C]")
+                raise InvalidParameterError(rule)
             _require_rows(np.isfinite(values), f"{name} must be finite")
             if name == "probs":
                 _require_rows(values >= -1e-12, "probs must be >= 0")
                 _require_rows(np.abs(values.sum(axis=2) - 1.0) <= 1e-6,
                               "per-model probability rows must sum to 1")
-        elif self.kind == REGRESSION:
-            if self.means is None or self.stds is None:
-                raise InvalidParameterError("regression needs means and stds")
-            rule = "means/stds must both be [N, M]"
-            for name in ("means", "stds"):
-                object.__setattr__(self, name, real_array(getattr(self, name), rule))
+        else:
             if self.means.shape != self.stds.shape or self.means.ndim != 2:
                 raise InvalidParameterError(rule)
             _require_rows(np.isfinite(self.means), "means must be finite")
             _require_rows(np.isfinite(self.stds), "stds must be finite")
             _require_rows(self.stds > 0, "stds must be > 0")
-        else:
-            raise InvalidParameterError(f"unknown prediction kind: {self.kind!r}")
         if self.num_rows < 1 or self.num_models < 1:
             raise InvalidParameterError("need at least one row and one model")
 
     @classmethod
     def from_probs(cls, probs) -> "EnsemblePredictions":
-        return cls(kind=CLASSIFICATION, probs=probs)
+        return cls(probs=probs)
 
     @classmethod
     def from_logits(cls, logits) -> "EnsemblePredictions":
-        return cls(kind=CLASSIFICATION, logits=logits)
+        return cls(logits=logits)
 
     @classmethod
     def from_gaussians(cls, means, stds) -> "EnsemblePredictions":
-        return cls(kind=REGRESSION, means=means, stds=stds)
+        return cls(means=means, stds=stds)
+
+    @property
+    def kind(self) -> str:
+        return CLASSIFICATION if self.means is None else REGRESSION
 
     @property
     def _values(self) -> np.ndarray:
@@ -117,8 +117,7 @@ class EnsemblePredictions:
         return softmax(self.logits)
 
     def take_rows(self, index) -> "EnsemblePredictions":
-        return replace(self, **{k: v[index] for k, v in vars(self).items()
-                                if k != "kind" and v is not None})
+        return replace(self, **{k: v[index] for k, v in vars(self).items() if v is not None})
 
 
 def _require_rows(ok: np.ndarray, rule: str) -> None:

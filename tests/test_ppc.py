@@ -739,6 +739,11 @@ class TestWorkerPool:
                              num_replicates=50, seed=5)
         assert asked == [1]
 
+    def test_without_an_affinity_mask_the_cpus_are_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(ppc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ppc.os, "cpu_count", lambda: 5)
+        assert ppc._usable_cpus() == 5
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_block_runs_once_and_the_lowest_failing_blocks_error_is_raised(self,
                                                                               workers):

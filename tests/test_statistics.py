@@ -126,6 +126,10 @@ class TestEceKernel:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_zero_rows_are_refused(self):
+        with pytest.raises(st.EmptyInputError, match="^ece needs at least one row$"):
+            st.ece_from_confidence(np.empty(0), np.empty(0, dtype=bool), 15)
+
     def test_largest_bin_count_gives_each_confidence_its_own_bin(self):
         probs = np.array([[0.9, 0.1], [0.3, 0.7]])   # conf 0.9 correct, 0.7 wrong
         got = st.ece(probs, [0, 0], st.BinningConfig(num_bins=2 ** 53))
@@ -373,27 +377,91 @@ class TestInputValidation:
         assert str(info.value) == rule
 
 
+def cross_kind_sets():
+    """Sets of arrays other than {probs}, {logits} and {means, stds}: each names the
+    set the refusal reports, then the arrays."""
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(2), size=(4, 3))
+    means, stds = rng.normal(size=(4, 3)), np.ones((4, 3))
+    nan = np.full((50, 4, 2), np.nan)
+    return {
+        "probs-means-stds": ("probs, means, stds", dict(probs=probs, means=means, stds=stds)),
+        "logits-means-stds": ("logits, means, stds",
+                              dict(logits=np.log(probs), means=means, stds=stds)),
+        "nan-probs-means-stds": ("probs, means, stds",
+                                 dict(probs=nan, means=np.zeros((50, 4)), stds=np.ones((50, 4)))),
+        "nan-logits-nan-means-stds": ("logits, means, stds",
+                                      dict(logits=nan, means=np.full((50, 4), np.nan),
+                                           stds=np.ones((50, 4)))),
+        "3-row-probs-2-row-means-stds": ("probs, means, stds",
+                                         dict(probs=probs[:3], means=means[:2],
+                                              stds=stds[:2])),
+        "probs-means": ("probs, means", dict(probs=probs, means=means)),
+        "logits-stds": ("logits, stds", dict(logits=np.log(probs), stds=stds)),
+        "probs-logits-means-stds": ("probs, logits, means, stds",
+                                    dict(probs=probs, logits=np.log(probs), means=means,
+                                         stds=stds)),
+        "means": ("means", dict(means=means)),
+        "stds": ("stds", dict(stds=stds)),
+        "none": ("", {}),
+    }
+
+
+CROSS_KIND_SETS = cross_kind_sets()
+
+
 class TestEnsembleConstructor:
     def test_logits_of_a_wrong_shape_or_not_finite_are_refused(self):
         with pytest.raises(InvalidParameterError, match="logits must be \\[N, M, C\\]"):
-            st.EnsemblePredictions(st.CLASSIFICATION, logits=[[0.0, 0.0]])
+            st.EnsemblePredictions(logits=[[0.0, 0.0]])
         with pytest.raises(InvalidParameterError, match="logits must be finite"):
-            st.EnsemblePredictions(st.CLASSIFICATION, logits=[[[np.inf, 0.0]]])
+            st.EnsemblePredictions(logits=[[[np.inf, 0.0]]])
 
     def test_probs_and_logits_of_different_shapes_are_refused(self, rng):
         probs = rng.dirichlet(np.ones(2), size=(3, 2))
-        with pytest.raises(InvalidParameterError,
-                           match="^classification needs probs or logits, not both$"):
-            st.EnsemblePredictions(st.CLASSIFICATION, probs=probs,
-                                   logits=rng.normal(size=(5, 4, 3)))
+        with pytest.raises(InvalidParameterError, match="^an ensemble holds .*, "
+                                                        "got {probs, logits}$"):
+            st.EnsemblePredictions(probs=probs, logits=rng.normal(size=(5, 4, 3)))
 
     @pytest.mark.parametrize("given", ["both", "neither"])
     def test_a_classification_ensemble_holds_probs_or_logits(self, rng, given):
         probs = rng.dirichlet(np.ones(3), size=(4, 2))
         arrays = {"probs": probs, "logits": np.log(probs)} if given == "both" else {}
-        with pytest.raises(InvalidParameterError,
-                           match="^classification needs probs or logits, not both$"):
-            st.EnsemblePredictions(st.CLASSIFICATION, **arrays)
+        with pytest.raises(InvalidParameterError, match="^an ensemble holds .*, got {(probs, "
+                                                        "logits)?}$"):
+            st.EnsemblePredictions(**arrays)
+
+    @pytest.mark.parametrize("case", CROSS_KIND_SETS)
+    def test_an_ensemble_holds_one_set_of_arrays(self, case):
+        """Exactly {probs}, {logits} or {means, stds}: any other set, with arrays of
+        both kinds, NaN or mismatched among them, or none, is refused before any
+        array is read, with one error naming the accepted sets and the one given."""
+        got, arrays = CROSS_KIND_SETS[case]
+        with pytest.raises(InvalidParameterError) as info:
+            st.EnsemblePredictions(**arrays)
+        assert type(info.value) is InvalidParameterError
+        assert str(info.value) == ("an ensemble holds {probs}, {logits} or {means, stds}, "
+                                   f"got {{{got}}}")
+
+    def test_the_kind_is_read_off_the_arrays(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=(4, 2))
+        means = rng.normal(size=(4, 2))
+        assert st.EnsemblePredictions(probs=probs).kind == st.CLASSIFICATION
+        assert st.EnsemblePredictions(logits=np.log(probs)).kind == st.CLASSIFICATION
+        reg = st.EnsemblePredictions(means=means, stds=np.ones((4, 2)))
+        assert reg.kind == st.REGRESSION
+        assert "kind" not in {f.name for f in dataclasses.fields(st.EnsemblePredictions)}
+        with pytest.raises(TypeError):
+            st.EnsemblePredictions(kind=st.CLASSIFICATION, probs=probs)
+        with pytest.raises(TypeError):      # the arrays are keyword-only
+            st.EnsemblePredictions(st.REGRESSION, means=means, stds=np.ones((4, 2)))
+
+    @pytest.mark.parametrize("read", ["num_classes", "class_probs"])
+    def test_a_regression_ensemble_has_no_classes(self, read):
+        preds = st.EnsemblePredictions.from_gaussians([[0.0, 1.0]], [[1.0, 2.0]])
+        with pytest.raises(st.KindMismatchError,
+                           match=f"^{read} is a classification property$"):
+            getattr(preds, read)()      # num_classes raises on the read
 
     @pytest.mark.parametrize("field", ["kind", "probs", "logits", "means", "stds"])
     def test_an_ensemble_is_frozen(self, field):
